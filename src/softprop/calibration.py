@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingArtifactError, OptimizationError
-from .estimator import ShapeModel, predict_displacements
+from .estimator import ShapeModel, predict, strains_from_lengths
 from .geometry import (
     RigidPose,
     as_cloud,
@@ -294,19 +294,30 @@ def _finger_poses(mounts, phi):
     ]
 
 
+def _posed_clouds(model: ShapeModel, hand: HandModel, params: AlignParams, r0,
+                  readings, mounts):
+    """Posed hand-frame surface predictions, one cloud per reading.
+
+    readings holds S resistance vectors of 12 and mounts one per-finger
+    pose tuple per reading; every reading is decoded in one pass per finger.
+    """
+    strains = strain_array_from_resistance(np.asarray(readings),
+                                           params.sensor_calibration(r0))
+    disp = predict(model, hand, strains)  # (S, 3, V, 3)
+    clouds = []
+    for i, sample_mounts in enumerate(mounts):
+        poses = _finger_poses(sample_mounts, params.phi)
+        clouds.append(np.concatenate([
+            poses[j].apply(f.surface.vertices + disp[i, j])
+            for j, f in enumerate(hand.fingers)
+        ]))
+    return clouds
+
+
 def predict_observed_cloud(model: ShapeModel, hand: HandModel, params: AlignParams,
                            r0, resistances, mounts):
     """Posed hand-frame surface prediction for one resistance reading."""
-    cal = params.sensor_calibration(r0)
-    strains = strain_array_from_resistance(np.asarray(resistances), cal)
-    poses = _finger_poses(mounts, params.phi)
-    clouds = []
-    for j, finger in enumerate(hand.fingers):
-        disp = predict_displacements(
-            model, strains[4 * j : 4 * j + 4], finger.surface.vertices
-        )
-        clouds.append(poses[j].apply(finger.surface.vertices + disp))
-    return np.concatenate(clouds)
+    return _posed_clouds(model, hand, params, r0, [resistances], [mounts])[0]
 
 
 def alignment_loss(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
@@ -317,27 +328,11 @@ def alignment_loss(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
     the predicted cloud being the union of the three posed finger
     surfaces under the candidate correction factors and mount angles.
     """
-    r0 = calset.r0
-    cal = params.sensor_calibration(r0)
-    readings = np.stack([s.resistances.r for s in calset.samples])
-    strains = strain_array_from_resistance(readings, cal)  # (S, 12)
-
-    # One decoder pass per finger over every sample.
-    fields = [
-        predict_displacements(
-            model, strains[:, 4 * j : 4 * j + 4], hand.fingers[j].surface.vertices
-        )
-        for j in range(N_FINGERS)
-    ]
+    clouds = _posed_clouds(model, hand, params, calset.r0,
+                           [s.resistances.r for s in calset.samples],
+                           [s.mounts for s in calset.samples])
     total = 0.0
-    for i, sample in enumerate(calset.samples):
-        poses = _finger_poses(sample.mounts, params.phi)
-        predicted = np.concatenate(
-            [
-                poses[j].apply(hand.fingers[j].surface.vertices + fields[j][i])
-                for j in range(N_FINGERS)
-            ]
-        )
+    for sample, predicted in zip(calset.samples, clouds):
         total += chamfer_ucd(sample.cloud, predicted)
     return total
 
@@ -388,27 +383,11 @@ def alignment_report(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
     """Before/after comparison plus the optimizer's convergence curve."""
 
     def per_sample_nn(params):
-        r0 = calset.r0
-        cal = params.sensor_calibration(r0)
-        readings = np.stack([s.resistances.r for s in calset.samples])
-        strains = strain_array_from_resistance(readings, cal)
-        fields = [
-            predict_displacements(
-                model, strains[:, 4 * j : 4 * j + 4], hand.fingers[j].surface.vertices
-            )
-            for j in range(N_FINGERS)
-        ]
-        values = []
-        for i, sample in enumerate(calset.samples):
-            poses = _finger_poses(sample.mounts, params.phi)
-            predicted = np.concatenate(
-                [
-                    poses[j].apply(hand.fingers[j].surface.vertices + fields[j][i])
-                    for j in range(N_FINGERS)
-                ]
-            )
-            values.append(float(mean_nn_distance(sample.cloud, predicted)))
-        return values
+        clouds = _posed_clouds(model, hand, params, calset.r0,
+                               [s.resistances.r for s in calset.samples],
+                               [s.mounts for s in calset.samples])
+        return [float(mean_nn_distance(s.cloud, c))
+                for s, c in zip(calset.samples, clouds)]
 
     before_nn = per_sample_nn(before)
     after_nn = per_sample_nn(result.params)
@@ -443,16 +422,16 @@ def synthesize_calibration_set(hand: HandModel, frames, true_cal: SensorCalibrat
     dot(p, crop_normal) >= crop_offset, emulating a one-sided camera.
     """
     phi_true = np.asarray(phi_true, dtype=np.float64).reshape(N_FINGERS)
-    rest_lengths = np.concatenate([f.sensor_rest_lengths for f in hand.fingers])
+    rest_lengths = hand.sensor_rest_lengths
     poses = _finger_poses(hand.mounts, phi_true)
     samples = []
     for i, frame in enumerate(frames):
         rng = child_rng(seed, STAGE_CALSET, i)
-        strains = frame.sensor_lengths / rest_lengths - 1.0
+        strains = strains_from_lengths(frame.sensor_lengths, rest_lengths)
         resistances = resistance_array_from_strain(strains, true_cal)
         parts = []
-        for j, finger in enumerate(hand.fingers):
-            deformed = finger.surface.with_vertices(frame.surface_vertices(finger, j))
+        for j, (finger, surface) in enumerate(zip(hand.fingers, frame.surfaces(hand))):
+            deformed = finger.surface.with_vertices(surface)
             pts = sample_surface_points(deformed, points_per_finger, rng)
             parts.append(poses[j].apply(pts))
         cloud = np.concatenate(parts)

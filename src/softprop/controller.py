@@ -177,6 +177,16 @@ def strain_step(current, desired, cfg: ControllerConfig):
 # Reference trajectories.
 
 
+def select_vertices(vertices, indices):
+    """Per-finger vertex subset: (..., 3, V, 3) with (3, K) indices -> (..., 3, K, 3).
+
+    The result is C-ordered, so reductions over it sum in the same order as
+    over a stack of per-finger subsets.
+    """
+    rows = np.arange(N_FINGERS)[:, None]
+    return np.ascontiguousarray(vertices[..., rows, indices, :])
+
+
 @dataclass(frozen=True)
 class ReferenceTrajectory:
     """Timestamped desired surface vertices (and strains) per finger.
@@ -256,27 +266,17 @@ class ReferenceTrajectory:
         frames = list(frames)
         if not frames:
             raise ValueError("ReferenceTrajectory: no frames")
-        rest_lengths = np.concatenate([f.sensor_rest_lengths for f in hand.fingers])
-        vertices = np.stack(
-            [
-                np.stack(
-                    [f.surface_vertices(hand.fingers[j], j) for j in range(N_FINGERS)]
-                )
-                for f in frames
-            ]
-        )
-        strains = np.stack(
-            [f.sensor_lengths / rest_lengths - 1.0 for f in frames]
+        vertices = np.stack([f.surfaces(hand) for f in frames])
+        strains = estimator.strains_from_lengths(
+            np.stack([f.sensor_lengths for f in frames]), hand.sensor_rest_lengths
         )
         if times is None:
             times = np.arange(len(frames), dtype=np.float64)
-        rest = np.stack([f.surface.vertices for f in hand.fingers])
+        rest = hand.rest_surfaces
         if vertex_indices is not None:
             idx = np.ascontiguousarray(vertex_indices, dtype=np.int64)
-            vertices = np.stack(
-                [np.stack([v[j][idx[j]] for j in range(N_FINGERS)]) for v in vertices]
-            )
-            rest = np.stack([rest[j][idx[j]] for j in range(N_FINGERS)])
+            vertices = select_vertices(vertices, idx)
+            rest = select_vertices(rest, idx)
         return cls(times, vertices, strains, rest, source,
                    vertex_indices=vertex_indices)
 
@@ -333,12 +333,10 @@ class TrackReport:
 
 def _surface_error(hand, frame, ref_vertices, indices=None):
     """Mean over fingers of mean NN distance to the reference surface."""
-    values = []
-    for j in range(N_FINGERS):
-        surface = frame.surface_vertices(hand.fingers[j], j)
-        if indices is not None:
-            surface = surface[indices[j]]
-        values.append(mean_nn_distance(surface, ref_vertices[j]))
+    surfaces = frame.surfaces(hand)
+    if indices is not None:
+        surfaces = select_vertices(surfaces, indices)
+    values = [mean_nn_distance(surfaces[j], ref_vertices[j]) for j in range(N_FINGERS)]
     return float(np.mean(values))
 
 
@@ -380,8 +378,8 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
         raise ValueError(f"track_trajectory: unknown mode {mode!r}")
     if cfg is None:
         cfg = ControllerConfig()
-    rest_lengths = np.concatenate([f.sensor_rest_lengths for f in hand.fingers])
-    rests = [f.surface.vertices for f in hand.fingers]
+    rest_lengths = hand.sensor_rest_lengths
+    rests = hand.rest_surfaces
     if mode == "shape" and model.n_vertices != rests[0].shape[0]:
         raise ValueError(
             "track_trajectory: the shape model was trained on a different mesh"
@@ -406,15 +404,12 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
     aborted = False
     fail_step = None
     for t in range(len(ref)):
-        strains = frame.sensor_lengths / rest_lengths - 1.0
+        strains = estimator.strains_from_lengths(frame.sensor_lengths, rest_lengths)
         if mode == "shape":
-            estimated = []
-            for j in range(N_FINGERS):
-                full = rests[j] + estimator.predict_displacements(
-                    model, strains[4 * j : 4 * j + 4], rests[j]
-                )
-                estimated.append(full if indices is None else full[indices[j]])
-            du = shape_step(np.stack(estimated), ref.vertices[t], directions, cfg)
+            estimated = rests + estimator.predict(model, hand, strains)
+            if indices is not None:
+                estimated = select_vertices(estimated, indices)
+            du = shape_step(estimated, ref.vertices[t], directions, cfg)
         else:
             du = strain_step(strains, ref.strains[t], cfg)
         u = np.clip(u + du, 0.0, 1.0)

@@ -19,7 +19,6 @@ import numpy as np
 from . import nn
 from .datafiles import canonical_json_bytes, config_hash
 from .errors import MissingArtifactError, TrainingError
-from .geometry import DisplacementField
 from .seeding import STAGE_TRAIN_SHAPE, child_rng
 from .simulator import N_FINGERS, HandModel
 
@@ -75,15 +74,19 @@ def strains_from_lengths(sensor_lengths, rest_lengths):
     return lengths / rest - 1.0
 
 
-def _decode_batch(model: ShapeModel, z, rest_scaled):
-    """z (B, 128) + rest_scaled (V, 3) -> displacements (B, V, 3)."""
+def _decoder_input(z, rest_scaled):
+    """z (B, 128) + rest_scaled (V, 3) -> decoder rows (B*V, 131), sample-major."""
     b = z.shape[0]
     v = rest_scaled.shape[0]
-    dec_in = np.concatenate(
+    return np.concatenate(
         [np.tile(rest_scaled, (b, 1)), np.repeat(z, v, axis=0)], axis=1
     )
-    out = nn.forward(model.dec_spec, model.dec_params, dec_in)
-    return out.reshape(b, v, 3)
+
+
+def _decode_batch(model: ShapeModel, z, rest_scaled):
+    """z (B, 128) + rest_scaled (V, 3) -> displacements (B, V, 3)."""
+    out = nn.forward(model.dec_spec, model.dec_params, _decoder_input(z, rest_scaled))
+    return out.reshape(z.shape[0], rest_scaled.shape[0], 3)
 
 
 def predict_displacements(model: ShapeModel, strains, rest_vertices):
@@ -104,18 +107,30 @@ def predict_displacements(model: ShapeModel, strains, rest_vertices):
     return disp[0] if squeeze else disp
 
 
-def predict(model: ShapeModel, strains, rest_meshes):
-    """Strains (12,) + three rest SurfaceMeshes -> three DisplacementFields."""
-    strains = np.asarray(strains, dtype=np.float64).reshape(-1)
-    if strains.shape != (12,):
-        raise ValueError(f"predict: expected 12 strains, got {strains.shape}")
-    if len(rest_meshes) != N_FINGERS:
-        raise ValueError("predict: expected 3 rest meshes")
-    fields = []
-    for j, mesh in enumerate(rest_meshes):
-        disp = predict_displacements(model, strains[4 * j : 4 * j + 4], mesh.vertices)
-        fields.append(DisplacementField(disp))
-    return fields
+def predict(model: ShapeModel, hand: HandModel, strains):
+    """Hand-level decoding: strains (12,) or (B, 12) -> displacements of every
+    finger's surface, (3, V, 3) or (B, 3, V, 3).
+
+    One predict_displacements call per finger on its strain quadruple, so a
+    batch of B readings costs three decoder passes of B samples each.
+    """
+    strains = np.asarray(strains, dtype=np.float64)
+    if strains.ndim not in (1, 2) or strains.shape[-1] != 4 * N_FINGERS:
+        raise ValueError(
+            f"predict: expected (12,) or (B, 12) strains, got {strains.shape}"
+        )
+    disp = np.stack(
+        [
+            predict_displacements(
+                model, strains[..., 4 * j : 4 * j + 4], f.surface.vertices
+            )
+            for j, f in enumerate(hand.fingers)
+        ],
+        axis=-3,
+    )
+    if not np.isfinite(disp).all():
+        raise ValueError("predict: non-finite displacements")
+    return disp
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +183,16 @@ def samples_from_frames(frames, hand: HandModel):
     v_counts = {f.surface.vertices.shape[0] for f in hand.fingers}
     if len(v_counts) != 1:
         raise ValueError("samples_from_frames: fingers disagree on vertex count")
-    rests = [f.surface.vertices for f in hand.fingers]
-    rest_lengths = [f.sensor_rest_lengths for f in hand.fingers]
+    rests = hand.rest_surfaces
+    rest_lengths = hand.sensor_rest_lengths
     xs, ys, frame_ix = [], [], []
     has_force = np.zeros(len(frames), dtype=bool)
     for i, frame in enumerate(frames):
         has_force[i] = any(len(evs) > 0 for evs in frame.forces)
-        for j in range(N_FINGERS):
-            strains = strains_from_lengths(
-                frame.sensor_lengths[4 * j : 4 * j + 4], rest_lengths[j]
-            )
-            verts = frame.nodes[j][hand.fingers[j].rest.surface_map]
-            xs.append(strains)
-            ys.append(verts - rests[j])
-            frame_ix.append(i)
+        strains = strains_from_lengths(frame.sensor_lengths, rest_lengths)
+        xs.extend(strains.reshape(N_FINGERS, 4))
+        ys.extend(frame.surfaces(hand) - rests)
+        frame_ix.extend([i] * N_FINGERS)
     return (
         np.array(xs),
         np.array(ys),
@@ -208,16 +219,15 @@ def split_frames(n_frames, has_force, val_fraction, rng):
 
 
 def _forward_backward(model, x, y, rest_scaled, vert_ix=None):
-    """Loss (mm^2) and gradients for one minibatch; None grads skips backward."""
+    """Loss (mm^2) and encoder/decoder gradients for one minibatch."""
     b = x.shape[0]
     rest = rest_scaled if vert_ix is None else rest_scaled[vert_ix]
     target = y if vert_ix is None else y[:, vert_ix]
     v = rest.shape[0]
     z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
-    dec_in = np.concatenate(
-        [np.tile(rest, (b, 1)), np.repeat(z, v, axis=0)], axis=1
+    pred, dec_cache = nn.forward_cache(
+        model.dec_spec, model.dec_params, _decoder_input(z, rest)
     )
-    pred, dec_cache = nn.forward_cache(model.dec_spec, model.dec_params, dec_in)
     loss, grad_pred = nn.mse_loss(pred, target.reshape(b * v, 3))
     grad_dec, grad_in = nn.backward(model.dec_spec, model.dec_params, dec_cache, grad_pred)
     grad_z = grad_in[:, 3:].reshape(b, v, LATENT).sum(axis=1)
@@ -231,10 +241,8 @@ def _refit_decoder_head(model: ShapeModel, x, y, rest_scaled):
     Adam handles the nonlinear features; the head is a linear problem, so
     finishing with its closed-form optimum is free precision.
     """
-    b = x.shape[0]
-    v = rest_scaled.shape[0]
     z = nn.forward(model.enc_spec, model.enc_params, x)
-    h = np.concatenate([np.tile(rest_scaled, (b, 1)), np.repeat(z, v, axis=0)], axis=1)
+    h = _decoder_input(z, rest_scaled)
     layers = nn.unpack_params(model.dec_spec, model.dec_params)
     for w, bias in layers[:-1]:
         h = np.maximum(h @ w + bias, 0.0)

@@ -105,24 +105,6 @@ class SurfaceMesh:
 
 
 @dataclass(frozen=True)
-class DisplacementField:
-    """Per-vertex 3D offsets aligned with a SurfaceMesh's vertex ordering."""
-
-    deltas: np.ndarray  # (N, 3) mm
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(self.deltas, dtype=np.float64)
-        if d.ndim != 2 or d.shape[1] != 3:
-            raise ValueError(f"DisplacementField: bad shape {d.shape}")
-        if not np.isfinite(d).all():
-            raise ValueError("DisplacementField: non-finite entries")
-        object.__setattr__(self, "deltas", d)
-
-    def __len__(self):
-        return self.deltas.shape[0]
-
-
-@dataclass(frozen=True)
 class RigidPose:
     """Rotation-then-translation map. R must be a proper rotation."""
 

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator, nn
-from .controller import ReferenceTrajectory, TrackState, track_trajectory
+from .controller import (
+    ReferenceTrajectory,
+    TrackState,
+    select_vertices,
+    track_trajectory,
+)
 from .datafiles import load_dataset, require_same_topology, save_dataset
 from .errors import MissingArtifactError, SolverFailure, TrainingError
 from .geometry import (
@@ -439,17 +444,8 @@ def _pose_delta(before, after):
 
 def _estimate_control_vertices(model, hand: HandModel, strains, indices):
     """Estimated control-vertex positions, (3, K, 3) or (T, 3, K, 3)."""
-    strains = np.asarray(strains, dtype=np.float64)
-    single = strains.ndim == 1
-    s = strains[None, :] if single else strains
-    fingers = []
-    for j, finger in enumerate(hand.fingers):
-        rest = finger.surface.vertices
-        disp = estimator.predict_displacements(model, s[:, 4 * j : 4 * j + 4],
-                                               rest)
-        fingers.append(rest[indices[j]] + disp[:, indices[j], :])
-    stacked = np.stack(fingers, axis=1)  # (T, 3, K, 3)
-    return stacked[0] if single else stacked
+    full = hand.rest_surfaces + estimator.predict(model, hand, strains)
+    return select_vertices(full, indices)
 
 
 def build_policy_dataset(pairs, model, hand: HandModel,
@@ -467,10 +463,8 @@ def build_policy_dataset(pairs, model, hand: HandModel,
     if not pairs:
         raise ValueError("build_policy_dataset: no demonstrations")
     indices = control_vertex_indices(hand, cfg.control_count)
-    rest_control = np.stack(
-        [hand.fingers[j].surface.vertices[indices[j]] for j in range(N_FINGERS)]
-    )
-    rest_lengths = np.concatenate([f.sensor_rest_lengths for f in hand.fingers])
+    rest_control = select_vertices(hand.rest_surfaces, indices)
+    rest_lengths = hand.sensor_rest_lengths
     groups = cfg.step_scale_groups()
 
     shape_inputs, clouds, poses, chunks = [], [], [], []
@@ -484,8 +478,8 @@ def build_policy_dataset(pairs, model, hand: HandModel,
                 f"horizon needs {cfg.horizon}"
             )
         points = np.asarray(points, dtype=np.float64)
-        strains = np.stack(
-            [f.sensor_lengths / rest_lengths - 1.0 for f in frames]
+        strains = estimator.strains_from_lengths(
+            np.stack([f.sensor_lengths for f in frames]), rest_lengths
         )
         est = _estimate_control_vertices(model, hand, strains, indices)
         pose_objs = [f.pose for f in frames]
@@ -601,14 +595,13 @@ def train_policy(dataset: PolicyDataset, schedule: DiffusionSchedule = None,
     """DDPM noise-prediction training, encoders learned jointly.
 
     Per batch: draw a timestep and Gaussian noise per sample, corrupt the
-    normalized chunk, and regress the noise estimate against the drawn
-    noise with MSE; gradients flow through the denoiser into both state
-    encoders. The denoiser net predicts the clean chunk and the noise
-    estimate is formed algebraically, eps_hat = (a_t - sqrt(abar_t) *
-    net) / sqrt(1 - abar_t) — a plain MLP regressing the noise directly
-    would have to represent a near-identity map on the chunk, which
-    dominates the error budget and starves the conditioning. Deterministic
-    per seed. Returns (PolicyParams, PolicyTrainReport).
+    normalized chunk, and regress the denoiser output directly against the
+    drawn noise with MSE; gradients flow through the denoiser into both
+    state encoders. sample_actions reads the output as the noise estimate
+    eps_hat. The report's recon_losses track the clean chunk recovered from
+    that estimate, (a_t - sqrt(1 - abar_t) * eps_hat) / sqrt(abar_t),
+    against the true normalized chunk. Deterministic per seed. Returns
+    (PolicyParams, PolicyTrainReport).
     """
     if cfg is None:
         cfg = dataset.config
@@ -634,10 +627,10 @@ def train_policy(dataset: PolicyDataset, schedule: DiffusionSchedule = None,
     n_points = dataset.clouds.shape[1]
     fs, fc = cfg.shape_feature, cfg.cloud_feature
     da = cfg.chunk_dim
-    losses = []
+    losses, recon_losses = [], []
     for epoch in range(cfg.epochs):
         order = rng_batch.permutation(n)
-        total = 0.0
+        total = recon_total = 0.0
         for lo in range(0, n, cfg.batch):
             rows = order[lo : lo + cfg.batch]
             b = rows.shape[0]
@@ -673,7 +666,10 @@ def train_policy(dataset: PolicyDataset, schedule: DiffusionSchedule = None,
             shape_p = nn.adam_step(adam_s, shape_p, g_shape)
             cloud_p = nn.adam_step(adam_c, cloud_p, g_cloud)
             total += loss * b
+            clean = (noisy - np.sqrt(1.0 - abar) * pred) / np.sqrt(abar)
+            recon_total += float(np.mean((clean - a0[rows]) ** 2)) * b
         losses.append(total / n)
+        recon_losses.append(recon_total / n)
     params = PolicyParams(
         config=cfg,
         schedule=schedule,
@@ -688,7 +684,7 @@ def train_policy(dataset: PolicyDataset, schedule: DiffusionSchedule = None,
         norm_scale=scale,
         shape_input_scale=in_scale,
     )
-    return params, PolicyTrainReport(tuple(losses), n, cfg.epochs)
+    return params, PolicyTrainReport(tuple(losses), tuple(recon_losses), n, cfg.epochs)
 
 
 def reverse_step_mean(chunk_t, eps_hat, schedule: DiffusionSchedule, t):
@@ -801,19 +797,14 @@ class RolloutReport:
         }
 
 
+def _control_trajectory(frames, hand: HandModel, indices):
+    """True control-vertex positions per frame, (T, 3, K, 3)."""
+    return select_vertices(np.stack([f.surfaces(hand) for f in frames]), indices)
+
+
 def demo_control_trajectory(demo: Demonstration, hand: HandModel, indices):
     """Ground-truth control-vertex positions per demo frame, (T, 3, K, 3)."""
-    return np.stack(
-        [
-            np.stack(
-                [
-                    f.surface_vertices(hand.fingers[j], j)[indices[j]]
-                    for j in range(N_FINGERS)
-                ]
-            )
-            for f in demo.frames
-        ]
-    )
+    return _control_trajectory(demo.frames, hand, indices)
 
 
 def demo_path_length(demo: Demonstration, hand: HandModel, indices):
@@ -834,7 +825,7 @@ def rollout(params: PolicyParams, hand: HandModel, model, directions,
     """
     cfg = params.config
     steps = task.steps if task.steps is not None else len(task.demos[0]) - 1
-    rest_lengths = np.concatenate([f.sensor_rest_lengths for f in hand.fingers])
+    rest_lengths = hand.sensor_rest_lengths
     if int(params.control_indices.max()) >= hand.fingers[0].surface.vertices.shape[0]:
         raise ValueError("rollout: policy control vertices exceed the hand mesh")
 
@@ -847,7 +838,8 @@ def rollout(params: PolicyParams, hand: HandModel, model, directions,
     replans = 0
     while executed < steps and not aborted:
         n_exec = min(cfg.exec_horizon, steps - executed)
-        strains = state.frame.sensor_lengths / rest_lengths - 1.0
+        strains = estimator.strains_from_lengths(state.frame.sensor_lengths,
+                                                 rest_lengths)
         est = _estimate_control_vertices(model, hand, strains,
                                          params.control_indices)
         cloud = pose.inverse().apply(task.object_points)
@@ -886,19 +878,7 @@ def rollout(params: PolicyParams, hand: HandModel, model, directions,
     deviation = path_length = ratio = nearest = per_step_dev = None
     trace = state.trace
     if task.demos and trace:
-        rolled = np.stack(
-            [
-                np.stack(
-                    [
-                        f.surface_vertices(hand.fingers[j], j)[
-                            params.control_indices[j]
-                        ]
-                        for j in range(N_FINGERS)
-                    ]
-                )
-                for f in trace
-            ]
-        )
+        rolled = _control_trajectory(trace, hand, params.control_indices)
         best = None
         for d, demo in enumerate(task.demos):
             truth = demo_control_trajectory(demo, hand, params.control_indices)

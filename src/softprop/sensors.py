@@ -14,7 +14,7 @@ off. Strains are engineering strain (L - L0)/L0, resistances are ohms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,36 +64,23 @@ class ResistanceFrame:
 
 @dataclass(frozen=True)
 class SensorCalibration:
-    """Baselines plus sign-split correction factors for all 12 sensors.
-
-    rho carries per-sensor conductivity scale for forward synthesis
-    bookkeeping only; the resistance ratio R/R0 never depends on it.
-    """
+    """Baselines plus sign-split correction factors for all 12 sensors."""
 
     r0: np.ndarray
     kappa_pos: np.ndarray
     kappa_neg: np.ndarray
-    rho: np.ndarray = field(default=None)
 
     def __post_init__(self):
         r0 = _vec12(self.r0, "SensorCalibration.r0")
         kp = _vec12(self.kappa_pos, "SensorCalibration.kappa_pos")
         kn = _vec12(self.kappa_neg, "SensorCalibration.kappa_neg")
-        rho = (
-            np.ones(N_SENSORS)
-            if self.rho is None
-            else _vec12(self.rho, "SensorCalibration.rho")
-        )
         if r0.min() <= 0.0:
             raise ValueError("SensorCalibration: baseline resistances must be positive")
         if kp.min() <= 0.0 or kn.min() <= 0.0:
             raise ValueError("SensorCalibration: correction factors must be positive")
-        if rho.min() <= 0.0:
-            raise ValueError("SensorCalibration: conductivity factors must be positive")
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "kappa_pos", kp)
         object.__setattr__(self, "kappa_neg", kn)
-        object.__setattr__(self, "rho", rho)
 
     @staticmethod
     def ideal(r0=100.0):

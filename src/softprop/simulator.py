@@ -12,8 +12,8 @@ shape.
 
 Equilibria come from damped Newton with backtracking line search on the
 total energy; there are no dynamics. The Newton matrix splits into a
-banded local part (elastic plus tendon curvature, factorized with a
-banded Cholesky) and one rank-1 term per tendon handled by the
+banded local part (elastic plus tendon curvature, factorized with
+banded LU) and one rank-1 term per tendon handled by the
 Woodbury identity; that split is what makes dataset-scale solving cheap.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
@@ -304,6 +304,16 @@ class HandModel:
             if not isinstance(m, RigidPose):
                 raise ValueError("HandModel: mounts must be RigidPose instances")
 
+    @property
+    def sensor_rest_lengths(self):
+        """(12,) rest lengths of all sensors, finger by finger."""
+        return np.concatenate([f.sensor_rest_lengths for f in self.fingers])
+
+    @property
+    def rest_surfaces(self):
+        """(3, V, 3) finger-local rest surface vertices of all fingers."""
+        return np.stack([f.surface.vertices for f in self.fingers])
+
     @staticmethod
     def build_standard(
         segments=18,
@@ -364,8 +374,10 @@ class SimFrame:
             self, "e_scales", np.ascontiguousarray(self.e_scales, dtype=np.float64).reshape(3)
         )
 
-    def surface_vertices(self, finger: FingerModel, j):
-        return self.nodes[j][finger.rest.surface_map]
+    def surfaces(self, hand: HandModel):
+        """(3, V, 3) finger-local surface vertices of all fingers."""
+        return np.stack([self.nodes[j][f.rest.surface_map]
+                         for j, f in enumerate(hand.fingers)])
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_reference_from_frames_matches_surfaces(hand):
     assert ref.source == "tendon"
     for j in range(3):
         assert np.array_equal(ref.vertices[1, j],
-                              frames[1].surface_vertices(hand.fingers[j], j))
+                              frames[1].nodes[j][hand.fingers[j].rest.surface_map])
         assert np.array_equal(ref.rest_vertices[j],
                               hand.fingers[j].surface.vertices)
     rest_lengths = np.concatenate([f.sensor_rest_lengths for f in hand.fingers])

@@ -75,10 +75,9 @@ def test_zero_init_predicts_rest(hand):
     assert disp.shape == (5, model.n_vertices, 3)
     assert np.all(disp == 0.0)
 
-    fields = predict(model, 0.1 * rng.standard_normal(12), [f.surface for f in hand.fingers])
-    assert len(fields) == 3
-    for field in fields:
-        assert np.all(field.deltas == 0.0)
+    fields = predict(model, hand, 0.1 * rng.standard_normal(12))
+    assert fields.shape == (3, model.n_vertices, 3)
+    assert np.all(fields == 0.0)
 
 
 def test_identical_strains_give_identical_fields(hand):
@@ -97,10 +96,13 @@ def test_identical_strains_give_identical_fields(hand):
 
     quad = np.array([0.02, -0.01, 0.015, -0.005])
     strains = np.concatenate([quad, np.array([0.05, 0.0, -0.02, 0.01]), quad])
-    fields = predict(model, strains, [f.surface for f in hand.fingers])
-    assert np.array_equal(fields[0].deltas, fields[2].deltas)
-    assert np.any(fields[0].deltas != 0.0)
-    assert np.any(fields[1].deltas != fields[0].deltas)
+    fields = predict(model, hand, strains)
+    assert np.array_equal(fields[0], fields[2])
+    assert np.any(fields[0] != 0.0)
+    assert np.any(fields[1] != fields[0])
+    batch = predict(model, hand, np.stack([strains, 0.5 * strains]))
+    assert batch.shape == (2,) + fields.shape
+    np.testing.assert_allclose(batch[0], fields, rtol=0.0, atol=1e-12)
 
 
 def test_predict_is_pure(hand):
@@ -121,9 +123,17 @@ def test_predict_validation(hand):
     with pytest.raises(ValueError, match="vertices"):
         predict_displacements(model, np.zeros(4), rest[:-1])
     with pytest.raises(ValueError):
-        predict(model, np.zeros(11), [f.surface for f in hand.fingers])
+        predict(model, hand, np.zeros(11))
     with pytest.raises(ValueError):
-        predict(model, np.zeros(12), [f.surface for f in hand.fingers][:2])
+        predict(model, hand, np.zeros((2, 3, 12)))
+    dec_params = model.dec_params.copy()
+    nn.unpack_params(model.dec_spec, dec_params)[-1][1][:] = np.inf
+    blown = type(model)(
+        model.enc_spec, model.enc_params, model.dec_spec, dec_params,
+        model.finger_length_mm, model.n_vertices,
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        predict(blown, hand, np.zeros(12))
 
 
 def test_strains_from_lengths():

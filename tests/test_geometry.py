@@ -5,7 +5,6 @@ import pytest
 
 from softprop.errors import NotEmbeddableError
 from softprop.geometry import (
-    DisplacementField,
     EmbeddedPath,
     RigidPose,
     SurfaceMesh,
@@ -201,12 +200,6 @@ class TestMeshTypes:
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         )
         assert signed_volumes(nodes, np.array([[0, 1, 2, 3]]))[0] == pytest.approx(1 / 6)
-
-    def test_displacement_field(self):
-        d = DisplacementField(np.ones((4, 3)))
-        assert len(d) == 4
-        with pytest.raises(ValueError):
-            DisplacementField(np.ones((4, 2)))
 
 
 class TestEmbedding:

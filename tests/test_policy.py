@@ -1,0 +1,128 @@
+"""Tests for the diffusion policy: training, sampling and checkpoints."""
+
+import math
+
+import numpy as np
+import pytest
+
+from softprop import nn
+from softprop.estimator import init_shape_model
+from softprop.policy import (
+    PolicyConfig,
+    build_policy_dataset,
+    encode_state,
+    load_policy,
+    sample_actions,
+    save_policy,
+    synthetic_object_cloud,
+    train_policy,
+)
+from softprop.seeding import STAGE_TRAIN_SHAPE, child_rng
+from softprop.simulator import ExternalForceEvent, HandModel, collect_demonstration
+
+CFG = PolicyConfig(
+    horizon=2, exec_horizon=2, control_count=4, shape_feature=8, cloud_feature=8,
+    time_feature=8, shape_hidden=(16,), cloud_hidden=(16,), denoiser_hidden=(16,),
+    epochs=2, batch=4,
+)
+
+
+@pytest.fixture(scope="module")
+def hand():
+    return HandModel.build_standard(segments=4, length_mm=24.0)
+
+
+@pytest.fixture(scope="module")
+def model(hand):
+    # A fresh model with a random decoder head: cheap, and its estimated
+    # shapes move with the strains, so the demo's actions are nonzero.
+    rest = hand.fingers[0].surface.vertices
+    model = init_shape_model(hand.fingers[0].length_mm, rest.shape[0],
+                             child_rng(5, STAGE_TRAIN_SHAPE, 0))
+    dec_params = model.dec_params.copy()
+    w_last, b_last = nn.unpack_params(model.dec_spec, dec_params)[-1]
+    rng = np.random.default_rng(2)
+    w_last[:] = 0.1 * rng.standard_normal(w_last.shape)
+    b_last[:] = 0.1 * rng.standard_normal(b_last.shape)
+    return type(model)(model.enc_spec, model.enc_params, model.dec_spec, dec_params,
+                       model.finger_length_mm, model.n_vertices)
+
+
+def _push(steps):
+    event = ExternalForceEvent(np.array([8.0, 0.0, 20.0]), 6.0,
+                               np.array([-12.0, 0.0, 0.0]), (0, steps))
+    return [(0, event)]
+
+
+@pytest.fixture(scope="module")
+def points():
+    return synthetic_object_cloud([0.0, 0.0, 40.0], count=32)
+
+
+@pytest.fixture(scope="module")
+def dataset(hand, model, points):
+    demo = collect_demonstration(hand, _push(6), steps=6, ramp_steps=3)
+    return build_policy_dataset([(demo, points)], model, hand, CFG)
+
+
+@pytest.fixture(scope="module")
+def trained(dataset):
+    return train_policy(dataset, seed=4)
+
+
+def _state(dataset, params):
+    vertices = dataset.rest_control + dataset.shape_inputs[0].reshape(
+        dataset.rest_control.shape)
+    return encode_state(vertices, dataset.clouds[0], dataset.poses[0], params)
+
+
+def test_train_policy_reports_every_epoch_and_repeats(dataset, trained):
+    params, report = trained
+    assert len(dataset) == 4
+    assert report.epochs == CFG.epochs
+    assert report.samples == len(dataset)
+    assert len(report.losses) == len(report.recon_losses) == CFG.epochs
+    assert all(math.isfinite(v) for v in report.losses + report.recon_losses)
+    again, report2 = train_policy(dataset, seed=4)
+    assert report2.losses == report.losses
+    assert report2.recon_losses == report.recon_losses
+    for name in ("shape_params", "cloud_params", "denoiser_params"):
+        assert np.array_equal(getattr(again, name), getattr(params, name))
+    other, _ = train_policy(dataset, seed=5)
+    assert not np.array_equal(other.denoiser_params, params.denoiser_params)
+
+
+def test_sample_actions_is_deterministic_and_bounded(dataset, trained):
+    params, _ = trained
+    state = _state(dataset, params)
+    chunk = sample_actions(params, state, seed=3)
+    assert np.array_equal(chunk.vector(), sample_actions(params, state, seed=3).vector())
+    assert not np.array_equal(chunk.vector(), sample_actions(params, state, seed=4).vector())
+    assert chunk.vertex_deltas.shape == (CFG.horizon, 3, CFG.control_count, 3)
+    assert np.abs(chunk.vertex_deltas).max() <= CFG.dv_bound_mm
+    assert np.abs(chunk.pose_deltas[:, :3]).max() <= CFG.dp_translation_bound_mm
+    assert np.abs(chunk.pose_deltas[:, 3:]).max() <= CFG.dp_rotation_bound_rad
+
+
+def test_policy_checkpoint_round_trip(tmp_path, dataset, trained):
+    params, _ = trained
+    save_policy(tmp_path / "policy", params)
+    loaded = load_policy(tmp_path / "policy")
+    assert loaded.config == params.config
+    for name in ("shape", "cloud", "denoiser"):
+        assert getattr(loaded, f"{name}_spec") == getattr(params, f"{name}_spec")
+        assert np.array_equal(getattr(loaded, f"{name}_params"),
+                              getattr(params, f"{name}_params"))
+    for name in ("control_indices", "rest_control", "norm_scale"):
+        assert np.array_equal(getattr(loaded, name), getattr(params, name))
+    assert np.array_equal(loaded.schedule.betas, params.schedule.betas)
+    assert loaded.shape_input_scale == params.shape_input_scale
+    state = _state(dataset, params)
+    assert np.array_equal(sample_actions(loaded, state, seed=3).vector(),
+                          sample_actions(params, state, seed=3).vector())
+
+
+def test_build_policy_dataset_rejects_short_demo(hand, model, points):
+    short = collect_demonstration(hand, _push(2), steps=2, ramp_steps=3)
+    with pytest.raises(ValueError, match="horizon"):
+        build_policy_dataset([(short, points)], model, hand, CFG)

@@ -41,8 +41,6 @@ class TestTypes:
     def test_calibration_validation(self):
         with pytest.raises(ValueError):
             SensorCalibration(np.full(12, 100.0), np.zeros(12), np.ones(12))
-        cal = SensorCalibration.ideal()
-        assert np.all(cal.rho == 1.0)
 
 
 class TestForwardModel:
