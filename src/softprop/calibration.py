@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -358,14 +358,7 @@ def align_domains(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
     if cfg is None:
         cfg = CmaConfig(sigma0=0.3, max_evals=2600)
     if cfg.mean0 is None:
-        cfg = CmaConfig(
-            sigma0=cfg.sigma0,
-            mean0=AlignParams.identity().vector(),
-            popsize=cfg.popsize,
-            parents=cfg.parents,
-            max_evals=cfg.max_evals,
-            target_loss=cfg.target_loss,
-        )
+        cfg = replace(cfg, mean0=AlignParams.identity().vector())
 
     def objective(theta):
         if theta[: 2 * N_SENSORS].min() <= 0.0:

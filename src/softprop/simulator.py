@@ -12,9 +12,12 @@ shape.
 
 Equilibria come from damped Newton with backtracking line search on the
 total energy; there are no dynamics. The Newton matrix splits into a
-banded local part (elastic plus tendon curvature, factorized with
-banded LU) and one rank-1 term per tendon handled by the
-Woodbury identity; that split is what makes dataset-scale solving cheap.
+banded local part (elastic plus tendon curvature, assembled straight into
+LAPACK general-band layout and factorized with banded LU) and one rank-1
+term per tendon handled by the Woodbury identity; that split is what
+makes dataset-scale solving cheap. Each state the solver visits gets one
+kinematics evaluation (per-tet F, cofactor and J, plus tendon segments),
+shared by its energy, gradient and Newton matrix.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
 
@@ -396,6 +399,17 @@ def _skew_batch(v):
     return s
 
 
+@dataclass(frozen=True)
+class _Kinematics:
+    """One state's per-tet F, cofactor and J, plus (segments, lengths) per tendon."""
+
+    x: np.ndarray  # (M, 3)
+    f: np.ndarray  # (T, 3, 3)
+    cof: np.ndarray  # (T, 3, 3)
+    jdet: np.ndarray  # (T,)
+    tendons: tuple
+
+
 class _TendonCache:
     """Per-tendon constants: path interpolation and segment stencils."""
 
@@ -419,12 +433,8 @@ class _TendonCache:
         lens = np.linalg.norm(seg, axis=1)
         return seg, lens
 
-    def length(self, x):
-        return float(self.segments(x)[1].sum())
-
-    def grad_of_length(self, x, n_nodes):
-        """(M, 3) gradient of the path length; also returns the length."""
-        seg, lens = self.segments(x)
+    def length_gradient(self, seg, lens, n_nodes):
+        """(M, 3) gradient of the path length."""
         units = seg / lens[:, None]
         contrib = self.ws[:, :, None] * units[:, None, :]  # (S, 8, 3)
         grad = np.zeros((n_nodes, 3))
@@ -433,11 +443,10 @@ class _TendonCache:
             grad[:, c] = np.bincount(
                 flat, weights=contrib[:, :, c].ravel(), minlength=n_nodes
             )
-        return float(lens.sum()), grad
+        return grad
 
-    def curvature_values(self, x):
+    def curvature_values(self, seg, lens):
         """Banded-entry values of d2(length)/dx2, matching h_rows/h_cols."""
-        seg, lens = self.segments(x)
         units = seg / lens[:, None]
         proj = (np.eye(3)[None] - units[:, :, None] * units[:, None, :]) / lens[
             :, None, None
@@ -479,19 +488,15 @@ class _SolverCache:
         fixed[finger.base_fixed] = True
         self.free_nodes = np.flatnonzero(~fixed)
         self.n_free = self.free_nodes.size * 3
+        self.free_dofs = (3 * self.free_nodes[:, None] + np.arange(3)).ravel()
         dof_map = np.full(self.n_nodes * 3, -1, dtype=np.int64)
-        dof_map[(3 * self.free_nodes[:, None] + np.arange(3)).ravel()] = np.arange(
-            self.n_free
-        )
-        self.dof_map = dof_map
+        dof_map[self.free_dofs] = np.arange(self.n_free)
 
         dofs12 = (3 * self.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
         rows = dof_map[np.repeat(dofs12[:, :, None], 12, axis=2).ravel()]
         cols = dof_map[np.repeat(dofs12[:, None, :], 12, axis=1).ravel()]
         keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
         self.el_take = np.flatnonzero(keep)
-        el_rows = rows[keep]
-        el_cols = cols[keep]
 
         mu, lam = finger.material.lame()
         self.mu, self.lam = mu, lam
@@ -505,19 +510,22 @@ class _SolverCache:
         self.tendon_rest = finger.tendon_rest_lengths
         self.k_tendon = finger.tendon_stiffness
 
-        # One banded buffer holds elastic and tendon-curvature entries; the
-        # scatter pattern is constant so assembly is a single bincount.
-        band = max(int((el_rows - el_cols).max(initial=0)), 0)
-        for t in self.tendons:
-            if t.h_rows.size:
-                band = max(band, int((t.h_rows - t.h_cols).max()))
+        # Elastic and tendon-curvature entries (lower triangle, r >= c) land
+        # in one LAPACK general-band array ab[b + r - c, c] through a single
+        # bincount; every off-diagonal entry is also sent to its mirror
+        # ab[b + c - r, r], right after all lower entries, so each mirror bin
+        # sums the same values in the same order as its twin.
+        rows = np.concatenate([rows[keep]] + [t.h_rows for t in self.tendons])
+        cols = np.concatenate([cols[keep]] + [t.h_cols for t in self.tendons])
+        band = int((rows - cols).max(initial=0))
         self.bandwidth = band
-        flat_el = (el_rows - el_cols) * self.n_free + el_cols
-        flats = [flat_el]
-        for t in self.tendons:
-            flats.append((t.h_rows - t.h_cols) * self.n_free + t.h_cols)
-        self.band_index = np.concatenate(flats)
-        self.band_size = (self.bandwidth + 1) * self.n_free
+        off = np.flatnonzero(rows > cols)
+        self.ab_take = np.concatenate([np.arange(rows.size), off])
+        self.ab_index = np.concatenate(
+            [(band + rows - cols) * self.n_free + cols,
+             (band + cols[off] - rows[off]) * self.n_free + rows[off]]
+        )
+        self.ab_shape = (2 * band + 1, self.n_free)
 
         self.surface_nodes = mesh.surface_map
         self.surface_rest = self.rest[self.surface_nodes]
@@ -526,31 +534,39 @@ class _SolverCache:
         e_kpa = finger.material.youngs_modulus_kpa
         self.base_tol = 1e-6 * e_kpa * float(self.vol.sum()) / finger.length_mm
 
-    # -- kinematics -------------------------------------------------------
+    # -- kinematics and its consumers ---------------------------------------
 
-    def deformation_gradients(self, x):
-        xg = x[self.tets]  # (T, 4, 3)
-        f = np.einsum("tnc,tni->tic", self.shape_grad, xg)
+    def kinematics(self, x):
+        f = np.einsum("tnc,tni->tic", self.shape_grad, x[self.tets])
         c0 = np.cross(f[:, :, 1], f[:, :, 2])
         c1 = np.cross(f[:, :, 2], f[:, :, 0])
         c2 = np.cross(f[:, :, 0], f[:, :, 1])
         cof = np.stack([c0, c1, c2], axis=2)
         jdet = np.einsum("ti,ti->t", f[:, :, 0], c0)
-        return f, cof, jdet
+        tendons = tuple(t.segments(x) for t in self.tendons)
+        return _Kinematics(x, f, cof, jdet, tendons)
 
-    def elastic_energy(self, x, e_scale):
-        f, _, jdet = self.deformation_gradients(x)
-        ic = np.einsum("tic,tic->t", f, f)
+    def elastic_energy(self, kin, e_scale):
+        ic = np.einsum("tic,tic->t", kin.f, kin.f)
         psi = (
             0.5 * self.mu * (ic - 3.0)
-            + 0.5 * self.lam * (jdet - self.alpha) ** 2
+            + 0.5 * self.lam * (kin.jdet - self.alpha) ** 2
             - self.psi_rest
         )
         return e_scale * float(np.dot(self.vol, psi))
 
-    def elastic_gradient(self, x, e_scale):
-        f, cof, jdet = self.deformation_gradients(x)
-        p = self.mu * f + self.lam * (jdet - self.alpha)[:, None, None] * cof
+    def energy(self, kin, targets, force_field, e_scale):
+        e = self.elastic_energy(kin, e_scale) + 0.5 * self.k_tendon * sum(
+            (float(lens.sum()) - tgt) ** 2
+            for (_, lens), tgt in zip(kin.tendons, targets)
+        )
+        if force_field is not None:
+            e -= float(np.einsum("ni,ni->", force_field, kin.x))
+        return e
+
+    def gradient(self, kin, targets, force_field, e_scale):
+        """Free-DOF energy gradient (nf,) and tendon length gradients (nf, 4)."""
+        p = self.mu * kin.f + self.lam * (kin.jdet - self.alpha)[:, None, None] * kin.cof
         blocks = np.einsum("t,tic,tnc->tni", self.vol * e_scale, p, self.shape_grad)
         grad = np.zeros((self.n_nodes, 3))
         flat = self.tets.ravel()
@@ -558,16 +574,27 @@ class _SolverCache:
             grad[:, c] = np.bincount(
                 flat, weights=blocks[:, :, c].ravel(), minlength=self.n_nodes
             )
-        return grad
+        tendon_grad = np.zeros((self.n_nodes, 3))
+        directions = []
+        for cache, (seg, lens), tgt in zip(self.tendons, kin.tendons, targets):
+            glen = cache.length_gradient(seg, lens, self.n_nodes)
+            tendon_grad += self.k_tendon * (float(lens.sum()) - tgt) * glen
+            directions.append(glen.reshape(-1)[self.free_dofs])
+        grad += tendon_grad
+        if force_field is not None:
+            grad -= force_field
+        return grad.reshape(-1)[self.free_dofs], np.stack(directions, axis=1)
 
-    def elastic_hessian_values(self, x, e_scale):
-        """Banded-entry values for the elastic Hessian (matches el_take)."""
-        f, cof, jdet = self.deformation_gradients(x)
-        n_tets = f.shape[0]
-        vecg = cof.transpose(0, 2, 1).reshape(n_tets, 9)
+    def newton_matrix(self, kin, targets, e_scale):
+        """Banded part C of the Newton matrix in general-band layout (2b+1, nf):
+        elastic Hessian plus sum_t k (L - L*) d2L/dx2 (indefinite when slack;
+        the damped-Newton fallback copes, and leaving it out degrades
+        convergence to a crawl)."""
+        f, cof = kin.f, kin.cof
+        vecg = cof.transpose(0, 2, 1).reshape(f.shape[0], 9)
         hf = self.lam * vecg[:, :, None] * vecg[:, None, :]
         hf += self.mu * self.i9
-        s = self.lam * (jdet - self.alpha)
+        s = self.lam * (kin.jdet - self.alpha)
         s0 = _skew_batch(s[:, None] * f[:, :, 0])
         s1 = _skew_batch(s[:, None] * f[:, :, 1])
         s2 = _skew_batch(s[:, None] * f[:, :, 2])
@@ -579,9 +606,35 @@ class _SolverCache:
         hf[:, 6:9, 3:6] += s0
         blocks = np.matmul(self.kmat_t, np.matmul(hf, self.kmat))
         blocks *= (self.vol * e_scale)[:, None, None]
-        return blocks.reshape(-1)[self.el_take]
+        chunks = [blocks.reshape(-1)[self.el_take]]
+        for cache, (seg, lens), tgt in zip(self.tendons, kin.tendons, targets):
+            stretch = float(lens.sum()) - tgt
+            chunks.append(self.k_tendon * stretch * cache.curvature_values(seg, lens))
+        data = np.concatenate(chunks)
+        ab = np.bincount(
+            self.ab_index, weights=data[self.ab_take], minlength=math.prod(self.ab_shape)
+        )
+        return ab.reshape(self.ab_shape)
 
-    # -- tendons ----------------------------------------------------------
+    def newton_system(self, x, targets, force_field, e_scale):
+        """Reduced gradient and dense reduced Hessian (small meshes only).
+
+        A dense view of the solver's own assembly, C + sum_t k v_t v_t^T;
+        used by tests to compare against finite differences.
+        """
+        kin = self.kinematics(x)
+        g, vmat = self.gradient(kin, targets, force_field, e_scale)
+        ab = self.newton_matrix(kin, targets, e_scale)
+        i, c = np.indices(ab.shape)
+        r = c + i - self.bandwidth
+        inside = (r >= 0) & (r < self.n_free)
+        h = np.zeros((self.n_free, self.n_free))
+        h[r[inside], c[inside]] = ab[inside]
+        for v in vmat.T:
+            h += self.k_tendon * np.outer(v, v)
+        return g, h
+
+    # -- tendons and external forces ----------------------------------------
 
     def tendon_targets(self, u2):
         """Per-tendon target lengths for one finger's 2-channel command."""
@@ -596,64 +649,6 @@ class _SolverCache:
         t[1] *= 1.0 - TENDON_SHORTENING * u2[1]
         t[3] *= 1.0 + TENDON_SHORTENING * u2[1]
         return t
-
-    def tendon_energy(self, x, targets):
-        return 0.5 * self.k_tendon * sum(
-            (cache.length(x) - tgt) ** 2 for cache, tgt in zip(self.tendons, targets)
-        )
-
-    def tendon_state(self, x, targets):
-        """Lengths, energy gradient (M, 3), and rank-1 direction per tendon."""
-        grad = np.zeros((self.n_nodes, 3))
-        directions = []
-        for cache, tgt in zip(self.tendons, targets):
-            length, glen = cache.grad_of_length(x, self.n_nodes)
-            grad += self.k_tendon * (length - tgt) * glen
-            directions.append(glen)
-        return grad, directions
-
-    def tendon_curvature_values(self, x, targets):
-        """Banded values for sum_t k (L - L*) d2L/dx2 (indefinite when slack;
-        the damped-Newton fallback copes, and leaving it out degrades
-        convergence to a crawl)."""
-        chunks = []
-        for cache, tgt in zip(self.tendons, targets):
-            stretch = cache.length(x) - tgt
-            chunks.append(self.k_tendon * stretch * cache.curvature_values(x))
-        return chunks
-
-    def newton_system(self, x, targets, force_field, e_scale):
-        """Reduced gradient and dense reduced Hessian (small meshes only).
-
-        Materializes the banded-plus-rank-1 Newton matrix; used by tests
-        to compare against finite differences and by nothing hot.
-        """
-        grad_full = self.elastic_gradient(x, e_scale)
-        tendon_grad, directions = self.tendon_state(x, targets)
-        grad_full += tendon_grad
-        if force_field is not None:
-            grad_full -= force_field
-        free_dofs = (3 * self.free_nodes[:, None] + np.arange(3)).ravel()
-        g = grad_full.reshape(-1)[free_dofs]
-
-        data = np.concatenate(
-            [self.elastic_hessian_values(x, e_scale)]
-            + self.tendon_curvature_values(x, targets)
-        )
-        ab = np.bincount(self.band_index, weights=data, minlength=self.band_size)
-        ab = ab.reshape(self.bandwidth + 1, self.n_free)
-        h = np.zeros((self.n_free, self.n_free))
-        for k in range(self.bandwidth + 1):
-            idx = np.arange(self.n_free - k)
-            h[idx + k, idx] = ab[k, : self.n_free - k]
-            if k:
-                h[idx, idx + k] = ab[k, : self.n_free - k]
-        for vec in directions:
-            v = vec.reshape(-1)[free_dofs]
-            h += self.k_tendon * np.outer(v, v)
-        return g, h
-
-    # -- external forces --------------------------------------------------
 
     def force_field(self, events):
         """Per-node dead-load forces (M, 3) from Gaussian surface falloff."""
@@ -670,71 +665,49 @@ class _SolverCache:
             field_[self.surface_nodes] += (w / total)[:, None] * ev.force_mn
         return field_
 
-    # -- totals ------------------------------------------------------------
-
-    def total_energy(self, x, targets, force_field, e_scale):
-        e = self.elastic_energy(x, e_scale) + self.tendon_energy(x, targets)
-        if force_field is not None:
-            e -= float(np.einsum("ni,ni->", force_field, x))
-        return e
-
 
 def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0, max_iters):
     """Damped Newton with Armijo backtracking; returns (x, stats).
 
     The Newton matrix is C + sum_t k v_t v_t^T with C banded (elastic +
-    tendon curvature + damping); C gets a banded LU and the tendon rank-1
-    terms enter through the Woodbury identity. Slack tendons make C
-    indefinite, so instead of forcing definiteness (which over-damps and
-    crawls) the step is accepted whenever it is a descent direction, with
-    diagonal damping escalated otherwise.
+    tendon curvature + damping); C is assembled straight into LAPACK
+    general-band layout and gets a banded LU, and the tendon rank-1 terms
+    enter through the Woodbury identity. Slack tendons make C indefinite,
+    so instead of forcing definiteness (which over-damps and crawls) the
+    step is accepted whenever it is a descent direction, with diagonal
+    damping escalated otherwise. Kinematics are evaluated once per visited
+    state (the start point and each line-search trial); the accepted
+    trial's evaluation feeds the next gradient and matrix.
     """
     x = cache.rest.copy() if x0 is None else np.array(x0, dtype=np.float64)
     x[cache.finger.base_fixed] = cache.rest[cache.finger.base_fixed]
     tol = cache.base_tol * e_scale
     free = cache.free_nodes
-    nf = cache.n_free
     band = cache.bandwidth
-    dof_rows = (3 * free[:, None] + np.arange(3)).ravel()
 
-    energy = cache.total_energy(x, targets, force_field, e_scale)
+    kin = cache.kinematics(x)
+    energy = cache.energy(kin, targets, force_field, e_scale)
     energies = [energy]
     residual = math.inf
 
     for it in range(max_iters):
-        grad_full = cache.elastic_gradient(x, e_scale)
-        tendon_grad, directions = cache.tendon_state(x, targets)
-        grad_full += tendon_grad
-        if force_field is not None:
-            grad_full -= force_field
-        g = grad_full[free].ravel()
+        g, vmat = cache.gradient(kin, targets, force_field, e_scale)
         residual = float(np.linalg.norm(g))
         if residual <= tol:
-            return x, SolveStats(it, tuple(energies), residual, 1)
+            return kin.x, SolveStats(it, tuple(energies), residual, 1)
 
-        el_values = cache.elastic_hessian_values(x, e_scale)
-        td_values = cache.tendon_curvature_values(x, targets)
-        data = np.concatenate([el_values] + td_values)
-        ab_flat = np.bincount(
-            cache.band_index, weights=data, minlength=cache.band_size
-        )
-        low = ab_flat.reshape(band + 1, nf)
-        # Mirror the lower-banded storage into general (2b+1, nf) LU form.
-        ab = np.zeros((2 * band + 1, nf))
-        ab[band:] = low
-        for k in range(1, band + 1):
-            ab[band - k, k:] = low[k, : nf - k]
-        diag_scale = max(float(np.abs(low[0]).mean()), 1e-12)
-        vmat = np.stack([d.ravel()[dof_rows] for d in directions], axis=1)  # (nf, 4)
+        ab = cache.newton_matrix(kin, targets, e_scale)
+        diag = ab[band].copy()
+        diag_scale = max(float(np.abs(diag).mean()), 1e-12)
         rhs = np.concatenate([-g[:, None], vmat], axis=1)
 
         tau = 0.0
         step_taken = False
         for _ in range(24):
-            abt = ab.copy()
-            abt[band] += tau * diag_scale
+            # solve_banded factorizes a copy, so ab keeps its values.
+            ab[band] = diag + tau * diag_scale
             try:
-                sol = solve_banded((band, band), abt, rhs)
+                sol = solve_banded((band, band), ab, rhs)
             except LinAlgError:
                 tau = 1e-7 if tau == 0.0 else tau * 8.0
                 continue
@@ -747,11 +720,12 @@ def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0, max_it
                 continue
             alpha = 1.0
             for _ in range(30):
-                xn = x.copy()
+                xn = kin.x.copy()
                 xn[free] += alpha * d.reshape(-1, 3)
-                en = cache.total_energy(xn, targets, force_field, e_scale)
+                kn = cache.kinematics(xn)
+                en = cache.energy(kn, targets, force_field, e_scale)
                 if np.isfinite(en) and en <= energy + 1e-4 * alpha * gd:
-                    x, energy = xn, en
+                    kin, energy = kn, en
                     energies.append(energy)
                     step_taken = True
                     break

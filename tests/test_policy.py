@@ -1,4 +1,4 @@
-"""Tests for the diffusion policy: training, sampling and checkpoints."""
+"""Tests for the diffusion policy: training, sampling, checkpoints and rollout."""
 
 import math
 
@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from softprop import nn
+from softprop.controller import fit_actuation_directions
 from softprop.estimator import init_shape_model
 from softprop.policy import (
     PolicyConfig,
+    RolloutTask,
     build_policy_dataset,
     encode_state,
     load_policy,
+    rollout,
     sample_actions,
     save_policy,
     synthetic_object_cloud,
@@ -126,3 +129,21 @@ def test_build_policy_dataset_rejects_short_demo(hand, model, points):
     short = collect_demonstration(hand, _push(2), steps=2, ramp_steps=3)
     with pytest.raises(ValueError, match="horizon"):
         build_policy_dataset([(short, points)], model, hand, CFG)
+
+
+def test_rollout_completes_and_repeats(hand, model, points, trained):
+    params, _ = trained
+    demo = collect_demonstration(hand, _push(6), steps=6, ramp_steps=3)
+    directions = fit_actuation_directions(hand)
+    task = RolloutTask(points, demos=(demo,), steps=4)
+    report = rollout(params, hand, model, directions, task, seed=6)
+    assert not report.aborted and report.fail_step is None
+    assert report.steps == 4
+    assert report.replans == 2  # exec_horizon 2 per replan
+    assert len(report.per_step_ref_error_mm) == 4
+    assert all(math.isfinite(v) for v in report.per_step_ref_error_mm)
+    assert math.isfinite(report.deviation_mm) and report.path_length_mm > 0
+    assert report.nearest_demo == 0
+    assert report.seed == 6
+    again = rollout(params, hand, model, directions, task, seed=6)
+    assert again.as_dict() == report.as_dict()

@@ -124,7 +124,7 @@ def test_tendon_targets_mapping(finger):
 def _random_state(cache, rng, scale=0.05):
     x = cache.rest + scale * rng.normal(size=cache.rest.shape)
     x[cache.finger.base_fixed] = cache.rest[cache.finger.base_fixed]
-    assert cache.deformation_gradients(x)[2].min() > 0.5
+    assert cache.kinematics(x).jdet.min() > 0.5
     return x
 
 
@@ -145,8 +145,8 @@ def test_gradient_matches_finite_differences(tiny):
         xm = x.copy()
         xm.reshape(-1)[free_dofs[d]] -= h
         fd = (
-            cache.total_energy(xp, targets, field, 1.1)
-            - cache.total_energy(xm, targets, field, 1.1)
+            cache.energy(cache.kinematics(xp), targets, field, 1.1)
+            - cache.energy(cache.kinematics(xm), targets, field, 1.1)
         ) / (2 * h)
         assert abs(fd - g[d]) / max(abs(fd), 1.0) < 1e-5
 
@@ -178,8 +178,9 @@ def test_hessian_matches_finite_differences(tiny):
 
 def test_elastic_energy_zero_at_rest(tiny):
     cache = tiny.solver_cache()
-    assert cache.elastic_energy(cache.rest, 1.0) == pytest.approx(0.0, abs=1e-9)
-    assert cache.elastic_energy(cache.rest, 1.3) == pytest.approx(0.0, abs=1e-9)
+    kin = cache.kinematics(cache.rest)
+    assert cache.elastic_energy(kin, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert cache.elastic_energy(kin, 1.3) == pytest.approx(0.0, abs=1e-9)
 
 
 # -- equilibria ---------------------------------------------------------------
@@ -223,7 +224,7 @@ def test_achieved_tendon_lengths_near_targets(finger):
     fr = solve_equilibrium(finger, (0.5, 0.0))
     cache = finger.solver_cache()
     targets = cache.tendon_targets((0.5, 0.0))
-    achieved = np.array([t.length(fr.nodes) for t in cache.tendons])
+    achieved = np.array([lens.sum() for _, lens in cache.kinematics(fr.nodes).tendons])
     # Stiff penalty pulls within a fraction of a millimetre of the target.
     assert np.abs(achieved - targets).max() < 1.0
 
@@ -256,6 +257,19 @@ def test_energy_decreases_along_accepted_steps(finger):
     fr = solve_equilibrium(finger, (0.9, 0.2))
     up = int(np.sum(np.diff(np.array(fr.stats.energies)) > 1e-9))
     assert up <= fr.stats.stages - 1
+
+
+def test_returned_state_matches_last_evaluation(finger):
+    # The residual and the last energy belong to the returned nodes: an
+    # accepted step must carry its own kinematics into the next iteration.
+    fr = solve_equilibrium(finger, (0.45, 0.2))
+    assert fr.stats.stages == 1 and fr.stats.iterations > 0
+    cache = finger.solver_cache()
+    targets = cache.tendon_targets((0.45, 0.2))
+    kin = cache.kinematics(fr.nodes)
+    g, _ = cache.gradient(kin, targets, None, 1.0)
+    assert float(np.linalg.norm(g)) == fr.stats.residual
+    assert cache.energy(kin, targets, None, 1.0) == fr.stats.energies[-1]
 
 
 def test_solve_is_deterministic(finger):
