@@ -18,14 +18,14 @@ rank-mu covariance updates, written against plain numpy.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingArtifactError, OptimizationError
+from .datafiles import artifact_file, read_manifest, write_manifest
+from .errors import OptimizationError
 from .estimator import ShapeModel, predict, strains_from_lengths
 from .geometry import (
     RigidPose,
@@ -320,6 +320,14 @@ def predict_observed_cloud(model: ShapeModel, hand: HandModel, params: AlignPara
     return _posed_clouds(model, hand, params, r0, [resistances], [mounts])[0]
 
 
+def _sample_clouds(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
+                   params: AlignParams):
+    """Posed predictions for every sample of a calibration set, in order."""
+    return _posed_clouds(model, hand, params, calset.r0,
+                         [s.resistances.r for s in calset.samples],
+                         [s.mounts for s in calset.samples])
+
+
 def alignment_loss(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
                    params: AlignParams):
     """Summed unidirectional Chamfer distance over all samples (mm^2).
@@ -328,11 +336,9 @@ def alignment_loss(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
     the predicted cloud being the union of the three posed finger
     surfaces under the candidate correction factors and mount angles.
     """
-    clouds = _posed_clouds(model, hand, params, calset.r0,
-                           [s.resistances.r for s in calset.samples],
-                           [s.mounts for s in calset.samples])
     total = 0.0
-    for sample, predicted in zip(calset.samples, clouds):
+    for sample, predicted in zip(calset.samples,
+                                 _sample_clouds(model, hand, calset, params)):
         total += chamfer_ucd(sample.cloud, predicted)
     return total
 
@@ -376,11 +382,9 @@ def alignment_report(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
     """Before/after comparison plus the optimizer's convergence curve."""
 
     def per_sample_nn(params):
-        clouds = _posed_clouds(model, hand, params, calset.r0,
-                               [s.resistances.r for s in calset.samples],
-                               [s.mounts for s in calset.samples])
         return [float(mean_nn_distance(s.cloud, c))
-                for s, c in zip(calset.samples, clouds)]
+                for s, c in zip(calset.samples,
+                                _sample_clouds(model, hand, calset, params))]
 
     before_nn = per_sample_nn(before)
     after_nn = per_sample_nn(result.params)
@@ -450,7 +454,6 @@ def synthesize_calibration_set(hand: HandModel, frames, true_cal: SensorCalibrat
 # ---------------------------------------------------------------------------
 # On-disk form: manifest + XYZ clouds + resistance CSV.
 
-MANIFEST_FILE = "manifest.json"
 RESISTANCE_FILE = "resistances.csv"
 CALSET_FORMAT = "calset/1"
 
@@ -483,7 +486,7 @@ def save_calibration_set(directory, calset: CalibrationSet):
                 [repr(float(sample.resistances.timestamp))]
                 + [repr(float(v)) for v in sample.resistances.r]
             )
-    manifest = {
+    return write_manifest(directory, {
         "format": CALSET_FORMAT,
         "samples": len(calset.samples),
         "baseline_index": calset.baseline_index,
@@ -492,29 +495,13 @@ def save_calibration_set(directory, calset: CalibrationSet):
         "mounts": [
             [_pose_doc(p) for p in sample.mounts] for sample in calset.samples
         ],
-    }
-    with open(directory / MANIFEST_FILE, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return directory
+    })
 
 
 def load_calibration_set(directory, producer="calibrate"):
     """Read a calibration-set directory written by save_calibration_set."""
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_FILE
-    if not manifest_path.is_file():
-        raise MissingArtifactError(manifest_path, producer=producer)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != CALSET_FORMAT:
-        raise ValueError(
-            f"{manifest_path}: unsupported calibration-set format "
-            f"{manifest.get('format')!r}"
-        )
-    resistance_path = directory / manifest["resistance_file"]
-    if not resistance_path.is_file():
-        raise MissingArtifactError(resistance_path, producer=producer)
+    manifest = read_manifest(directory, CALSET_FORMAT, producer)
+    resistance_path = artifact_file(directory, manifest["resistance_file"], producer)
     with open(resistance_path, newline="") as fh:
         rows = list(csv.reader(fh))
     readings = [
@@ -528,9 +515,7 @@ def load_calibration_set(directory, producer="calibrate"):
         )
     samples = []
     for i in range(manifest["samples"]):
-        cloud_path = directory / manifest["cloud_files"][i]
-        if not cloud_path.is_file():
-            raise MissingArtifactError(cloud_path, producer=producer)
+        cloud_path = artifact_file(directory, manifest["cloud_files"][i], producer)
         cloud = np.loadtxt(cloud_path).reshape(-1, 3)
         mounts = tuple(_pose_from_doc(d) for d in manifest["mounts"][i])
         samples.append(CalibrationSample(readings[i], cloud, mounts))

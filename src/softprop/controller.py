@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator
-from .datafiles import load_dataset, require_same_topology, save_dataset
+from .datafiles import load_role, save_dataset
 from .errors import DegenerateDataError, SolverFailure
 from .geometry import mean_nn_distance
 from .sensors import N_SENSORS
@@ -289,13 +289,7 @@ def save_reference(directory, hand: HandModel, frames, seed, config=None):
 
 def load_reference(directory, hand: HandModel, producer="track"):
     """Load a reference trajectory saved by save_reference."""
-    frames, manifest = load_dataset(directory, producer=producer)
-    if manifest.get("role") != "reference":
-        raise ValueError(
-            f"{directory}: dataset role is {manifest.get('role')!r}, expected "
-            "'reference'"
-        )
-    require_same_topology(manifest, hand, "load_reference")
+    frames, _ = load_role(directory, hand, "reference", producer)
     return ReferenceTrajectory.from_frames(frames, hand, source="reference")
 
 

@@ -1,8 +1,18 @@
-"""On-disk containers: dataset directories with a manifest and a binary blob.
+"""On-disk artifacts: one manifest directory per stage output.
 
-A dataset is a directory holding `manifest.json` (configuration, seed,
-units, finger topology hash — never timestamps, so reruns are
-byte-identical) and `frames.ksd`, a flat little-endian binary blob:
+Every artifact a stage hands to the next one is a directory holding
+`manifest.json` plus the payload files the manifest names. The manifest
+is canonical JSON (sorted keys, no whitespace, ASCII, one trailing
+newline; never timestamps, so reruns are byte-identical) and carries a
+`format` tag. This module owns that convention: `write_manifest` writes
+it, `read_manifest` reads it and checks the tag, and `artifact_file`
+resolves a payload file. A missing manifest or payload raises
+`MissingArtifactError` naming the stage that produces it; a foreign
+format raises `ValueError`.
+
+The frame container is the first such artifact. Its manifest holds
+configuration, seed, units and finger topology hash, and `frames.ksd` is
+a flat little-endian binary blob:
 
     header:  magic "KSD1" | version u32 | frame count u64
     frame:   command 6xf64 | e_scales 3xf64 | nodes (3*M*3)xf64
@@ -12,7 +22,8 @@ byte-identical) and `frames.ksd`, a flat little-endian binary blob:
              | window 2xi64
 
 The same container stores training frames, controller reference
-trajectories, and demonstrations; the manifest `role` field says which.
+trajectories, and demonstrations; the manifest `role` field says which,
+and `load_role` checks it together with the hand's topology.
 """
 
 from __future__ import annotations
@@ -41,6 +52,33 @@ def canonical_json_bytes(obj):
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     ).encode("ascii")
+
+
+def write_manifest(directory, manifest):
+    """Create the artifact directory and write its canonical manifest."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / MANIFEST_NAME).write_bytes(canonical_json_bytes(manifest) + b"\n")
+    return directory
+
+
+def artifact_file(directory, name, producer):
+    """Path of one file of an artifact; missing files name their producer."""
+    path = Path(directory) / name
+    if not path.is_file():
+        raise MissingArtifactError(path, producer=producer)
+    return path
+
+
+def read_manifest(directory, fmt, producer):
+    """Parsed manifest of an artifact directory whose format tag is `fmt`."""
+    path = artifact_file(directory, MANIFEST_NAME, producer)
+    manifest = json.loads(path.read_text())
+    if manifest.get("format") != fmt:
+        raise ValueError(
+            f"{path}: format {manifest.get('format')!r}, expected {fmt!r}"
+        )
+    return manifest
 
 
 def config_hash(config):
@@ -173,20 +211,13 @@ def save_dataset(directory, hand, frames, seed, role="training", config=None):
     for frame in frames:
         blob.append(_encode_frame(frame, n_nodes, has_pose))
     (directory / BLOB_NAME).write_bytes(b"".join(blob))
-    (directory / MANIFEST_NAME).write_bytes(
-        canonical_json_bytes(manifest) + b"\n"
-    )
-    return directory
+    return write_manifest(directory, manifest)
 
 
 def load_dataset(directory, producer="gen-data"):
     """Read a dataset directory back into (frames, manifest)."""
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    blob_path = directory / BLOB_NAME
-    if not manifest_path.is_file() or not blob_path.is_file():
-        raise MissingArtifactError(str(directory), producer=producer)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(directory, DATASET_MAGIC.decode("ascii"), producer)
+    blob_path = artifact_file(directory, BLOB_NAME, producer)
     blob = blob_path.read_bytes()
     if blob[:4] != DATASET_MAGIC:
         raise ValueError(f"{blob_path}: bad magic {blob[:4]!r}")
@@ -215,3 +246,15 @@ def require_same_topology(manifest, hand: HandModel, context):
             f"{context}: dataset topology {manifest.get('topology_hash')!r} "
             f"does not match the current hand build {digest!r}"
         )
+
+
+def load_role(directory, hand: HandModel, role, producer):
+    """Load a frame container that must carry `role` and the hand's topology."""
+    frames, manifest = load_dataset(directory, producer=producer)
+    if manifest.get("role") != role:
+        raise ValueError(
+            f"{directory}: dataset role is {manifest.get('role')!r}, "
+            f"expected {role!r}"
+        )
+    require_same_topology(manifest, hand, str(directory))
+    return frames, manifest

@@ -10,15 +10,14 @@ is rest + displacement, preserving vertex correspondence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .datafiles import canonical_json_bytes, config_hash
-from .errors import MissingArtifactError, TrainingError
+from .datafiles import artifact_file, config_hash, read_manifest, write_manifest
+from .errors import TrainingError
 from .seeding import STAGE_TRAIN_SHAPE, child_rng
 from .simulator import N_FINGERS, HandModel
 
@@ -242,10 +241,10 @@ def _refit_decoder_head(model: ShapeModel, x, y, rest_scaled):
     finishing with its closed-form optimum is free precision.
     """
     z = nn.forward(model.enc_spec, model.enc_params, x)
-    h = _decoder_input(z, rest_scaled)
-    layers = nn.unpack_params(model.dec_spec, model.dec_params)
-    for w, bias in layers[:-1]:
-        h = np.maximum(h @ w + bias, 0.0)
+    _, (acts, _) = nn.forward_cache(
+        model.dec_spec, model.dec_params, _decoder_input(z, rest_scaled)
+    )
+    h = acts[-2]
     feats = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
     sol, *_ = np.linalg.lstsq(feats, y.reshape(-1, 3), rcond=None)
     params = model.dec_params.copy()
@@ -391,7 +390,7 @@ def evaluate(model: ShapeModel, frames, hand: HandModel):
 
 ENCODER_FILE = "encoder.ksnn"
 DECODER_FILE = "decoder.ksnn"
-SHAPE_META_FILE = "shape.json"
+SHAPE_FORMAT = "shape/1"
 
 
 def save_shape_model(directory, model: ShapeModel, meta=None):
@@ -399,23 +398,22 @@ def save_shape_model(directory, model: ShapeModel, meta=None):
     directory.mkdir(parents=True, exist_ok=True)
     nn.save_checkpoint(directory / ENCODER_FILE, model.enc_spec, model.enc_params)
     nn.save_checkpoint(directory / DECODER_FILE, model.dec_spec, model.dec_params)
-    doc = {
+    return write_manifest(directory, {
+        "format": SHAPE_FORMAT,
         "finger_length_mm": model.finger_length_mm,
         "n_vertices": model.n_vertices,
         "meta": meta or {},
-    }
-    (directory / SHAPE_META_FILE).write_bytes(canonical_json_bytes(doc) + b"\n")
-    return directory
+    })
 
 
 def load_shape_model(directory, producer="train-shape"):
-    directory = Path(directory)
-    for name in (ENCODER_FILE, DECODER_FILE, SHAPE_META_FILE):
-        if not (directory / name).is_file():
-            raise MissingArtifactError(str(directory / name), producer=producer)
-    enc_spec, enc_params, _ = nn.load_checkpoint(directory / ENCODER_FILE)
-    dec_spec, dec_params, _ = nn.load_checkpoint(directory / DECODER_FILE)
-    doc = json.loads((directory / SHAPE_META_FILE).read_text())
+    doc = read_manifest(directory, SHAPE_FORMAT, producer)
+    enc_spec, enc_params, _ = nn.load_checkpoint(
+        artifact_file(directory, ENCODER_FILE, producer)
+    )
+    dec_spec, dec_params, _ = nn.load_checkpoint(
+        artifact_file(directory, DECODER_FILE, producer)
+    )
     model = ShapeModel(
         enc_spec,
         enc_params,

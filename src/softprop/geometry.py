@@ -143,11 +143,6 @@ class RigidPose:
         return RigidPose(rt, -rt @ self.translation)
 
 
-def apply_pose(cloud, pose: RigidPose):
-    """Map every point by the pose's rotation then translation."""
-    return pose.apply(as_cloud(cloud))
-
-
 def rotation_about_y(phi):
     c, s = np.cos(phi), np.sin(phi)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
@@ -379,61 +374,3 @@ def farthest_point_indices(points, count, start_index=0):
         chosen.append(nxt)
         dist = np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1))
     return np.array(chosen, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# File formats: Wavefront OBJ (triangles only) and whitespace XYZ text.
-
-
-def save_obj(path, mesh: SurfaceMesh):
-    with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-
-
-def load_obj(path):
-    vertices = []
-    faces = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise ValueError(f"{path}:{line_no}: malformed vertex line")
-                vertices.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise ValueError(
-                        f"{path}:{line_no}: only triangular faces are supported"
-                    )
-                # Accept v, v/vt, v/vt/vn, v//vn references; indices are 1-based.
-                faces.append([int(tok.split("/")[0]) - 1 for tok in parts[1:4]])
-    if not vertices:
-        raise ValueError(f"{path}: no vertices found")
-    return SurfaceMesh(np.array(vertices), np.array(faces, dtype=np.int64).reshape(-1, 3))
-
-
-def save_xyz(path, cloud):
-    cloud = as_cloud(cloud)
-    with open(path, "w") as fh:
-        for p in cloud:
-            fh.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
-
-
-def load_xyz(path):
-    rows = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 coordinates")
-            rows.append([float(x) for x in parts[:3]])
-    if not rows:
-        raise ValueError(f"{path}: empty point cloud")
-    return np.array(rows)

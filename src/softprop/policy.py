@@ -17,10 +17,9 @@ de-normalized and clipped to the configured physical bounds.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,8 +30,14 @@ from .controller import (
     select_vertices,
     track_trajectory,
 )
-from .datafiles import load_dataset, require_same_topology, save_dataset
-from .errors import MissingArtifactError, SolverFailure, TrainingError
+from .datafiles import (
+    artifact_file,
+    load_role,
+    read_manifest,
+    save_dataset,
+    write_manifest,
+)
+from .errors import SolverFailure, TrainingError
 from .geometry import (
     RigidPose,
     axis_angle_to_matrix,
@@ -46,7 +51,6 @@ N_POSE = 6  # translation mm + axis-angle rad
 CLOUD_INPUT_SCALE = 0.02  # mm of scene geometry -> net input
 NORM_HEADROOM = 1.25  # demo max-abs -> normalization scale
 POLICY_FORMAT = "policy/1"
-MANIFEST_FILE = "manifest.json"
 
 
 @dataclass(frozen=True)
@@ -551,13 +555,7 @@ def save_demonstration(directory, hand: HandModel, demo: Demonstration,
 
 def load_demonstration(directory, hand: HandModel, producer="collect-demo"):
     """Load a demonstration saved by save_demonstration."""
-    frames, manifest = load_dataset(directory, producer=producer)
-    if manifest.get("role") != "demo":
-        raise ValueError(
-            f"{directory}: dataset role is {manifest.get('role')!r}, "
-            "expected 'demo'"
-        )
-    require_same_topology(manifest, hand, "load_demonstration")
+    frames, manifest = load_role(directory, hand, "demo", producer)
     ramp = int((manifest.get("config") or {}).get("ramp_steps", 10))
     return Demonstration(tuple(frames), ramp, int(manifest["seed"]))
 
@@ -914,12 +912,13 @@ def rollout(params: PolicyParams, hand: HandModel, model, directions,
 
 def save_policy(directory, params: PolicyParams):
     """Write the policy checkpoint directory; returns the manifest dict."""
-    os.makedirs(directory, exist_ok=True)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     nets = {}
     for name in ("shape", "cloud", "denoiser"):
         file_name = f"{name}.ksnn"
         nn.save_checkpoint(
-            os.path.join(directory, file_name),
+            directory / file_name,
             getattr(params, f"{name}_spec"),
             getattr(params, f"{name}_params"),
             meta={"role": f"policy-{name}"},
@@ -935,29 +934,18 @@ def save_policy(directory, params: PolicyParams):
         "shape_input_scale": params.shape_input_scale,
         "nets": nets,
     }
-    with open(os.path.join(directory, MANIFEST_FILE), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(directory, manifest)
     return manifest
 
 
 def load_policy(directory, producer="train-policy") -> PolicyParams:
     """Load a policy checkpoint directory written by save_policy."""
-    path = os.path.join(directory, MANIFEST_FILE)
-    if not os.path.exists(path):
-        raise MissingArtifactError(path, producer)
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != POLICY_FORMAT:
-        raise ValueError(
-            f"{path}: format {manifest.get('format')!r}, expected "
-            f"{POLICY_FORMAT!r}"
-        )
+    manifest = read_manifest(directory, POLICY_FORMAT, producer)
     cfg = PolicyConfig.from_dict(manifest["config"])
     nets = {}
     for name in ("shape", "cloud", "denoiser"):
         spec, p, _ = nn.load_checkpoint(
-            os.path.join(directory, manifest["nets"][name])
+            artifact_file(directory, manifest["nets"][name], producer)
         )
         nets[name] = (spec, p)
     return PolicyParams(

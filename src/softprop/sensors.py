@@ -18,10 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError
-
-import json
-
 N_SENSORS = 12
 
 
@@ -144,66 +140,3 @@ def resistance_from_strain(
 
 def strain_from_resistance(frame: ResistanceFrame, cal: SensorCalibration) -> StrainVector:
     return StrainVector(strain_array_from_resistance(frame.r, cal))
-
-
-def least_squares_kappa(resistance_series, strain_series):
-    """Per-sensor slope of sqrt(R/R0) - 1 against reference strain.
-
-    Closed form kappa_i = sum_t eps_it (sqrt(R_it/R_i0) - 1) / sum_t eps_it^2,
-    the minimizer of sum_t (sqrt(R_it/R_i0) - 1 - kappa_i eps_it)^2. The
-    baseline R_i0 is the first frame of the series.
-    """
-    r = np.asarray(resistance_series, dtype=np.float64)
-    eps = np.asarray(strain_series, dtype=np.float64)
-    if r.ndim != 2 or r.shape[1] != N_SENSORS:
-        raise ValueError(f"resistance series must be (T, {N_SENSORS}), got {r.shape}")
-    if r.shape != eps.shape:
-        raise ValueError(f"series shapes differ: {r.shape} vs {eps.shape}")
-    if r.shape[0] < 2:
-        raise ValueError("need at least 2 frames to fit correction factors")
-    if r.min() <= 0.0:
-        raise ValueError("resistances must be positive")
-    denom = (eps * eps).sum(axis=0)
-    dead = np.flatnonzero(denom == 0.0)
-    if dead.size:
-        raise DegenerateDataError(
-            f"sensor(s) {dead.tolist()} have all-zero strain; cannot fit a slope",
-            sensor_indices=dead.tolist(),
-        )
-    dr = np.sqrt(r / r[0]) - 1.0
-    return (eps * dr).sum(axis=0) / denom
-
-
-# ---------------------------------------------------------------------------
-# Calibration artifact: everything the inference path needs to turn raw
-# resistances into strains and pose the fingers, as one JSON file.
-
-
-def save_calibration_json(path, cal: SensorCalibration, phi, meta=None):
-    phi = np.asarray(phi, dtype=np.float64).reshape(-1)
-    if phi.shape != (3,):
-        raise ValueError(f"phi must have 3 entries (one per finger), got {phi.shape}")
-    doc = {
-        "R0": cal.r0.tolist(),
-        "kappa_pos": cal.kappa_pos.tolist(),
-        "kappa_neg": cal.kappa_neg.tolist(),
-        "phi": phi.tolist(),
-        "meta": dict(meta) if meta else {},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_calibration_json(path):
-    """Returns (SensorCalibration, phi array of 3, meta dict)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    for key in ("R0", "kappa_pos", "kappa_neg", "phi"):
-        if key not in doc:
-            raise ValueError(f"{path}: calibration file is missing {key!r}")
-    cal = SensorCalibration(
-        np.array(doc["R0"]), np.array(doc["kappa_pos"]), np.array(doc["kappa_neg"])
-    )
-    phi = np.asarray(doc["phi"], dtype=np.float64).reshape(3)
-    return cal, phi, doc.get("meta", {})

@@ -410,6 +410,17 @@ def test_load_missing_calibration_set_names_producer(tmp_path):
         load_calibration_set(tmp_path / "nope", producer="gen-data")
 
 
+def test_load_missing_cloud_names_producer(tmp_path, smoke_hand, cal_frames):
+    calset = synthesize_calibration_set(
+        smoke_hand, cal_frames[:2], SensorCalibration.ideal(), np.zeros(3), seed=2
+    )
+    root = save_calibration_set(tmp_path / "calset", calset)
+    (root / "cloud_0001.xyz").unlink()
+    with pytest.raises(MissingArtifactError, match="calibrate") as exc:
+        load_calibration_set(root)
+    assert exc.value.path.endswith("cloud_0001.xyz")
+
+
 def test_load_rejects_foreign_manifest(tmp_path, smoke_hand, cal_frames):
     calset = synthesize_calibration_set(
         smoke_hand, cal_frames[:2], SensorCalibration.ideal(), np.zeros(3), seed=2

@@ -91,6 +91,22 @@ def test_missing_directory_names_producer(tmp_path):
     assert "gen-data" in str(exc.value)
 
 
+def test_missing_blob_names_producer(tmp_path, hand, frames):
+    save_dataset(tmp_path / "d", hand, frames, seed=21)
+    (tmp_path / "d" / BLOB_NAME).unlink()
+    with pytest.raises(MissingArtifactError, match="gen-data") as exc:
+        load_dataset(tmp_path / "d")
+    assert exc.value.path.endswith(BLOB_NAME)
+
+
+def test_foreign_format_rejected(tmp_path, hand, frames):
+    save_dataset(tmp_path / "d", hand, frames, seed=21)
+    manifest = tmp_path / "d" / MANIFEST_NAME
+    manifest.write_text(manifest.read_text().replace('"KSD1"', '"KSD9"'))
+    with pytest.raises(ValueError, match="format"):
+        load_dataset(tmp_path / "d")
+
+
 def test_corrupt_magic_rejected(tmp_path, hand, frames):
     save_dataset(tmp_path / "d", hand, frames, seed=21)
     blob = (tmp_path / "d" / BLOB_NAME).read_bytes()

@@ -341,3 +341,19 @@ def test_save_load_round_trip(tmp_path, smoke_trained, hand):
 def test_load_missing_names_producer(tmp_path):
     with pytest.raises(MissingArtifactError, match="train-shape"):
         load_shape_model(tmp_path / "absent")
+
+
+def test_load_missing_decoder_names_producer(tmp_path, smoke_trained):
+    save_shape_model(tmp_path / "shape", smoke_trained[0])
+    (tmp_path / "shape" / "decoder.ksnn").unlink()
+    with pytest.raises(MissingArtifactError, match="train-shape") as exc:
+        load_shape_model(tmp_path / "shape")
+    assert exc.value.path.endswith("decoder.ksnn")
+
+
+def test_load_rejects_foreign_format(tmp_path, smoke_trained):
+    root = save_shape_model(tmp_path / "shape", smoke_trained[0])
+    manifest = root / "manifest.json"
+    manifest.write_text(manifest.read_text().replace("shape/1", "shape/9"))
+    with pytest.raises(ValueError, match="format"):
+        load_shape_model(root)

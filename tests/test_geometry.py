@@ -9,20 +9,15 @@ from softprop.geometry import (
     RigidPose,
     SurfaceMesh,
     TetraMesh,
-    apply_pose,
     axis_angle_to_matrix,
     chamfer_ucd,
     embed_point,
     farthest_point_indices,
     interpolate_embedded,
-    load_obj,
-    load_xyz,
     matrix_to_axis_angle,
     mean_nn_distance,
     rotation_about_y,
     sample_surface_points,
-    save_obj,
-    save_xyz,
     signed_volumes,
 )
 
@@ -102,7 +97,7 @@ class TestChamfer:
         pred = rng.normal(size=(60, 3)) * 20
         pose = RigidPose(axis_angle_to_matrix(rng.normal(size=3)), rng.normal(size=3) * 5)
         a = chamfer_ucd(obs, pred)
-        b = chamfer_ucd(apply_pose(obs, pose), apply_pose(pred, pose))
+        b = chamfer_ucd(pose.apply(obs), pose.apply(pred))
         assert abs(a - b) <= 1e-6 * max(a, 1.0)
 
     def test_mean_nn_hand_cases(self):
@@ -130,7 +125,7 @@ class TestRigidPose:
     def test_identity_is_noop(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(10, 3))
-        assert np.array_equal(apply_pose(pts, RigidPose.identity()), pts)
+        assert np.array_equal(RigidPose.identity().apply(pts), pts)
 
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):
@@ -317,41 +312,3 @@ class TestSampling:
         assert idx[0] == 0
         d = np.linalg.norm(pts - pts[0], axis=1)
         assert idx[1] == int(np.argmax(d))
-
-
-class TestFileIO:
-    def test_obj_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        verts = rng.normal(size=(20, 3)) * 10
-        faces = rng.integers(0, 20, size=(30, 3))
-        mesh = SurfaceMesh(verts, faces)
-        p = tmp_path / "m.obj"
-        save_obj(p, mesh)
-        back = load_obj(p)
-        np.testing.assert_allclose(back.vertices, verts, rtol=1e-8)
-        assert np.array_equal(back.faces, faces)
-
-    def test_obj_accepts_slash_faces(self, tmp_path):
-        p = tmp_path / "slash.obj"
-        p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2/2 3//3\n")
-        mesh = load_obj(p)
-        assert np.array_equal(mesh.faces, [[0, 1, 2]])
-
-    def test_obj_rejects_quads(self, tmp_path):
-        p = tmp_path / "quad.obj"
-        p.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-        with pytest.raises(ValueError):
-            load_obj(p)
-
-    def test_xyz_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        cloud = rng.normal(size=(40, 3)) * 25
-        p = tmp_path / "c.xyz"
-        save_xyz(p, cloud)
-        np.testing.assert_allclose(load_xyz(p), cloud, rtol=1e-8)
-
-    def test_xyz_rejects_empty(self, tmp_path):
-        p = tmp_path / "e.xyz"
-        p.write_text("\n\n")
-        with pytest.raises(ValueError):
-            load_xyz(p)

@@ -36,3 +36,16 @@ def test_scripts_import_and_dependencies_are_used():
     for requirement in _project()["dependencies"]:
         dist = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
         assert dist.lower().replace("-", "_") in imported, requirement
+
+
+@pytest.mark.parametrize("needle, owner", [
+    ('"manifest.json"', "datafiles.py"),
+    ("raise MissingArtifactError", "datafiles.py"),
+    ("json.dump(", "nn.py"),
+])
+def test_artifact_io_has_one_owner(needle, owner):
+    # Artifact directories are written and read only through datafiles;
+    # the one other JSON writer is the checkpoint sidecar in nn.
+    holders = sorted(path.name for path in (ROOT / "src" / "softprop").rglob("*.py")
+                     if needle in path.read_text())
+    assert holders == [owner]

@@ -7,6 +7,7 @@ import pytest
 
 from softprop import nn
 from softprop.controller import fit_actuation_directions
+from softprop.errors import MissingArtifactError
 from softprop.estimator import init_shape_model
 from softprop.policy import (
     PolicyConfig,
@@ -123,6 +124,14 @@ def test_policy_checkpoint_round_trip(tmp_path, dataset, trained):
     state = _state(dataset, params)
     assert np.array_equal(sample_actions(loaded, state, seed=3).vector(),
                           sample_actions(params, state, seed=3).vector())
+
+
+def test_load_policy_missing_net_names_producer(tmp_path, trained):
+    save_policy(tmp_path / "policy", trained[0])
+    (tmp_path / "policy" / "denoiser.ksnn").unlink()
+    with pytest.raises(MissingArtifactError, match="train-policy") as exc:
+        load_policy(tmp_path / "policy")
+    assert exc.value.path.endswith("denoiser.ksnn")
 
 
 def test_build_policy_dataset_rejects_short_demo(hand, model, points):

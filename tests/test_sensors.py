@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from softprop.errors import DegenerateDataError
 from softprop.sensors import (
     N_SENSORS,
     ResistanceFrame,
     SensorCalibration,
     StrainVector,
-    least_squares_kappa,
-    load_calibration_json,
     resistance_array_from_strain,
     resistance_from_strain,
-    save_calibration_json,
     strain_array_from_resistance,
     strain_from_resistance,
 )
@@ -140,77 +136,3 @@ class TestRoundTrip:
         s = rng.uniform(-0.4, 0.6, size=(200, 12))
         r = resistance_array_from_strain(s, cal)
         np.testing.assert_allclose(np.sqrt(r / cal.r0) - 1.0, s, atol=1e-13)
-
-
-class TestLeastSquaresKappa:
-    def test_planted_recovery_noise_free(self):
-        rng = np.random.default_rng(5)
-        kappa_star = rng.uniform(0.6, 1.6, 12)
-        eps = rng.uniform(-0.3, 0.5, size=(40, 12))
-        eps[0] = 0.0  # first frame at rest defines the baseline
-        r0 = rng.uniform(80.0, 120.0, 12)
-        r = r0 * (1.0 + kappa_star * eps) ** 2
-        got = least_squares_kappa(r, eps)
-        np.testing.assert_allclose(got, kappa_star, atol=1e-10)
-
-    def test_single_informative_sample(self):
-        # eps = 0.2 with sqrt(R/R0) - 1 = 0.26 -> kappa = 1.3.
-        eps = np.zeros((2, 12))
-        eps[1] = 0.2
-        r = np.full((2, 12), 100.0)
-        r[1] = 100.0 * 1.26**2
-        got = least_squares_kappa(r, eps)
-        np.testing.assert_allclose(got, 1.3, atol=1e-12)
-
-    def test_all_zero_strain_is_degenerate(self):
-        eps = np.zeros((10, 12))
-        eps[:, :11] = 0.1  # sensor 11 stays silent
-        r = np.full((10, 12), 100.0)
-        with pytest.raises(DegenerateDataError) as exc:
-            least_squares_kappa(r, eps)
-        assert exc.value.sensor_indices == (11,)
-
-    def test_unbiased_under_noise(self):
-        # Mean over many noisy fits lands within 3 standard errors of truth.
-        kappa_star = 1.3
-        eps = np.zeros((50, 12))
-        base = np.linspace(-0.25, 0.4, 49)
-        for j in range(12):
-            eps[1:, j] = np.roll(base, j)
-        clean = 100.0 * (1.0 + kappa_star * eps) ** 2
-        fits = []
-        for seed in range(120):
-            rng = np.random.default_rng(1000 + seed)
-            noisy = clean * (1.0 + 0.005 * rng.standard_normal(clean.shape))
-            fits.append(least_squares_kappa(noisy, eps))
-        fits = np.array(fits)
-        mean = fits.mean(axis=0)
-        sem = fits.std(axis=0, ddof=1) / np.sqrt(len(fits))
-        assert np.all(np.abs(mean - kappa_star) < 3.0 * np.maximum(sem, 1e-6))
-
-    def test_shape_guards(self):
-        with pytest.raises(ValueError):
-            least_squares_kappa(np.full((1, 12), 100.0), np.zeros((1, 12)))
-        with pytest.raises(ValueError):
-            least_squares_kappa(np.full((5, 12), 100.0), np.zeros((6, 12)))
-
-
-class TestCalibrationFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        cal = random_calibration(rng)
-        phi = np.array([0.05, -0.1, 0.0])
-        p = tmp_path / "cal.json"
-        save_calibration_json(p, cal, phi, meta={"source": "test"})
-        cal2, phi2, meta = load_calibration_json(p)
-        np.testing.assert_allclose(cal2.r0, cal.r0, atol=1e-15)
-        np.testing.assert_allclose(cal2.kappa_pos, cal.kappa_pos, atol=1e-15)
-        np.testing.assert_allclose(cal2.kappa_neg, cal.kappa_neg, atol=1e-15)
-        np.testing.assert_allclose(phi2, phi, atol=1e-15)
-        assert meta["source"] == "test"
-
-    def test_missing_key_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text('{"R0": [1], "phi": [0, 0, 0]}')
-        with pytest.raises(ValueError, match="kappa_pos"):
-            load_calibration_json(p)
