@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .datafiles import artifact_file, read_manifest, write_manifest
-from .errors import OptimizationError
+from .errors import OptimizationError, SoftpropError
 from .estimator import ShapeModel, predict, strains_from_lengths
 from .geometry import (
     RigidPose,
@@ -80,10 +80,11 @@ class CmaConfig:
 
 
 def _safe_loss(objective, x):
-    """Objective wrapper: errors and non-finite values become +inf."""
+    """Objective wrapper: numerical and package errors and non-finite values
+    become +inf; any other exception is a bug and propagates."""
     try:
         value = float(objective(x))
-    except Exception:
+    except (ArithmeticError, ValueError, RuntimeError, SoftpropError):
         return math.inf
     return value if math.isfinite(value) else math.inf
 
@@ -93,8 +94,10 @@ def cma_es_minimize(objective, dim, cfg: CmaConfig, seed):
 
     Deterministic per seed. The initial mean is evaluated first, so the
     result is never worse than the starting point. Candidates whose
-    objective raises or returns a non-finite value count as +inf; a
-    generation where every candidate does so aborts the run.
+    objective raises an ArithmeticError, ValueError, RuntimeError or
+    SoftpropError, or returns a non-finite value, count as +inf; a
+    generation where every candidate does so aborts the run. Any other
+    exception propagates.
     """
     if dim < 1:
         raise ValueError("cma_es_minimize: dim must be >= 1")

@@ -5,8 +5,9 @@ Every artifact a stage hands to the next one is a directory holding
 is canonical JSON (sorted keys, no whitespace, ASCII, one trailing
 newline; never timestamps, so reruns are byte-identical) and carries a
 `format` tag. This module owns that convention: `write_manifest` writes
-it, `read_manifest` reads it and checks the tag, and `artifact_file`
-resolves a payload file. A missing manifest or payload raises
+it, `read_manifest` reads it and checks the tag, `artifact_file`
+resolves a payload file and `checkpoint_file` a network checkpoint with
+its JSON sidecar. A missing manifest or payload raises
 `MissingArtifactError` naming the stage that produces it; a foreign
 format raises `ValueError`.
 
@@ -67,6 +68,13 @@ def artifact_file(directory, name, producer):
     path = Path(directory) / name
     if not path.is_file():
         raise MissingArtifactError(path, producer=producer)
+    return path
+
+
+def checkpoint_file(directory, name, producer):
+    """Path of an `nn` checkpoint whose `<name>.json` sidecar is also present."""
+    path = artifact_file(directory, name, producer)
+    artifact_file(directory, name + ".json", producer)
     return path
 
 

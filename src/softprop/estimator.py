@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .datafiles import artifact_file, config_hash, read_manifest, write_manifest
+from .datafiles import checkpoint_file, config_hash, read_manifest, write_manifest
 from .errors import TrainingError
+from .geometry import mean_nn_distance
 from .seeding import STAGE_TRAIN_SHAPE, child_rng
 from .simulator import N_FINGERS, HandModel
 
@@ -362,8 +363,6 @@ def evaluate(model: ShapeModel, frames, hand: HandModel):
     one frame; mean_nn_mm additionally reports the correspondence-free
     nearest-neighbour metric used for cloud baselines.
     """
-    from .geometry import mean_nn_distance
-
     x, y, frame_ix, _ = samples_from_frames(frames, hand)
     rest_scaled = hand.fingers[0].surface.vertices / model.finger_length_mm
     z = nn.forward(model.enc_spec, model.enc_params, x)
@@ -409,10 +408,10 @@ def save_shape_model(directory, model: ShapeModel, meta=None):
 def load_shape_model(directory, producer="train-shape"):
     doc = read_manifest(directory, SHAPE_FORMAT, producer)
     enc_spec, enc_params, _ = nn.load_checkpoint(
-        artifact_file(directory, ENCODER_FILE, producer)
+        checkpoint_file(directory, ENCODER_FILE, producer)
     )
     dec_spec, dec_params, _ = nn.load_checkpoint(
-        artifact_file(directory, DECODER_FILE, producer)
+        checkpoint_file(directory, DECODER_FILE, producer)
     )
     model = ShapeModel(
         enc_spec,

@@ -9,12 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import NotEmbeddableError
 
-# Chunk size for the observed-side rows of the pairwise distance matrix.
-# Keeps peak memory at ~chunk*m*3 doubles without changing any result bitwise.
-_CHAMFER_CHUNK = 512
+# Tree candidates per obs point before the exact recomputation. Four covers
+# the usual near-ties cheaply; rows whose candidates might hide a tie fall
+# back to brute force, so this only trades speed, never the result.
+_KD_CANDIDATES = 4
 
 
 def as_cloud(points, name="cloud"):
@@ -31,37 +33,50 @@ def as_cloud(points, name="cloud"):
     return arr
 
 
+def _nearest_sq(obs, pred):
+    """Exact squared nearest distance from each obs point to pred, shape (n,).
+
+    Every value is bitwise the brute-force row minimum of
+    ((o - p) * (o - p)).sum(): a k-d tree proposes the k nearest pred points
+    of each obs point, their squared distances are recomputed with that
+    formula, and the minimum is taken. The tree rounds distances its own
+    way, so the brute-force minimum can sit outside the candidates only
+    when the tree's k-th distance is within rounding of its first; such
+    rows take their brute-force row minimum instead.
+    """
+    k = min(_KD_CANDIDATES, pred.shape[0])
+    dist, index = cKDTree(pred).query(obs, k=k)
+    dist = dist.reshape(-1, k)
+    diff = obs[:, None, :] - pred[index.reshape(-1, k)]
+    best = (diff * diff).sum(axis=2).min(axis=1)
+    for i in np.flatnonzero(dist[:, -1] <= dist[:, 0] * (1.0 + 1e-9) + 1e-12):
+        row = obs[i] - pred
+        best[i] = (row * row).sum(axis=1).min()
+    return best
+
+
 def chamfer_ucd(obs, pred):
     """Unidirectional Chamfer distance: sum over obs of squared nearest distance to pred.
 
-    This is the exact O(n*m) brute force (the reference definition); the row
-    chunking only bounds memory. The final accumulation is sequential in obs
-    order so the result is bitwise identical to a plain double loop.
+    Each term is the exact brute-force minimum (see _nearest_sq: k-d tree
+    candidates, exact recomputation, brute force for rows with a possible
+    tie), and the terms are added one by one in obs order, so the result is
+    bitwise identical to a plain double loop.
     """
-    obs = as_cloud(obs, "obs")
-    pred = as_cloud(pred, "pred")
     total = 0.0
-    for start in range(0, obs.shape[0], _CHAMFER_CHUNK):
-        chunk = obs[start : start + _CHAMFER_CHUNK]
-        diff = chunk[:, None, :] - pred[None, :, :]
-        mins = (diff * diff).sum(axis=2).min(axis=1)
-        for value in mins.tolist():
-            total += value
+    for value in _nearest_sq(as_cloud(obs, "obs"), as_cloud(pred, "pred")).tolist():
+        total += value
     return total
 
 
 def nn_distances(obs, pred):
-    """Euclidean nearest-neighbor distance from each obs point to pred."""
-    obs = as_cloud(obs, "obs")
-    pred = as_cloud(pred, "pred")
-    out = np.empty(obs.shape[0])
-    for start in range(0, obs.shape[0], _CHAMFER_CHUNK):
-        chunk = obs[start : start + _CHAMFER_CHUNK]
-        diff = chunk[:, None, :] - pred[None, :, :]
-        out[start : start + chunk.shape[0]] = np.sqrt(
-            (diff * diff).sum(axis=2).min(axis=1)
-        )
-    return out
+    """Euclidean nearest-neighbor distance from each obs point to pred.
+
+    The square root of the exact brute-force squared minimum per obs point
+    (k-d tree candidates, exact recomputation, brute force for rows with a
+    possible tie; see _nearest_sq).
+    """
+    return np.sqrt(_nearest_sq(as_cloud(obs, "obs"), as_cloud(pred, "pred")))
 
 
 def mean_nn_distance(obs, pred):

@@ -31,7 +31,7 @@ from .controller import (
     track_trajectory,
 )
 from .datafiles import (
-    artifact_file,
+    checkpoint_file,
     load_role,
     read_manifest,
     save_dataset,
@@ -945,7 +945,7 @@ def load_policy(directory, producer="train-policy") -> PolicyParams:
     nets = {}
     for name in ("shape", "cloud", "denoiser"):
         spec, p, _ = nn.load_checkpoint(
-            artifact_file(directory, manifest["nets"][name], producer)
+            checkpoint_file(directory, manifest["nets"][name], producer)
         )
         nets[name] = (spec, p)
     return PolicyParams(

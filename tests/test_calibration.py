@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from softprop import calibration
 from softprop.calibration import (
     AlignParams,
     CalibrationSample,
@@ -110,6 +111,21 @@ def test_cma_errored_candidates_become_inf():
     x, f, history = cma_es_minimize(partial, 3, cfg, seed=1)
     assert f < 1e-8
     assert x[0] <= 0.5
+
+
+def test_cma_objective_bug_propagates():
+    # Only numerical and package errors score +inf; a programming error in
+    # the objective must surface rather than rank last.
+    calls = []
+
+    def buggy(x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise TypeError("unsupported operand")
+        return float(x @ x)
+
+    with pytest.raises(TypeError, match="unsupported operand"):
+        cma_es_minimize(buggy, 3, CmaConfig(max_evals=100), seed=0)
 
 
 def test_cma_all_errors_raise():
@@ -309,6 +325,21 @@ def test_alignment_loss_invariant_to_sample_order(smoke_model, smoke_hand, phi_c
     )
     swapped = alignment_loss(smoke_model, smoke_hand, reordered, params)
     assert math.isclose(base, swapped, rel_tol=1e-12)
+
+
+def test_alignment_loss_is_brute_force_chamfer(smoke_model, smoke_hand, phi_calset):
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        params = AlignParams(rng.uniform(0.7, 1.3, size=24), rng.uniform(-0.3, 0.3, size=3))
+        clouds = calibration._sample_clouds(smoke_model, smoke_hand, phi_calset, params)
+        want = 0.0
+        for sample, predicted in zip(phi_calset.samples, clouds):
+            diff = sample.cloud[:, None, :] - predicted[None]
+            term = 0.0
+            for value in (diff * diff).sum(axis=2).min(axis=1).tolist():
+                term += value
+            want += term
+        assert alignment_loss(smoke_model, smoke_hand, phi_calset, params) == want
 
 
 def test_identity_domain_alignment_never_worse(smoke_model, smoke_hand, cal_frames):

@@ -351,6 +351,14 @@ def test_load_missing_decoder_names_producer(tmp_path, smoke_trained):
     assert exc.value.path.endswith("decoder.ksnn")
 
 
+def test_load_missing_sidecar_names_producer(tmp_path, smoke_trained):
+    save_shape_model(tmp_path / "shape", smoke_trained[0])
+    (tmp_path / "shape" / "encoder.ksnn.json").unlink()
+    with pytest.raises(MissingArtifactError, match="train-shape") as exc:
+        load_shape_model(tmp_path / "shape")
+    assert exc.value.path.endswith("encoder.ksnn.json")
+
+
 def test_load_rejects_foreign_format(tmp_path, smoke_trained):
     root = save_shape_model(tmp_path / "shape", smoke_trained[0])
     manifest = root / "manifest.json"

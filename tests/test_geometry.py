@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from softprop import geometry
 from softprop.errors import NotEmbeddableError
 from softprop.geometry import (
     EmbeddedPath,
@@ -16,6 +17,7 @@ from softprop.geometry import (
     interpolate_embedded,
     matrix_to_axis_angle,
     mean_nn_distance,
+    nn_distances,
     rotation_about_y,
     sample_surface_points,
     signed_volumes,
@@ -33,6 +35,27 @@ def chamfer_oracle(obs, pred):
                 best = d
         total += best
     return total
+
+
+def nearest_sq_oracle(obs, pred):
+    """Vectorised brute force: every pairwise squared distance, row minima."""
+    diff = np.asarray(obs, dtype=np.float64)[:, None, :] - np.asarray(pred)[None]
+    return (diff * diff).sum(axis=2).min(axis=1)
+
+
+def sequential_sum(values):
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def assert_nearest_bitwise(obs, pred):
+    """chamfer_ucd, nn_distances and mean_nn_distance match brute force exactly."""
+    assert chamfer_ucd(obs, pred) == chamfer_oracle(obs, pred)
+    want = np.sqrt(nearest_sq_oracle(obs, pred))
+    assert np.array_equal(nn_distances(obs, pred), want)
+    assert mean_nn_distance(obs, pred) == float(np.mean(want))
 
 
 def unit_tet_mesh():
@@ -111,6 +134,49 @@ class TestChamfer:
         obs = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
         pred = np.array([[0.0, 0.0, 0.0]])
         assert mean_nn_distance(obs, pred) == pytest.approx(3.5, abs=1e-15)
+
+    def test_lattice_ties_and_duplicates_bitwise(self):
+        # Lattice points sit at many exactly or nearly equal distances, and
+        # half the pred points appear twice.
+        rng = np.random.default_rng(17)
+        for scale in (1.0, 0.1, 1.0 / 3.0):
+            for _ in range(20):
+                pred = rng.integers(-3, 4, size=(int(rng.integers(2, 40)), 3)) * scale
+                pred = np.concatenate([pred, pred[: len(pred) // 2]])
+                obs = rng.integers(-6, 7, size=(int(rng.integers(1, 60)), 3)) * (0.5 * scale)
+                assert_nearest_bitwise(obs, pred)
+
+    def test_pred_smaller_than_candidate_count_bitwise(self):
+        rng = np.random.default_rng(19)
+        obs = rng.normal(size=(50, 3)) * 5.0
+        for m in range(1, geometry._KD_CANDIDATES + 1):
+            assert_nearest_bitwise(obs, rng.normal(size=(m, 3)) * 5.0)
+
+    def test_paper_size_bitwise(self):
+        # One calibration sample against a posed three-finger surface:
+        # 1500 observed points, 690 predicted, most of them close by.
+        rng = np.random.default_rng(23)
+        pred = rng.normal(size=(690, 3)) * 15.0
+        near = pred[rng.integers(0, 690, size=1000)] + rng.normal(size=(1000, 3)) * 0.05
+        obs = np.concatenate([near, rng.normal(size=(500, 3)) * 30.0])
+        want = nearest_sq_oracle(obs, pred)
+        assert chamfer_ucd(obs, pred) == sequential_sum(want)
+        assert np.array_equal(nn_distances(obs, pred), np.sqrt(want))
+        assert mean_nn_distance(obs, pred) == float(np.mean(np.sqrt(want)))
+
+    def test_tied_rows_fall_back_to_brute_force(self, monkeypatch):
+        # A tree reporting a tie on every row, with candidates that are all
+        # wrong, must still give the brute-force minima.
+        class TiedTree:
+            def __init__(self, pred):
+                pass
+
+            def query(self, obs, k):
+                return np.ones((len(obs), k)), np.zeros((len(obs), k), dtype=np.int64)
+
+        monkeypatch.setattr(geometry, "cKDTree", TiedTree)
+        rng = np.random.default_rng(29)
+        assert_nearest_bitwise(rng.normal(size=(40, 3)), rng.normal(size=(30, 3)))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -134,6 +134,14 @@ def test_load_policy_missing_net_names_producer(tmp_path, trained):
     assert exc.value.path.endswith("denoiser.ksnn")
 
 
+def test_load_policy_missing_sidecar_names_producer(tmp_path, trained):
+    save_policy(tmp_path / "policy", trained[0])
+    (tmp_path / "policy" / "cloud.ksnn.json").unlink()
+    with pytest.raises(MissingArtifactError, match="train-policy") as exc:
+        load_policy(tmp_path / "policy")
+    assert exc.value.path.endswith("cloud.ksnn.json")
+
+
 def test_build_policy_dataset_rejects_short_demo(hand, model, points):
     short = collect_demonstration(hand, _push(2), steps=2, ramp_steps=3)
     with pytest.raises(ValueError, match="horizon"):
