@@ -6,6 +6,12 @@ the latent to that vertex's displacement in mm. Both nets are shared
 across the three fingers, so each finger's shape comes from the same
 function applied to its own strain quadruple. Predicted absolute surface
 is rest + displacement, preserving vertex correspondence.
+
+The decoder runs through nn.forward_conditioned / backward_conditioned:
+the rest vertices are shared by every sample and the latent by every
+vertex, so its first layer adds a (V, 128) vertex term to a (B, 128)
+latent term instead of reading a tiled (B*V, 131) input. Decoding outside
+a training step goes DECODE_CHUNK samples at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from .simulator import N_FINGERS, HandModel
 LATENT = 128
 ENCODER_SIZES = (4, 64, LATENT)
 DECODER_SIZES = (3 + LATENT, 128, 64, 3)
+# Samples per decoder pass outside a training step, the default minibatch:
+# 64 x 230 vertices x 195 activations is about 23 MB.
+DECODE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -74,19 +83,18 @@ def strains_from_lengths(sensor_lengths, rest_lengths):
     return lengths / rest - 1.0
 
 
-def _decoder_input(z, rest_scaled):
-    """z (B, 128) + rest_scaled (V, 3) -> decoder rows (B*V, 131), sample-major."""
-    b = z.shape[0]
-    v = rest_scaled.shape[0]
-    return np.concatenate(
-        [np.tile(rest_scaled, (b, 1)), np.repeat(z, v, axis=0)], axis=1
-    )
-
-
 def _decode_batch(model: ShapeModel, z, rest_scaled):
-    """z (B, 128) + rest_scaled (V, 3) -> displacements (B, V, 3)."""
-    out = nn.forward(model.dec_spec, model.dec_params, _decoder_input(z, rest_scaled))
-    return out.reshape(z.shape[0], rest_scaled.shape[0], 3)
+    """z (B, 128) + rest_scaled (V, 3) -> displacements (B, V, 3).
+
+    Decodes DECODE_CHUNK samples per decoder pass, so the activations held
+    at once stay at DECODE_CHUNK x V rows whatever B is.
+    """
+    out = np.empty((z.shape[0], rest_scaled.shape[0], 3))
+    for s in range(0, z.shape[0], DECODE_CHUNK):
+        out[s : s + DECODE_CHUNK] = nn.forward_conditioned(
+            model.dec_spec, model.dec_params, rest_scaled, z[s : s + DECODE_CHUNK]
+        )[0]
+    return out
 
 
 def predict_displacements(model: ShapeModel, strains, rest_vertices):
@@ -112,7 +120,8 @@ def predict(model: ShapeModel, hand: HandModel, strains):
     finger's surface, (3, V, 3) or (B, 3, V, 3).
 
     One predict_displacements call per finger on its strain quadruple, so a
-    batch of B readings costs three decoder passes of B samples each.
+    batch of B readings costs three decodes of B samples each (in passes of
+    at most DECODE_CHUNK samples).
     """
     strains = np.asarray(strains, dtype=np.float64)
     if strains.ndim not in (1, 2) or strains.shape[-1] != 4 * N_FINGERS:
@@ -220,17 +229,14 @@ def split_frames(n_frames, has_force, val_fraction, rng):
 
 def _forward_backward(model, x, y, rest_scaled, vert_ix=None):
     """Loss (mm^2) and encoder/decoder gradients for one minibatch."""
-    b = x.shape[0]
     rest = rest_scaled if vert_ix is None else rest_scaled[vert_ix]
     target = y if vert_ix is None else y[:, vert_ix]
-    v = rest.shape[0]
     z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
-    pred, dec_cache = nn.forward_cache(
-        model.dec_spec, model.dec_params, _decoder_input(z, rest)
+    pred, dec_cache = nn.forward_conditioned(model.dec_spec, model.dec_params, rest, z)
+    loss, grad_pred = nn.mse_loss(pred, target)
+    grad_dec, _, grad_z = nn.backward_conditioned(
+        model.dec_spec, model.dec_params, dec_cache, grad_pred
     )
-    loss, grad_pred = nn.mse_loss(pred, target.reshape(b * v, 3))
-    grad_dec, grad_in = nn.backward(model.dec_spec, model.dec_params, dec_cache, grad_pred)
-    grad_z = grad_in[:, 3:].reshape(b, v, LATENT).sum(axis=1)
     grad_enc, _ = nn.backward(model.enc_spec, model.enc_params, enc_cache, grad_z)
     return loss, grad_enc, grad_dec
 
@@ -242,10 +248,13 @@ def _refit_decoder_head(model: ShapeModel, x, y, rest_scaled):
     finishing with its closed-form optimum is free precision.
     """
     z = nn.forward(model.enc_spec, model.enc_params, x)
-    _, (acts, _) = nn.forward_cache(
-        model.dec_spec, model.dec_params, _decoder_input(z, rest_scaled)
-    )
-    h = acts[-2]
+    hidden = []
+    for s in range(0, z.shape[0], DECODE_CHUNK):
+        _, (_, _, (acts, _)) = nn.forward_conditioned(
+            model.dec_spec, model.dec_params, rest_scaled, z[s : s + DECODE_CHUNK]
+        )
+        hidden.append(acts[-2])
+    h = np.concatenate(hidden)
     feats = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
     sol, *_ = np.linalg.lstsq(feats, y.reshape(-1, 3), rcond=None)
     params = model.dec_params.copy()
@@ -258,16 +267,9 @@ def _refit_decoder_head(model: ShapeModel, x, y, rest_scaled):
     )
 
 
-def _val_loss(model, x, y, rest_scaled, chunk=256):
-    total = 0.0
-    count = 0
-    for s in range(0, x.shape[0], chunk):
-        xs, ys = x[s : s + chunk], y[s : s + chunk]
-        z = nn.forward(model.enc_spec, model.enc_params, xs)
-        disp = _decode_batch(model, z, rest_scaled)
-        total += float(((disp - ys) ** 2).sum())
-        count += ys.size
-    return total / count
+def _val_loss(model, x, y, rest_scaled):
+    z = nn.forward(model.enc_spec, model.enc_params, x)
+    return float(((_decode_batch(model, z, rest_scaled) - y) ** 2).mean())
 
 
 def train(frames, hand: HandModel, cfg: TrainConfig, seed):
@@ -366,15 +368,12 @@ def evaluate(model: ShapeModel, frames, hand: HandModel):
     x, y, frame_ix, _ = samples_from_frames(frames, hand)
     rest_scaled = hand.fingers[0].surface.vertices / model.finger_length_mm
     z = nn.forward(model.enc_spec, model.enc_params, x)
-    per_sample_vert = []
-    per_sample_nn = []
-    for s in range(x.shape[0]):
-        disp = _decode_batch(model, z[s : s + 1], rest_scaled)[0]
-        err = np.linalg.norm(disp - y[s], axis=1)
-        per_sample_vert.append(float(err.mean()))
-        rest = rest_scaled * model.finger_length_mm
-        per_sample_nn.append(float(mean_nn_distance(rest + disp, rest + y[s])))
-    per_sample_vert = np.array(per_sample_vert)
+    disp = _decode_batch(model, z, rest_scaled)
+    per_sample_vert = np.linalg.norm(disp - y, axis=2).mean(axis=1)
+    rest = rest_scaled * model.finger_length_mm
+    per_sample_nn = [
+        float(mean_nn_distance(rest + d, rest + t)) for d, t in zip(disp, y)
+    ]
     per_frame = [
         float(per_sample_vert[frame_ix == i].mean()) for i in range(len(frames))
     ]

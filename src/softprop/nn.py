@@ -1,7 +1,9 @@
 """Small dense-network engine: MLP forward/backward, Adam, and checkpoints.
 
 Only the primitives the pipeline needs gradients for live here: affine
-layers with relu/tanh, max-pool over a set axis, and concatenation (which
+layers with relu/tanh, a point decoder conditioned on a per-sample code
+(forward_conditioned / backward_conditioned, which never tiles the
+point-code input), max-pool over a set axis, and concatenation (which
 needs no code, just slicing the upstream gradient). Everything is float64
 and allocation order is fixed, so training is bitwise reproducible for a
 given seed, architecture, and data stream.
@@ -128,6 +130,23 @@ def _check_finite(arr, what):
         raise ValueError(f"non-finite values in {what}")
 
 
+def _activate(z, kind):
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    if kind == "tanh":
+        return np.tanh(z)
+    return z
+
+
+def _activation_grad(g, out, kind):
+    """Upstream gradient g through an activation, given its output."""
+    if kind == "relu":
+        return g * (out > 0.0)  # subgradient 0 at the kink
+    if kind == "tanh":
+        return g * (1.0 - out * out)
+    return g
+
+
 def forward(spec: MlpSpec, params, x):
     """Run the net; accepts (d_in,) or (batch, d_in) and matches the shape out."""
     y, _ = forward_cache(spec, params, x)
@@ -149,13 +168,7 @@ def forward_cache(spec: MlpSpec, params, x):
     layers = unpack_params(spec, params)
     acts = [a]
     for (w, b), kind in zip(layers, spec.activations):
-        z = a @ w + b
-        if kind == "relu":
-            a = np.maximum(z, 0.0)
-        elif kind == "tanh":
-            a = np.tanh(z)
-        else:
-            a = z
+        a = _activate(a @ w + b, kind)
         acts.append(a)
     _check_finite(a, "network output")
     y = a[0] if squeeze else a
@@ -181,12 +194,7 @@ def backward(spec: MlpSpec, params, cache, grad_y):
     grad_params = np.empty_like(np.asarray(params, dtype=np.float64))
     grads = unpack_params(spec, grad_params)
     for i in range(spec.n_layers - 1, -1, -1):
-        kind = spec.activations[i]
-        out = acts[i + 1]
-        if kind == "relu":
-            g = g * (out > 0.0)  # subgradient 0 at the kink
-        elif kind == "tanh":
-            g = g * (1.0 - out * out)
+        g = _activation_grad(g, acts[i + 1], spec.activations[i])
         w, _ = layers[i]
         gw, gb = grads[i]
         np.matmul(acts[i].T, g, out=gw)
@@ -236,6 +244,84 @@ def grad_check(spec: MlpSpec, seed=0, h=1e-5, batch=3):
         ana = g_x.ravel()[i]
         worst = max(worst, abs(ana - num) / max(1.0, abs(ana), abs(num)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Point decoding conditioned on a per-sample code (as in DeepSDF): input row
+# (b, v) is concat(points[v], codes[b]). Only the first layer sees that
+# input, so its weights split into [W_p; W_c] and its pre-activation is
+# (points @ W_p + b1)[None] + (codes @ W_c)[:, None]; the tiled (B*V, d_in)
+# input is never built. Layers 2..n run through forward_cache / backward on
+# the tail spec sizes[1:], whose parameters are the flat vector past layer 1.
+
+
+def _split_first_layer(spec: MlpSpec, params):
+    """(W1, b1) views, the tail spec, and the tail's parameter slice."""
+    if spec.n_layers < 2:
+        raise ValueError("conditioned decoding needs at least two layers")
+    params = np.asarray(params, dtype=np.float64)
+    w, b = unpack_params(spec, params)[0]
+    tail = MlpSpec(spec.sizes[1:], spec.activations[1:])
+    return w, b, tail, params[w.size + b.size :]
+
+
+def forward_conditioned(spec: MlpSpec, params, points, codes):
+    """Run the net on every (point, code) pair: points (V, d_p) shared by all
+    samples, codes (B, d_c) one per sample, d_p + d_c = d_in.
+
+    Returns (outputs (B, V, d_out), cache). Equals forward on the tiled
+    input concat(tile(points, (B, 1)), repeat(codes, V, axis=0)), reshaped,
+    up to rounding.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.float64)
+    if (points.ndim != 2 or codes.ndim != 2
+            or points.shape[1] + codes.shape[1] != spec.d_in):
+        raise ValueError(
+            f"points {points.shape} and codes {codes.shape} do not match "
+            f"d_in={spec.d_in}"
+        )
+    _check_finite(points, "network input points")
+    _check_finite(codes, "network input codes")
+    w, b, tail, tail_params = _split_first_layer(spec, params)
+    d_p = points.shape[1]
+    pre = (points @ w[:d_p] + b)[None] + (codes @ w[d_p:])[:, None]
+    h = _activate(pre, spec.activations[0]).reshape(-1, spec.sizes[1])
+    y, tail_cache = forward_cache(tail, tail_params, h)
+    return y.reshape(codes.shape[0], points.shape[0], spec.d_out), (points, codes, tail_cache)
+
+
+def backward_conditioned(spec: MlpSpec, params, cache, grad_y):
+    """Reverse pass of forward_conditioned.
+
+    Returns (grad_params flat, grad_points (V, d_p), grad_codes (B, d_c)).
+    Parameter gradients are summed over every (sample, point) row: with g
+    the first layer's pre-activation gradient, dW_p = points^T sum_b g,
+    dW_c = codes^T sum_v g and db1 = sum_{b,v} g.
+    """
+    points, codes, tail_cache = cache
+    n_b, n_v = codes.shape[0], points.shape[0]
+    g = np.asarray(grad_y, dtype=np.float64)
+    if g.shape != (n_b, n_v, spec.d_out):
+        raise ValueError(
+            f"upstream gradient shape {g.shape} does not match output "
+            f"{(n_b, n_v, spec.d_out)}"
+        )
+    w, _, tail, tail_params = _split_first_layer(spec, params)
+    grad_tail, grad_h = backward(tail, tail_params, tail_cache, g.reshape(n_b * n_v, -1))
+    h = tail_cache[0][0]
+    g = _activation_grad(grad_h, h, spec.activations[0]).reshape(n_b, n_v, -1)
+    g_points = g.sum(axis=0)
+    g_codes = g.sum(axis=1)
+    grad_params = np.empty(spec.n_params)
+    gw, gb = unpack_params(spec, grad_params)[0]
+    grad_params[gw.size + gb.size :] = grad_tail
+    d_p = points.shape[1]
+    np.matmul(points.T, g_points, out=gw[:d_p])
+    np.matmul(codes.T, g_codes, out=gw[d_p:])
+    np.sum(g_points, axis=0, out=gb)
+    _check_finite(grad_params, "parameter gradients")
+    return grad_params, g_points @ w[:d_p].T, g_codes @ w[d_p:].T
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ bounds were frozen from smoke runs of this exact configuration.
 import numpy as np
 import pytest
 
-from softprop import nn
+from softprop import estimator, nn
 from softprop.errors import MissingArtifactError, TrainingError
 from softprop.estimator import (
+    DECODE_CHUNK,
     TrainConfig,
     TrainReport,
     evaluate,
@@ -63,6 +64,36 @@ def _fresh_model(hand, seed=0):
     )
 
 
+def _random_head_model(hand, head_seed):
+    """A fresh model whose zeroed decoder head is redrawn, so outputs are nonzero."""
+    model = _fresh_model(hand)
+    rng = np.random.default_rng(head_seed)
+    dec_params = model.dec_params.copy()
+    w_last, b_last = nn.unpack_params(model.dec_spec, dec_params)[-1]
+    w_last[:] = 0.1 * rng.standard_normal(w_last.shape)
+    b_last[:] = 0.1 * rng.standard_normal(b_last.shape)
+    return type(model)(
+        model.enc_spec, model.enc_params, model.dec_spec, dec_params,
+        model.finger_length_mm, model.n_vertices,
+    )
+
+
+def _tiled_decoder_input(z, rest_scaled):
+    """Oracle layout: decoder rows (B*V, 131) = concat(rest row, latent), sample-major."""
+    return np.concatenate(
+        [np.tile(rest_scaled, (z.shape[0], 1)), np.repeat(z, rest_scaled.shape[0], axis=0)],
+        axis=1,
+    )
+
+
+def _tiled_predict(model, strains, rest):
+    """predict_displacements through nn.forward on the tiled decoder input."""
+    z = nn.forward(model.enc_spec, model.enc_params, strains)
+    rows = _tiled_decoder_input(z, rest / model.finger_length_mm)
+    out = nn.forward(model.dec_spec, model.dec_params, rows)
+    return out.reshape(strains.shape[0], rest.shape[0], 3)
+
+
 # ---------------------------------------------------------------------------
 # Prediction contracts.
 
@@ -81,18 +112,8 @@ def test_zero_init_predicts_rest(hand):
 
 
 def test_identical_strains_give_identical_fields(hand):
-    # Perturb the zeroed decoder head so outputs are nonzero, then check
-    # that fingers fed the same strain quadruple get the same field.
-    model = _fresh_model(hand)
-    rng = np.random.default_rng(11)
-    dec_params = model.dec_params.copy()
-    w_last, b_last = nn.unpack_params(model.dec_spec, dec_params)[-1]
-    w_last[:] = 0.1 * rng.standard_normal(w_last.shape)
-    b_last[:] = 0.1 * rng.standard_normal(b_last.shape)
-    model = type(model)(
-        model.enc_spec, model.enc_params, model.dec_spec, dec_params,
-        model.finger_length_mm, model.n_vertices,
-    )
+    # Fingers fed the same strain quadruple get the same field.
+    model = _random_head_model(hand, 11)
 
     quad = np.array([0.02, -0.01, 0.015, -0.005])
     strains = np.concatenate([quad, np.array([0.05, 0.0, -0.02, 0.01]), quad])
@@ -134,6 +155,73 @@ def test_predict_validation(hand):
     )
     with pytest.raises(ValueError, match="non-finite"):
         predict(blown, hand, np.zeros(12))
+
+
+def test_predict_matches_tiled_oracle_and_checkpoint(tmp_path, hand):
+    # More samples than one decoder pass holds, so the chunk seam is covered.
+    model = _random_head_model(hand, 16)
+    rest = hand.fingers[0].surface.vertices
+    strains = 0.05 * np.random.default_rng(8).standard_normal((DECODE_CHUNK + 6, 4))
+    expected = _tiled_predict(model, strains, rest)
+    assert np.abs(expected).max() > 0.01
+    got = predict_displacements(model, strains, rest)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+    save_shape_model(tmp_path / "shape", model)
+    loaded, _ = load_shape_model(tmp_path / "shape")
+    np.testing.assert_allclose(
+        predict_displacements(loaded, strains, rest), expected, rtol=0.0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("vert_ix", [None, np.array([7, 0, 3, 11, 5])])
+def test_forward_backward_matches_tiled_path(hand, vert_ix):
+    model = _random_head_model(hand, 12)
+    rng = np.random.default_rng(4)
+    rest_scaled = hand.fingers[0].surface.vertices / model.finger_length_mm
+    x = 0.05 * rng.standard_normal((5, 4))
+    y = 0.1 * rng.standard_normal((5, model.n_vertices, 3))
+    loss, g_enc, g_dec = estimator._forward_backward(model, x, y, rest_scaled, vert_ix)
+
+    rest = rest_scaled if vert_ix is None else rest_scaled[vert_ix]
+    target = y if vert_ix is None else y[:, vert_ix]
+    z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
+    pred, dec_cache = nn.forward_cache(
+        model.dec_spec, model.dec_params, _tiled_decoder_input(z, rest)
+    )
+    loss_t, grad_pred = nn.mse_loss(pred, target.reshape(-1, 3))
+    g_dec_t, g_in = nn.backward(model.dec_spec, model.dec_params, dec_cache, grad_pred)
+    g_z = g_in[:, 3:].reshape(5, rest.shape[0], -1).sum(axis=1)
+    g_enc_t, _ = nn.backward(model.enc_spec, model.enc_params, enc_cache, g_z)
+
+    assert abs(loss - loss_t) <= 1e-12 * loss_t
+    for got, want in ((g_enc, g_enc_t), (g_dec, g_dec_t)):
+        assert np.abs(want).max() > 0.0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_decoding_is_chunked(monkeypatch, smoke_frames, hand):
+    # No decoder pass outside a training step sees more than DECODE_CHUNK
+    # samples, and evaluate's per-sample errors match one-sample decodes.
+    widths = []
+    conditioned = nn.forward_conditioned
+
+    def spy(spec, params, points, codes):
+        widths.append(codes.shape[0])
+        return conditioned(spec, params, points, codes)
+
+    model = _random_head_model(hand, 13)
+    monkeypatch.setattr(nn, "forward_conditioned", spy)
+    scores = evaluate(model, smoke_frames, hand)
+    train(smoke_frames, hand, TrainConfig(epochs=1, val_fraction=0.5, refit_head=True), seed=3)
+    assert len(smoke_frames) * 3 > DECODE_CHUNK and max(widths) == DECODE_CHUNK
+
+    x, y, _, _ = samples_from_frames(smoke_frames, hand)
+    rest = hand.fingers[0].surface.vertices
+    per_sample = [
+        np.linalg.norm(_tiled_predict(model, x[s : s + 1], rest)[0] - y[s], axis=1).mean()
+        for s in range(x.shape[0])
+    ]
+    assert abs(scores["mean_mm"] - np.mean(per_sample)) <= 1e-12
 
 
 def test_strains_from_lengths():

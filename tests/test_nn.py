@@ -6,8 +6,10 @@ from softprop.nn import (
     MlpSpec,
     adam_step,
     backward,
+    backward_conditioned,
     forward,
     forward_cache,
+    forward_conditioned,
     grad_check,
     init_params,
     load_checkpoint,
@@ -150,6 +152,105 @@ class TestGradCheck:
         spec = MlpSpec.dense((4, 9, 3))
         for seed in range(5):
             assert grad_check(spec, seed=seed) < 1e-4
+
+
+def _tiled(points, codes):
+    """The (B*V, d_p + d_c) input forward_conditioned never builds."""
+    return np.concatenate(
+        [np.tile(points, (codes.shape[0], 1)), np.repeat(codes, points.shape[0], axis=0)],
+        axis=1,
+    )
+
+
+class TestConditioned:
+    SPEC = MlpSpec.dense((5, 6, 4, 2))  # 2-d points, 3-d codes
+
+    def _case(self, seed, n_codes=3, n_points=4):
+        rng = np.random.default_rng(seed)
+        params = init_params(self.SPEC, rng)
+        unpack_params(self.SPEC, params)[0][1][:] = 0.1 * rng.normal(size=6)
+        points = rng.normal(size=(n_points, 2))
+        codes = rng.normal(size=(n_codes, 3))
+        probe = rng.normal(size=(n_codes, n_points, 2))
+        return params, points, codes, probe
+
+    def test_matches_tiled_forward_and_backward(self):
+        params, points, codes, probe = self._case(1)
+        y, cache = forward_conditioned(self.SPEC, params, points, codes)
+        y_t, cache_t = forward_cache(self.SPEC, params, _tiled(points, codes))
+        np.testing.assert_allclose(y.reshape(-1, 2), y_t, rtol=0, atol=1e-14)
+        gp, g_points, g_codes = backward_conditioned(self.SPEC, params, cache, probe)
+        gp_t, gx_t = backward(self.SPEC, params, cache_t, probe.reshape(-1, 2))
+        gx_t = gx_t.reshape(3, 4, 5)
+        np.testing.assert_allclose(gp, gp_t, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g_points, gx_t[:, :, :2].sum(axis=0), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g_codes, gx_t[:, :, 2:].sum(axis=1), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_matches_central_differences(self, seed):
+        # Every parameter (W_p, W_c and b1 are the first layer's), every
+        # point and every code, against central differences of a random
+        # linear functional of the outputs.
+        params, points, codes, probe = self._case(seed)
+        h = 1e-5
+
+        def loss(p, pts, cds):
+            return float(np.sum(forward_conditioned(self.SPEC, p, pts, cds)[0] * probe))
+
+        _, cache = forward_conditioned(self.SPEC, params, points, codes)
+        grads = backward_conditioned(self.SPEC, params, cache, probe)
+        args = (params, points, codes)
+        worst = 0.0
+        for k, ana in enumerate(grads):
+            flat = args[k].ravel()
+            for i in range(flat.size):
+                shifted = [a.copy() for a in args]
+                shifted[k].ravel()[i] = flat[i] + h
+                up = loss(*shifted)
+                shifted[k].ravel()[i] = flat[i] - h
+                dn = loss(*shifted)
+                num = (up - dn) / (2 * h)
+                a = ana.ravel()[i]
+                worst = max(worst, abs(a - num) / max(1.0, abs(a), abs(num)))
+        assert worst < 1e-7
+
+    def test_relu_subgradient_zero_at_kink(self):
+        # Units 0, 2 and 4 have a pre-activation of exactly 0 on every row;
+        # like backward, no gradient may flow through them.
+        params, points, codes, probe = self._case(5)
+        w1, b1 = unpack_params(self.SPEC, params)[0]
+        kink = [0, 2, 4]
+        w1[:, kink] = 0.0
+        b1[kink] = 0.0
+        y, cache = forward_conditioned(self.SPEC, params, points, codes)
+        gp, g_points, g_codes = backward_conditioned(self.SPEC, params, cache, probe)
+        gw1, gb1 = unpack_params(self.SPEC, gp)[0]
+        assert np.all(gw1[:, kink] == 0.0) and np.all(gb1[kink] == 0.0)
+        assert np.all(gw1[:, [1, 3, 5]] != 0.0)
+        _, cache_t = forward_cache(self.SPEC, params, _tiled(points, codes))
+        gp_t, gx_t = backward(self.SPEC, params, cache_t, probe.reshape(-1, 2))
+        gw1_t, gb1_t = unpack_params(self.SPEC, gp_t)[0]
+        assert np.all(gw1_t[:, kink] == 0.0) and np.all(gb1_t[kink] == 0.0)
+        np.testing.assert_allclose(gp, gp_t, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g_codes, gx_t.reshape(3, 4, 5)[:, :, 2:].sum(axis=1),
+                                   rtol=0, atol=1e-14)
+
+    def test_rejects_bad_inputs(self):
+        params, points, codes, probe = self._case(2)
+        with pytest.raises(ValueError, match="d_in"):
+            forward_conditioned(self.SPEC, params, points, codes[:, :2])
+        with pytest.raises(ValueError, match="d_in"):
+            forward_conditioned(self.SPEC, params, points[0], codes)
+        bad = codes.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            forward_conditioned(self.SPEC, params, points, bad)
+        _, cache = forward_conditioned(self.SPEC, params, points, codes)
+        with pytest.raises(ValueError, match="upstream gradient"):
+            backward_conditioned(self.SPEC, params, cache, probe[:, :3])
+        single = MlpSpec.dense((5, 2))
+        with pytest.raises(ValueError, match="two layers"):
+            forward_conditioned(single, np.zeros(single.n_params), points, codes)
 
 
 class TestMaxPool:

@@ -1,5 +1,6 @@
 """Tests for the diffusion policy: training, sampling, checkpoints and rollout."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from softprop.controller import fit_actuation_directions
 from softprop.errors import MissingArtifactError
 from softprop.estimator import init_shape_model
 from softprop.policy import (
+    NORM_HEADROOM,
     PolicyConfig,
     RolloutTask,
     build_policy_dataset,
@@ -146,6 +148,33 @@ def test_build_policy_dataset_rejects_short_demo(hand, model, points):
     short = collect_demonstration(hand, _push(2), steps=2, ramp_steps=3)
     with pytest.raises(ValueError, match="horizon"):
         build_policy_dataset([(short, points)], model, hand, CFG)
+
+
+def test_build_policy_dataset_rejects_action_over_bound(hand, model, points, dataset):
+    dv_width = 3 * CFG.control_count * 3
+    per_step = dataset.chunks.reshape(len(dataset), CFG.horizon, -1)
+    largest = float(np.abs(per_step[:, :, :dv_width]).max())
+    assert largest > 0.0
+    tight = dataclasses.replace(CFG, dv_bound_mm=0.5 * largest)
+    still = collect_demonstration(hand, [], steps=6, ramp_steps=3)
+    build_policy_dataset([(still, points)], model, hand, tight)
+    pushed = collect_demonstration(hand, _push(6), steps=6, ramp_steps=3)
+    with pytest.raises(ValueError, match=r"demo 1 action magnitude .* exceeds the bound"):
+        build_policy_dataset([(still, points), (pushed, points)], model, hand, tight)
+
+
+def test_norm_scale_is_headroom_times_groupwise_max(dataset, trained):
+    params, _ = trained
+    per_step = np.abs(dataset.chunks.reshape(len(dataset), CFG.horizon, CFG.step_dim))
+    dv_width = 3 * CFG.control_count * 3
+    groups = (slice(0, dv_width), slice(dv_width, dv_width + 3),
+              slice(dv_width + 3, dv_width + 6))
+    step_scale = np.empty(CFG.step_dim)
+    for sl in groups:
+        step_scale[sl] = NORM_HEADROOM * max(per_step[:, :, sl].max(), 1e-6)
+    # The demo has no pose changes, so only the vertex group is above the floor.
+    assert per_step[:, :, groups[0]].max() > 1e-6
+    np.testing.assert_array_equal(params.norm_scale, np.tile(step_scale, CFG.horizon))
 
 
 def test_rollout_completes_and_repeats(hand, model, points, trained):
