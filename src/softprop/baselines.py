@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import TrainingError
+from .errors import NonFiniteError, TrainingError
 from .geometry import farthest_point_indices, mean_nn_distance
 from .seeding import STAGE_BASELINE, child_rng
 from .simulator import N_FINGERS, FingerModel, HandModel
@@ -218,7 +218,7 @@ def train_direct_points(frames, hand: HandModel, seed, n_points=128, epochs=40,
                 grads, _ = nn.backward(
                     model.spec, model.params, cache, grad_out.reshape(ix.size, -1)
                 )
-            except ValueError as exc:  # non-finite gradients: numerical blowup
+            except NonFiniteError as exc:
                 raise TrainingError(
                     f"chamfer training diverged at epoch {epoch}"
                 ) from exc

@@ -59,7 +59,6 @@ class CmaConfig:
     sigma0: float = 0.3
     mean0: np.ndarray = None  # None = zeros(dim)
     popsize: int = 0  # 0 = 4 + floor(3 ln dim)
-    parents: int = 0  # 0 = popsize // 2
     max_evals: int = 10000
     target_loss: float = -math.inf
 
@@ -70,8 +69,6 @@ class CmaConfig:
             raise ValueError("CmaConfig: max_evals must be >= 1")
         if self.popsize and self.popsize < 4:
             raise ValueError("CmaConfig: population must be >= 4")
-        if self.parents and self.popsize and not 1 <= self.parents <= self.popsize:
-            raise ValueError("CmaConfig: parents must be in [1, popsize]")
         if self.mean0 is not None:
             mean0 = np.ascontiguousarray(self.mean0, dtype=np.float64).reshape(-1)
             if not np.isfinite(mean0).all():
@@ -105,7 +102,7 @@ def cma_es_minimize(objective, dim, cfg: CmaConfig, seed):
     lam = cfg.popsize or 4 + int(3 * math.log(n))
     if lam < 4:
         raise ValueError("cma_es_minimize: population must be >= 4")
-    mu = cfg.parents or lam // 2
+    mu = lam // 2
 
     # Selection: log-decreasing recombination weights over the mu parents.
     weights = np.log(lam / 2 + 0.5) - np.log(np.arange(1, mu + 1))

@@ -339,21 +339,18 @@ class TrackState:
     """Resumable controller state threaded through track_trajectory calls.
 
     Owning the state lets a planner execute a long trajectory in chunks:
-    each call continues from the previous commands and equilibrium. When
+    each call continues from the last solved frame, whose command is the
+    current tendon command and whose nodes warm-start the next solve. When
     trace is a list, every solved frame is appended to it.
     """
 
-    u: np.ndarray  # (6,) current tendon commands
-    nodes: list  # per-finger node arrays, warm starts for the next solve
     frame: object  # last solved SimFrame
     trace: list = None
 
     @classmethod
     def at_rest(cls, hand: HandModel, max_iters=100, trace=False):
-        frame, finger_frames = solve_hand(hand, np.zeros(N_CHANNELS),
-                                          max_iters=max_iters)
-        return cls(np.zeros(N_CHANNELS), [ff.nodes for ff in finger_frames],
-                   frame, [] if trace else None)
+        frame, _ = solve_hand(hand, np.zeros(N_CHANNELS), max_iters=max_iters)
+        return cls(frame, [] if trace else None)
 
 
 def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
@@ -392,8 +389,8 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
     if state is None:
         state = TrackState.at_rest(hand, max_iters=max_iters)
     frame = state.frame
-    warm = state.nodes
-    u = np.array(state.u, dtype=np.float64)
+    # A copy: a SimFrame's command shares memory with the array it was solved for.
+    u = np.array(frame.command)
     errors = []
     aborted = False
     fail_step = None
@@ -408,14 +405,11 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
             du = strain_step(strains, ref.strains[t], cfg)
         u = np.clip(u + du, 0.0, 1.0)
         try:
-            frame, finger_frames = solve_hand(hand, u, x0s=warm, max_iters=max_iters)
+            frame, _ = solve_hand(hand, u, x0s=frame.nodes, max_iters=max_iters)
         except SolverFailure:
             aborted = True
             fail_step = t
             break
-        warm = [ff.nodes for ff in finger_frames]
-        state.u = u.copy()
-        state.nodes = warm
         state.frame = frame
         if state.trace is not None:
             state.trace.append(frame)

@@ -26,6 +26,10 @@ class DegenerateDataError(SoftpropError, ValueError):
         self.sensor_indices = tuple(sensor_indices)
 
 
+class NonFiniteError(SoftpropError, ValueError):
+    """A network input, output or gradient holds NaN or infinity."""
+
+
 class TrainingError(SoftpropError, RuntimeError):
     """Training diverged or was given unusable data."""
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import nn
 from .datafiles import checkpoint_file, config_hash, read_manifest, write_manifest
-from .errors import TrainingError
+from .errors import NonFiniteError, TrainingError
 from .geometry import mean_nn_distance
 from .seeding import STAGE_TRAIN_SHAPE, child_rng
 from .simulator import N_FINGERS, HandModel
@@ -154,7 +154,6 @@ class TrainConfig:
     lr_decay: float = 1.0  # multiplicative per-epoch decay
     val_fraction: float = 0.1
     min_frames: int = 20
-    verts_per_step: int = 0  # 0 = all vertices; else subsample per step
     refit_head: bool = False  # closed-form decoder-head refit after Adam
 
     def __post_init__(self):
@@ -227,13 +226,13 @@ def split_frames(n_frames, has_force, val_fraction, rng):
     return train, val
 
 
-def _forward_backward(model, x, y, rest_scaled, vert_ix=None):
+def _forward_backward(model, x, y, rest_scaled):
     """Loss (mm^2) and encoder/decoder gradients for one minibatch."""
-    rest = rest_scaled if vert_ix is None else rest_scaled[vert_ix]
-    target = y if vert_ix is None else y[:, vert_ix]
     z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
-    pred, dec_cache = nn.forward_conditioned(model.dec_spec, model.dec_params, rest, z)
-    loss, grad_pred = nn.mse_loss(pred, target)
+    pred, dec_cache = nn.forward_conditioned(
+        model.dec_spec, model.dec_params, rest_scaled, z
+    )
+    loss, grad_pred = nn.mse_loss(pred, y)
     grad_dec, _, grad_z = nn.backward_conditioned(
         model.dec_spec, model.dec_params, dec_cache, grad_pred
     )
@@ -303,16 +302,11 @@ def train(frames, hand: HandModel, cfg: TrainConfig, seed):
         seen = 0
         for s in range(0, order.size, cfg.batch):
             batch = order[s : s + cfg.batch]
-            vert_ix = None
-            if cfg.verts_per_step:
-                vert_ix = rng.choice(
-                    n_vertices, size=min(cfg.verts_per_step, n_vertices), replace=False
-                )
             try:
                 loss, g_enc, g_dec = _forward_backward(
-                    model, x[batch], y[batch], rest_scaled, vert_ix
+                    model, x[batch], y[batch], rest_scaled
                 )
-            except ValueError as exc:  # non-finite gradients: numerical blowup
+            except NonFiniteError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}") from exc
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")

@@ -311,25 +311,6 @@ def embed_point(mesh: TetraMesh, p, tol_mm=1e-6):
     return EmbeddedPoint(best, w)
 
 
-def interpolate_embedded(nodes, e: EmbeddedPoint, tets=None, tet_nodes=None):
-    """Barycentric-weighted position of an embedded point in (possibly deformed) nodes.
-
-    Pass either `tets` (the mesh's tet index array) or `tet_nodes` (the 4 node
-    indices of e's tet).
-    """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    if tet_nodes is None:
-        if tets is None:
-            raise ValueError("interpolate_embedded: need tets or tet_nodes")
-        if not 0 <= e.tet_index < len(tets):
-            raise ValueError(f"interpolate_embedded: tet index {e.tet_index} out of range")
-        tet_nodes = tets[e.tet_index]
-    idx = np.asarray(tet_nodes, dtype=np.int64).reshape(4)
-    if idx.min() < 0 or idx.max() >= nodes.shape[0]:
-        raise ValueError("interpolate_embedded: node index out of range")
-    return e.barycentric @ nodes[idx]
-
-
 @dataclass(frozen=True)
 class EmbeddedPath:
     """A polyline of embedded points, flattened for vectorized interpolation."""

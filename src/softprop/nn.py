@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 _ACTIVATIONS = ("relu", "tanh", "linear")
 
 _MAGIC = b"KSNN"
@@ -127,7 +129,7 @@ def unpack_params(spec: MlpSpec, params):
 
 def _check_finite(arr, what):
     if not np.isfinite(arr).all():
-        raise ValueError(f"non-finite values in {what}")
+        raise NonFiniteError(f"non-finite values in {what}")
 
 
 def _activate(z, kind):

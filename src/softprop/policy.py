@@ -18,7 +18,7 @@ de-normalized and clipped to the configured physical bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +31,14 @@ from .controller import (
     track_trajectory,
 )
 from .datafiles import (
+    MANIFEST_NAME,
     checkpoint_file,
     load_role,
     read_manifest,
     save_dataset,
     write_manifest,
 )
-from .errors import SolverFailure, TrainingError
+from .errors import NonFiniteError, SolverFailure, TrainingError
 from .geometry import (
     RigidPose,
     axis_angle_to_matrix,
@@ -117,32 +118,6 @@ class PolicyConfig:
             (slice(dv, dv + 3), self.dp_translation_bound_mm),
             (slice(dv + 3, dv + 6), self.dp_rotation_bound_rad),
         )
-
-    def to_dict(self):
-        return {
-            "horizon": self.horizon,
-            "exec_horizon": self.exec_horizon,
-            "control_count": self.control_count,
-            "shape_feature": self.shape_feature,
-            "cloud_feature": self.cloud_feature,
-            "time_feature": self.time_feature,
-            "shape_hidden": list(self.shape_hidden),
-            "cloud_hidden": list(self.cloud_hidden),
-            "denoiser_hidden": list(self.denoiser_hidden),
-            "dv_bound_mm": self.dv_bound_mm,
-            "dp_translation_bound_mm": self.dp_translation_bound_mm,
-            "dp_rotation_bound_rad": self.dp_rotation_bound_rad,
-            "epochs": self.epochs,
-            "batch": self.batch,
-            "lr": self.lr,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        d = dict(d)
-        for name in ("shape_hidden", "cloud_hidden", "denoiser_hidden"):
-            d[name] = tuple(d[name])
-        return PolicyConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -226,13 +201,10 @@ class ActionChunk:
 
     def clipped(self, cfg: PolicyConfig):
         """Hard-project every step into the configured action bounds."""
-        vd = np.clip(self.vertex_deltas, -cfg.dv_bound_mm, cfg.dv_bound_mm)
-        pd = self.pose_deltas.copy()
-        pd[:, :3] = np.clip(pd[:, :3], -cfg.dp_translation_bound_mm,
-                            cfg.dp_translation_bound_mm)
-        pd[:, 3:] = np.clip(pd[:, 3:], -cfg.dp_rotation_bound_rad,
-                            cfg.dp_rotation_bound_rad)
-        return ActionChunk(vd, pd)
+        steps = self.vector().reshape(len(self), cfg.step_dim)
+        for sl, bound in cfg.step_scale_groups():
+            steps[:, sl] = np.clip(steps[:, sl], -bound, bound)
+        return ActionChunk.from_vector(steps, len(self), cfg.control_count)
 
 
 def control_vertex_indices(hand: HandModel, count):
@@ -556,8 +528,12 @@ def save_demonstration(directory, hand: HandModel, demo: Demonstration,
 def load_demonstration(directory, hand: HandModel, producer="collect-demo"):
     """Load a demonstration saved by save_demonstration."""
     frames, manifest = load_role(directory, hand, "demo", producer)
-    ramp = int((manifest.get("config") or {}).get("ramp_steps", 10))
-    return Demonstration(tuple(frames), ramp, int(manifest["seed"]))
+    ramp = (manifest.get("config") or {}).get("ramp_steps")
+    if ramp is None:
+        raise ValueError(
+            f"{Path(directory) / MANIFEST_NAME}: config has no ramp_steps"
+        )
+    return Demonstration(tuple(frames), int(ramp), int(manifest["seed"]))
 
 
 # ---------------------------------------------------------------------------
@@ -637,32 +613,37 @@ def train_policy(dataset: PolicyDataset, schedule: DiffusionSchedule = None,
             abar = schedule.alpha_bars[t - 1][:, None]
             noisy = np.sqrt(abar) * a0[rows] + np.sqrt(1.0 - abar) * eps
 
-            sf, s_cache = nn.forward_cache(shape_spec, shape_p,
-                                           shape_in_all[rows])
-            cloud_rows = (dataset.clouds[rows] * CLOUD_INPUT_SCALE).reshape(
-                b * n_points, 3
-            )
-            hf, c_cache = nn.forward_cache(cloud_spec, cloud_p, cloud_rows)
-            pooled, argmax = nn.set_max_pool(hf.reshape(b, n_points, fc))
-            x = np.concatenate(
-                [noisy, sf, pooled, dataset.poses[rows],
-                 time_embedding(t, cfg.time_feature)],
-                axis=1,
-            )
-            pred, d_cache = nn.forward_cache(denoiser_spec, den_p, x)
-            loss, grad = nn.mse_loss(pred, eps)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            g_den, g_x = nn.backward(denoiser_spec, den_p, d_cache, grad)
-            g_shape, _ = nn.backward(shape_spec, shape_p, s_cache,
-                                     g_x[:, da : da + fs])
-            g_rows = nn.set_max_pool_grad(
-                g_x[:, da + fs : da + fs + fc], argmax, n_points
-            ).reshape(b * n_points, fc)
-            g_cloud, _ = nn.backward(cloud_spec, cloud_p, c_cache, g_rows)
-            den_p = nn.adam_step(adam_d, den_p, g_den)
-            shape_p = nn.adam_step(adam_s, shape_p, g_shape)
-            cloud_p = nn.adam_step(adam_c, cloud_p, g_cloud)
+            try:
+                sf, s_cache = nn.forward_cache(shape_spec, shape_p,
+                                               shape_in_all[rows])
+                cloud_rows = (dataset.clouds[rows] * CLOUD_INPUT_SCALE).reshape(
+                    b * n_points, 3
+                )
+                hf, c_cache = nn.forward_cache(cloud_spec, cloud_p, cloud_rows)
+                pooled, argmax = nn.set_max_pool(hf.reshape(b, n_points, fc))
+                x = np.concatenate(
+                    [noisy, sf, pooled, dataset.poses[rows],
+                     time_embedding(t, cfg.time_feature)],
+                    axis=1,
+                )
+                pred, d_cache = nn.forward_cache(denoiser_spec, den_p, x)
+                loss, grad = nn.mse_loss(pred, eps)
+                if not math.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}")
+                g_den, g_x = nn.backward(denoiser_spec, den_p, d_cache, grad)
+                g_shape, _ = nn.backward(shape_spec, shape_p, s_cache,
+                                         g_x[:, da : da + fs])
+                g_rows = nn.set_max_pool_grad(
+                    g_x[:, da + fs : da + fs + fc], argmax, n_points
+                ).reshape(b * n_points, fc)
+                g_cloud, _ = nn.backward(cloud_spec, cloud_p, c_cache, g_rows)
+                den_p = nn.adam_step(adam_d, den_p, g_den)
+                shape_p = nn.adam_step(adam_s, shape_p, g_shape)
+                cloud_p = nn.adam_step(adam_c, cloud_p, g_cloud)
+            except NonFiniteError as exc:
+                raise TrainingError(
+                    f"policy training diverged at epoch {epoch}"
+                ) from exc
             total += loss * b
             clean = (noisy - np.sqrt(1.0 - abar) * pred) / np.sqrt(abar)
             recon_total += float(np.mean((clean - a0[rows]) ** 2)) * b
@@ -800,18 +781,6 @@ def _control_trajectory(frames, hand: HandModel, indices):
     return select_vertices(np.stack([f.surfaces(hand) for f in frames]), indices)
 
 
-def demo_control_trajectory(demo: Demonstration, hand: HandModel, indices):
-    """Ground-truth control-vertex positions per demo frame, (T, 3, K, 3)."""
-    return _control_trajectory(demo.frames, hand, indices)
-
-
-def demo_path_length(demo: Demonstration, hand: HandModel, indices):
-    """Summed mean per-vertex step distance over the demo, in mm."""
-    traj = demo_control_trajectory(demo, hand, indices)
-    steps = np.linalg.norm(np.diff(traj, axis=0), axis=3)
-    return float(steps.mean(axis=(1, 2)).sum())
-
-
 def rollout(params: PolicyParams, hand: HandModel, model, directions,
             task: RolloutTask, ctrl_cfg=None, seed=0, max_iters=100):
     """Receding-horizon policy execution through the shape controller.
@@ -879,17 +848,18 @@ def rollout(params: PolicyParams, hand: HandModel, model, directions,
         rolled = _control_trajectory(trace, hand, params.control_indices)
         best = None
         for d, demo in enumerate(task.demos):
-            truth = demo_control_trajectory(demo, hand, params.control_indices)
+            truth = _control_trajectory(demo.frames, hand, params.control_indices)
             n = min(rolled.shape[0], truth.shape[0] - 1)
             per_step = np.linalg.norm(
                 rolled[:n] - truth[1 : n + 1], axis=3
             ).mean(axis=(1, 2))
             mean_dev = float(per_step.mean())
             if best is None or mean_dev < best[0]:
-                best = (mean_dev, d, tuple(float(v) for v in per_step))
-        deviation, nearest, per_step_dev = best
-        path_length = demo_path_length(task.demos[nearest], hand,
-                                       params.control_indices)
+                best = (mean_dev, d, tuple(float(v) for v in per_step), truth)
+        deviation, nearest, per_step_dev, truth = best
+        # The nearest demo's summed mean per-vertex step distance, in mm.
+        demo_steps = np.linalg.norm(np.diff(truth, axis=0), axis=3)
+        path_length = float(demo_steps.mean(axis=(1, 2)).sum())
         ratio = deviation / path_length if path_length > 0 else math.inf
     return RolloutReport(
         steps=executed,
@@ -926,7 +896,7 @@ def save_policy(directory, params: PolicyParams):
         nets[name] = file_name
     manifest = {
         "format": POLICY_FORMAT,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "betas": [float(b) for b in params.schedule.betas],
         "control_indices": params.control_indices.tolist(),
         "rest_control": params.rest_control.tolist(),
@@ -941,7 +911,7 @@ def save_policy(directory, params: PolicyParams):
 def load_policy(directory, producer="train-policy") -> PolicyParams:
     """Load a policy checkpoint directory written by save_policy."""
     manifest = read_manifest(directory, POLICY_FORMAT, producer)
-    cfg = PolicyConfig.from_dict(manifest["config"])
+    cfg = PolicyConfig(**manifest["config"])
     nets = {}
     for name in ("shape", "cloud", "denoiser"):
         spec, p, _ = nn.load_checkpoint(

@@ -8,8 +8,8 @@ values for tension (positive strain) and compression so the two response
 slopes can differ. kappa_pos = kappa_neg = 1 is the ideal sensor.
 
 Forward synthesis (strain -> resistance) and inverse recovery
-(resistance -> strain) are exact inverses of each other when noise is
-off. Strains are engineering strain (L - L0)/L0, resistances are ohms.
+(resistance -> strain) are exact inverses of each other. Strains are
+engineering strain (L - L0)/L0, resistances are ohms.
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ def _vec12(values, name):
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class StrainVector:
-    """Engineering strains for the hand's 12 sensors; each must exceed -1."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        s = _vec12(self.s, "StrainVector")
-        if s.min() <= -1.0:
-            raise ValueError(f"StrainVector: strain {s.min()} implies nonpositive length")
-        object.__setattr__(self, "s", s)
 
 
 @dataclass(frozen=True)
@@ -86,11 +73,10 @@ class SensorCalibration:
         )
 
 
-def resistance_array_from_strain(strains, cal: SensorCalibration, rng=None, noise_sigma=0.005):
+def resistance_array_from_strain(strains, cal: SensorCalibration):
     """Vectorized forward model over (..., 12) strain arrays.
 
     R = R0 (1 + s / kappa_branch)^2 with the branch picked by sign(s).
-    With rng given, applies multiplicative Gaussian noise (1 + sigma z).
     """
     s = np.asarray(strains, dtype=np.float64)
     if s.shape[-1] != N_SENSORS:
@@ -103,13 +89,7 @@ def resistance_array_from_strain(strains, cal: SensorCalibration, rng=None, nois
             f"strain at or below -kappa for sensor(s) {bad[:, -1].tolist()}: "
             "resistance would be nonpositive"
         )
-    r = cal.r0 * base * base
-    if rng is not None and noise_sigma > 0.0:
-        rng = np.random.default_rng(rng)
-        r = r * (1.0 + noise_sigma * rng.standard_normal(r.shape))
-        if r.min() <= 0.0:
-            raise ValueError("noise drove a resistance nonpositive; lower noise_sigma")
-    return r
+    return cal.r0 * base * base
 
 
 def strain_array_from_resistance(resistances, cal: SensorCalibration):
@@ -125,18 +105,3 @@ def strain_array_from_resistance(resistances, cal: SensorCalibration):
     dr = np.sqrt(r / cal.r0) - 1.0
     return dr * np.where(dr >= 0.0, cal.kappa_pos, cal.kappa_neg)
 
-
-def resistance_from_strain(
-    strain: StrainVector,
-    cal: SensorCalibration,
-    noise_seed=None,
-    noise_sigma=0.005,
-    timestamp=0.0,
-) -> ResistanceFrame:
-    rng = None if noise_seed is None else np.random.default_rng(noise_seed)
-    r = resistance_array_from_strain(strain.s, cal, rng=rng, noise_sigma=noise_sigma)
-    return ResistanceFrame(r, timestamp)
-
-
-def strain_from_resistance(frame: ResistanceFrame, cal: SensorCalibration) -> StrainVector:
-    return StrainVector(strain_array_from_resistance(frame.r, cal))

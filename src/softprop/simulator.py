@@ -840,7 +840,6 @@ class DatasetConfig:
     force_prob: float = 0.5  # chance each finger sees one contact-like event
     force_mag_mn: tuple = (10.0, 60.0)
     force_radius_frac: tuple = (0.25, 0.45)  # of finger length; floor 0.25
-    randomize_material: bool = True
     max_command: float = 1.0
 
     def __post_init__(self):
@@ -881,9 +880,8 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
         e_scales = np.ones(3)
         forces = []
         for j in range(N_FINGERS):
-            if cfg.randomize_material:
-                r = hand.fingers[j].material.e_range
-                e_scales[j] = rng.uniform(1.0 - r, 1.0 + r)
+            r = hand.fingers[j].material.e_range
+            e_scales[j] = rng.uniform(1.0 - r, 1.0 + r)
             if rng.random() < cfg.force_prob:
                 forces.append((_sample_force_event(rng, hand.fingers[j], cfg),))
             else:
@@ -909,16 +907,14 @@ def rollout_commands(hand: HandModel, commands, max_iters=100):
     warm = None
     for t, command in enumerate(commands):
         try:
-            frame, finger_frames = solve_hand(
-                hand, command, x0s=warm, max_iters=max_iters
-            )
+            frame, _ = solve_hand(hand, command, x0s=warm, max_iters=max_iters)
         except SolverFailure as err:
             raise SolverFailure(
                 f"rollout solve failed at step {t}: {err}",
                 residual=err.residual,
                 step=t,
             ) from err
-        warm = [ff.nodes for ff in finger_frames]
+        warm = frame.nodes
         frames.append(frame)
     if not frames:
         raise ValueError("rollout_commands: empty command schedule")
@@ -940,7 +936,7 @@ class Demonstration:
 
     frames: tuple  # SimFrames with pose set
     ramp_steps: int
-    seed: int = 0  # recorded for downstream sensor-noise synthesis
+    seed: int = 0  # provenance only; the solve itself is deterministic
 
     def __len__(self):
         return len(self.frames)
@@ -960,8 +956,8 @@ def collect_demonstration(
     force ramps in with a smoothstep over ramp_steps from its window start,
     so deformations drift smoothly toward equilibrium instead of jumping.
     pose_script: optional per-step palm RigidPose list (default identity).
-    The seed is recorded for downstream sensor-noise synthesis; the solve
-    itself is deterministic.
+    The seed is only recorded with the result; the solve itself is
+    deterministic. Each step warm-starts from the previous SimFrame.
     """
     script = tuple(script)
     for j, _ in script:
@@ -980,7 +976,7 @@ def collect_demonstration(
         raise ValueError("collect_demonstration: steps must be >= 1")
 
     frames = []
-    warm = [None] * N_FINGERS
+    warm = None
     for t in range(steps):
         forces = [[] for _ in range(N_FINGERS)]
         for j, ev in script:
@@ -989,7 +985,7 @@ def collect_demonstration(
                 forces[j].append(ev.scaled(scale))
         pose = pose_script[t] if pose_script is not None else RigidPose.identity()
         try:
-            frame, finger_frames = solve_hand(
+            frame, _ = solve_hand(
                 hand,
                 np.zeros(6),
                 tuple(tuple(f) for f in forces),
@@ -1002,6 +998,6 @@ def collect_demonstration(
                 residual=err.residual,
                 step=t,
             ) from err
-        warm = [ff.nodes for ff in finger_frames]
+        warm = frame.nodes
         frames.append(frame)
     return Demonstration(tuple(frames), ramp_steps, int(seed))

@@ -45,8 +45,6 @@ def test_cma_config_validation():
         CmaConfig(max_evals=0)
     with pytest.raises(ValueError, match="population"):
         CmaConfig(popsize=3)
-    with pytest.raises(ValueError, match="parents"):
-        CmaConfig(popsize=8, parents=9)
     with pytest.raises(ValueError, match="finite"):
         CmaConfig(mean0=np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="dim"):

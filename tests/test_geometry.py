@@ -14,7 +14,6 @@ from softprop.geometry import (
     chamfer_ucd,
     embed_point,
     farthest_point_indices,
-    interpolate_embedded,
     matrix_to_axis_angle,
     mean_nn_distance,
     nn_distances,
@@ -263,12 +262,16 @@ class TestMeshTypes:
         assert signed_volumes(nodes, np.array([[0, 1, 2, 3]]))[0] == pytest.approx(1 / 6)
 
 
+def embedded_position(mesh, e, nodes):
+    return EmbeddedPath.from_points(mesh, [e]).positions(nodes)[0]
+
+
 class TestEmbedding:
     def test_vertex_and_centroid(self):
         mesh = unit_tet_mesh()
         e = embed_point(mesh, [0.0, 0.0, 0.0])
         np.testing.assert_allclose(
-            interpolate_embedded(mesh.nodes, e, tets=mesh.tets), [0.0, 0.0, 0.0], atol=1e-12
+            embedded_position(mesh, e, mesh.nodes), [0.0, 0.0, 0.0], atol=1e-12
         )
         centroid = mesh.nodes[mesh.tets[0]].mean(axis=0)
         e = embed_point(mesh, centroid)
@@ -284,7 +287,7 @@ class TestEmbedding:
             p = w @ mesh.nodes[mesh.tets[t]]
             e = embed_point(mesh, p)
             np.testing.assert_allclose(
-                interpolate_embedded(mesh.nodes, e, tets=mesh.tets), p, atol=1e-9
+                embedded_position(mesh, e, mesh.nodes), p, atol=1e-9
             )
 
     def test_outside_raises(self):
@@ -303,7 +306,7 @@ class TestEmbedding:
         p = np.array([0.3, 0.2, 0.2])
         e = embed_point(mesh, p)
         np.testing.assert_allclose(
-            interpolate_embedded(mesh.nodes * 2.0, e, tets=mesh.tets), p * 2.0, atol=1e-12
+            embedded_position(mesh, e, mesh.nodes * 2.0), p * 2.0, atol=1e-12
         )
 
     def test_tolerance_accepts_face_neighborhood(self):
@@ -319,7 +322,7 @@ class TestEmbedding:
         e = embed_point(mesh, p)
         moved = mesh.nodes + np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(
-            interpolate_embedded(moved, e, tets=mesh.tets),
+            embedded_position(mesh, e, moved),
             p + np.array([1.0, -2.0, 0.5]),
             atol=1e-12,
         )

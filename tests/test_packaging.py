@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -49,3 +50,84 @@ def test_artifact_io_has_one_owner(needle, owner):
     holders = sorted(path.name for path in (ROOT / "src" / "softprop").rglob("*.py")
                      if needle in path.read_text())
     assert holders == [owner]
+
+
+def _perfbench_tree(name):
+    path = ROOT / "perfbench" / name
+    return ast.parse(path.read_text(), str(path))
+
+
+def _softprop_attr(dotted):
+    """The object `softprop.<dotted>` names; AttributeError when it does not resolve."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"softprop.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _accepts(fn, keyword):
+    params = inspect.signature(fn).parameters.values()
+    return any(p.name == keyword or p.kind is p.VAR_KEYWORD for p in params)
+
+
+def test_perfbench_traced_functions_resolve():
+    # Every (module, function) the span tracer wraps exists, and every
+    # argument its describe function reads is a parameter of a function
+    # it describes: a renamed parameter would otherwise read as absent.
+    tree = _perfbench_tree("spans.py")
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    describes = {}
+    for entry in traced.elts:
+        module, function, describe = entry.elts
+        fn = _softprop_attr(f"{module.value}.{function.value}")
+        assert callable(fn), f"{module.value}.{function.value}"
+        if isinstance(describe, ast.Name):
+            describes.setdefault(describe.id, []).append(fn)
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in describes):
+            continue
+        keys = {sub.slice.value for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                and sub.value.id == "args"}
+        keys |= {call.args[0].value for call in ast.walk(node)
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                 and isinstance(call.func.value, ast.Name)
+                 and call.func.value.id == "args" and call.func.attr == "get"}
+        for key in keys:
+            assert any(_accepts(fn, key) for fn in describes[node.name]), (node.name, key)
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "run.py"])
+def test_perfbench_softprop_accesses_resolve(name):
+    # Every softprop name the benchmark imports or reaches as
+    # `<module>.<attr>` exists, and every call through such a name
+    # passes only keywords the callee accepts.
+    modules = {}
+    tree = _perfbench_tree(name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "softprop":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("softprop."):
+            for alias in node.names:
+                _softprop_attr(f"{node.module[9:]}.{alias.name}")
+    resolved = {}
+    for node in ast.walk(tree):
+        dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
+        head, _, rest = (dotted or "").partition(".")
+        if head in modules:
+            resolved[node] = _softprop_attr(f"{modules[head]}.{rest}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.func in resolved:
+            for kw in node.keywords:
+                assert kw.arg is None or _accepts(resolved[node.func], kw.arg), kw.arg
+    assert resolved

@@ -8,7 +8,8 @@ import pytest
 
 from softprop import nn
 from softprop.controller import fit_actuation_directions
-from softprop.errors import MissingArtifactError
+from softprop.datafiles import _encode_frame, save_dataset
+from softprop.errors import MissingArtifactError, TrainingError
 from softprop.estimator import init_shape_model
 from softprop.policy import (
     NORM_HEADROOM,
@@ -16,9 +17,11 @@ from softprop.policy import (
     RolloutTask,
     build_policy_dataset,
     encode_state,
+    load_demonstration,
     load_policy,
     rollout,
     sample_actions,
+    save_demonstration,
     save_policy,
     synthetic_object_cloud,
     train_policy,
@@ -66,8 +69,12 @@ def points():
 
 
 @pytest.fixture(scope="module")
-def dataset(hand, model, points):
-    demo = collect_demonstration(hand, _push(6), steps=6, ramp_steps=3)
+def demo(hand):
+    return collect_demonstration(hand, _push(6), steps=6, ramp_steps=3, seed=9)
+
+
+@pytest.fixture(scope="module")
+def dataset(hand, model, points, demo):
     return build_policy_dataset([(demo, points)], model, hand, CFG)
 
 
@@ -96,6 +103,22 @@ def test_train_policy_reports_every_epoch_and_repeats(dataset, trained):
         assert np.array_equal(getattr(again, name), getattr(params, name))
     other, _ = train_policy(dataset, seed=5)
     assert not np.array_equal(other.denoiser_params, params.denoiser_params)
+
+
+def test_train_policy_recon_losses_descend(dataset):
+    # One minibatch per epoch: the DDPM objective is noisy epoch to epoch,
+    # so compare the means of the first and last ten epochs.
+    cfg = dataclasses.replace(CFG, epochs=200)
+    for seed in range(4):
+        _, report = train_policy(dataset, cfg=cfg, seed=seed)
+        assert np.mean(report.recon_losses[-10:]) < np.mean(report.recon_losses[:10])
+
+
+def test_train_policy_divergence_is_a_training_error(dataset):
+    cfg = dataclasses.replace(CFG, lr=1e80)
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingError, match="diverged"):
+            train_policy(dataset, cfg=cfg, seed=4)
 
 
 def test_sample_actions_is_deterministic_and_bounded(dataset, trained):
@@ -142,6 +165,28 @@ def test_load_policy_missing_sidecar_names_producer(tmp_path, trained):
     with pytest.raises(MissingArtifactError, match="train-policy") as exc:
         load_policy(tmp_path / "policy")
     assert exc.value.path.endswith("cloud.ksnn.json")
+
+
+def test_demonstration_round_trip(tmp_path, hand, demo):
+    save_demonstration(tmp_path / "demo", hand, demo)
+    loaded = load_demonstration(tmp_path / "demo", hand)
+    assert (loaded.ramp_steps, loaded.seed) == (3, 9)
+    assert len(loaded) == len(demo)
+    n_nodes = demo.frames[0].nodes.shape[1]
+    for got, want in zip(loaded.frames, demo.frames):
+        assert _encode_frame(got, n_nodes, True) == _encode_frame(want, n_nodes, True)
+
+
+def test_load_demonstration_rejects_other_roles(tmp_path, hand, demo):
+    save_dataset(tmp_path / "data", hand, demo.frames, demo.seed, role="training")
+    with pytest.raises(ValueError, match="role"):
+        load_demonstration(tmp_path / "data", hand)
+
+
+def test_load_demonstration_needs_ramp_steps(tmp_path, hand, demo):
+    save_dataset(tmp_path / "demo", hand, demo.frames, demo.seed, role="demo")
+    with pytest.raises(ValueError, match=r"demo/manifest\.json: .*ramp_steps"):
+        load_demonstration(tmp_path / "demo", hand)
 
 
 def test_build_policy_dataset_rejects_short_demo(hand, model, points):

@@ -372,14 +372,13 @@ def test_dataset_reproducible_and_prefix_stable(small_hand):
     assert not np.array_equal(a[0].command, d[0].command)
 
 
-def test_dataset_respects_config(small_hand):
-    cfg = DatasetConfig(
-        frames=3,
-        force_prob=0.0,
-        randomize_material=False,
-        max_command=0.5,
+def test_dataset_respects_config():
+    # e_range = 0 draws every E scale from uniform(1, 1), which is exactly 1.
+    hand = HandModel.build_standard(
+        segments=6, length_mm=40.0, material=MaterialParams(e_range=0.0)
     )
-    frames = generate_dataset(small_hand, cfg, seed=5)
+    cfg = DatasetConfig(frames=3, force_prob=0.0, max_command=0.5)
+    frames = generate_dataset(hand, cfg, seed=5)
     for fr in frames:
         assert fr.command.max() <= 0.5
         assert fr.e_scales == pytest.approx([1.0, 1.0, 1.0])
