@@ -304,12 +304,12 @@ def _posed_clouds(model: ShapeModel, hand: HandModel, params: AlignParams, r0,
     strains = strain_array_from_resistance(np.asarray(readings),
                                            params.sensor_calibration(r0))
     disp = predict(model, hand, strains)  # (S, 3, V, 3)
+    rest = hand.fingers[0].surface.vertices
     clouds = []
     for i, sample_mounts in enumerate(mounts):
         poses = _finger_poses(sample_mounts, params.phi)
         clouds.append(np.concatenate([
-            poses[j].apply(f.surface.vertices + disp[i, j])
-            for j, f in enumerate(hand.fingers)
+            poses[j].apply(rest + disp[i, j]) for j in range(N_FINGERS)
         ]))
     return clouds
 
@@ -421,14 +421,15 @@ def synthesize_calibration_set(hand: HandModel, frames, true_cal: SensorCalibrat
     phi_true = np.asarray(phi_true, dtype=np.float64).reshape(N_FINGERS)
     rest_lengths = hand.sensor_rest_lengths
     poses = _finger_poses(hand.mounts, phi_true)
+    rest_surface = hand.fingers[0].surface
     samples = []
     for i, frame in enumerate(frames):
         rng = child_rng(seed, STAGE_CALSET, i)
         strains = strains_from_lengths(frame.sensor_lengths, rest_lengths)
         resistances = resistance_array_from_strain(strains, true_cal)
         parts = []
-        for j, (finger, surface) in enumerate(zip(hand.fingers, frame.surfaces(hand))):
-            deformed = finger.surface.with_vertices(surface)
+        for j, surface in enumerate(frame.surfaces(hand)):
+            deformed = rest_surface.with_vertices(surface)
             pts = sample_surface_points(deformed, points_per_finger, rng)
             parts.append(poses[j].apply(pts))
         cloud = np.concatenate(parts)

@@ -10,7 +10,8 @@ per-step command adjustment and hard-project commands onto [0, 1].
 Shape descriptor: per finger, the vertex error field is summed over
 vertices with equal weights and projected onto the two lateral unit
 directions the finger's tendons bend it toward (measured by probing each
-channel from rest). That makes the descriptor a 2-vector in mm and the
+channel of the hand's one finger model from rest, so all three fingers
+share one basis). That makes the descriptor a 2-vector in mm and the
 update du = k_p * (descriptor . d_channel) dimensionally coherent.
 """
 
@@ -53,24 +54,25 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class ActuationDirections:
-    """Fitted per-finger lateral bases and per-channel unit directions.
+    """The finger's fitted lateral basis and per-channel unit directions.
 
-    basis[j] holds two unit 3-vectors spanning finger j's descriptor
-    plane; dirs[j] holds the two channels' unit 2-vectors within it.
+    basis holds two unit 3-vectors spanning the finger-local descriptor
+    plane; dirs holds the two channels' unit 2-vectors within it. All
+    three fingers are one finger model, so they share both.
     """
 
-    basis: np.ndarray  # (3, 2, 3)
-    dirs: np.ndarray  # (3, 2, 2)
+    basis: np.ndarray  # (2, 3)
+    dirs: np.ndarray  # (2, 2)
     probe_amplitude: float
 
     def __post_init__(self):
         basis = np.ascontiguousarray(self.basis, dtype=np.float64)
         dirs = np.ascontiguousarray(self.dirs, dtype=np.float64)
-        if basis.shape != (N_FINGERS, 2, 3) or dirs.shape != (N_FINGERS, 2, 2):
+        if basis.shape != (2, 3) or dirs.shape != (2, 2):
             raise ValueError("ActuationDirections: wrong field shapes")
-        if np.abs(np.linalg.norm(dirs, axis=2) - 1.0).max() > 1e-9:
+        if np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() > 1e-9:
             raise ValueError("ActuationDirections: directions must be unit norm")
-        if np.abs(np.linalg.norm(basis, axis=2) - 1.0).max() > 1e-9:
+        if np.abs(np.linalg.norm(basis, axis=1) - 1.0).max() > 1e-9:
             raise ValueError("ActuationDirections: basis rows must be unit norm")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dirs", dirs)
@@ -79,46 +81,44 @@ class ActuationDirections:
 def fit_actuation_directions(hand: HandModel, probe_amplitude=0.2):
     """Probe each channel from rest and fit its lateral response direction.
 
-    Tendons only pull, so the probe is one-sided: solve at u = amplitude
-    on one channel, subtract the rest surface, sum the vertex
-    displacements, and drop the axial component. A channel whose lateral
-    response vanishes cannot be servoed and raises DegenerateDataError.
+    The hand's three fingers are one finger model, so its two channels are
+    probed once and the fitted basis serves every finger. Tendons only
+    pull, so the probe is one-sided: solve at u = amplitude on one channel,
+    subtract the rest surface, sum the vertex displacements, and drop the
+    axial component. A channel whose lateral response vanishes cannot be
+    servoed and raises DegenerateDataError.
     """
     amp = float(probe_amplitude)
     if not 0.0 < amp <= 1.0:
         raise ValueError("fit_actuation_directions: amplitude must be in (0, 1]")
-    basis = np.zeros((N_FINGERS, 2, 3))
-    dirs = np.zeros((N_FINGERS, 2, 2))
-    for j, finger in enumerate(hand.fingers):
-        rest = finger.surface.vertices
-        lateral = np.zeros((2, 3))
-        for c in range(2):
-            u2 = np.zeros(2)
-            u2[c] = amp
-            frame = solve_equilibrium(finger, u2)
-            delta = frame.nodes[finger.rest.surface_map] - rest
-            response = delta.sum(axis=0)
-            response[2] = 0.0  # descriptor plane is lateral
-            norm = float(np.linalg.norm(response))
-            if norm <= 1e-9 * rest.shape[0]:
-                raise DegenerateDataError(
-                    f"finger {j} channel {c}: no lateral response to probing",
-                    sensor_indices=(2 * j + c,),
-                )
-            lateral[c] = response / norm
-        basis[j] = lateral
-        for c in range(2):
-            d = np.array(
-                [lateral[c] @ lateral[0], lateral[c] @ lateral[1]]
+    finger = hand.fingers[0]
+    rest = finger.surface.vertices
+    basis = np.zeros((2, 3))
+    for c in range(2):
+        u2 = np.zeros(2)
+        u2[c] = amp
+        frame = solve_equilibrium(finger, u2)
+        delta = frame.nodes[finger.rest.surface_map] - rest
+        response = delta.sum(axis=0)
+        response[2] = 0.0  # descriptor plane is lateral
+        norm = float(np.linalg.norm(response))
+        if norm <= 1e-9 * rest.shape[0]:
+            raise DegenerateDataError(
+                f"channel {c}: no lateral response to probing",
+                sensor_indices=(c,),
             )
-            dirs[j, c] = d / np.linalg.norm(d)
+        basis[c] = response / norm
+    dirs = np.zeros((2, 2))
+    for c in range(2):
+        d = np.array([basis[c] @ basis[0], basis[c] @ basis[1]])
+        dirs[c] = d / np.linalg.norm(d)
     return ActuationDirections(basis, dirs, amp)
 
 
-def _descriptor(error_field, basis_j):
+def _descriptor(error_field, basis):
     """Equal-weight vertex error sum projected onto the lateral basis."""
     summed = error_field.sum(axis=0)
-    return basis_j @ summed
+    return basis @ summed
 
 
 def shape_step(current, desired, directions: ActuationDirections,
@@ -140,9 +140,9 @@ def shape_step(current, desired, directions: ActuationDirections,
         raise ValueError(f"shape_step: expected (3, V, 3) arrays, got {current.shape}")
     du = np.zeros(N_CHANNELS)
     for j in range(N_FINGERS):
-        descriptor = _descriptor(desired[j] - current[j], directions.basis[j])
-        du[2 * j] = cfg.k_p * (descriptor @ directions.dirs[j, 0])
-        du[2 * j + 1] = cfg.k_p * (descriptor @ directions.dirs[j, 1])
+        descriptor = _descriptor(desired[j] - current[j], directions.basis)
+        du[2 * j] = cfg.k_p * (descriptor @ directions.dirs[0])
+        du[2 * j + 1] = cfg.k_p * (descriptor @ directions.dirs[1])
     return np.clip(du, -cfg.clip, cfg.clip)
 
 
@@ -299,7 +299,7 @@ def load_reference(directory, hand: HandModel, producer="track"):
 
 @dataclass(frozen=True)
 class TrackReport:
-    """Per-step surface errors for one tracking run."""
+    """Per-step surface errors for one tracking run; JSON-ready via asdict."""
 
     mode: str
     ref_source: str
@@ -310,19 +310,6 @@ class TrackReport:
     rate_hz: float
     aborted: bool = False
     fail_step: int = None
-
-    def as_dict(self):
-        return {
-            "mode": self.mode,
-            "ref_source": self.ref_source,
-            "per_step_error_mm": list(self.per_step_error_mm),
-            "final_mm": self.final_mm,
-            "mean_mm": self.mean_mm,
-            "peak_deflection_mm": self.peak_deflection_mm,
-            "rate_hz": self.rate_hz,
-            "aborted": self.aborted,
-            "fail_step": self.fail_step,
-        }
 
 
 def _surface_error(hand, frame, ref_vertices, indices=None):

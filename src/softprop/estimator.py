@@ -119,21 +119,21 @@ def predict(model: ShapeModel, hand: HandModel, strains):
     """Hand-level decoding: strains (12,) or (B, 12) -> displacements of every
     finger's surface, (3, V, 3) or (B, 3, V, 3).
 
-    One predict_displacements call per finger on its strain quadruple, so a
-    batch of B readings costs three decodes of B samples each (in passes of
-    at most DECODE_CHUNK samples).
+    One predict_displacements call per finger on its strain quadruple, all
+    against the finger model's rest surface, so a batch of B readings costs
+    three decodes of B samples each (in passes of at most DECODE_CHUNK
+    samples).
     """
     strains = np.asarray(strains, dtype=np.float64)
     if strains.ndim not in (1, 2) or strains.shape[-1] != 4 * N_FINGERS:
         raise ValueError(
             f"predict: expected (12,) or (B, 12) strains, got {strains.shape}"
         )
+    rest = hand.fingers[0].surface.vertices
     disp = np.stack(
         [
-            predict_displacements(
-                model, strains[..., 4 * j : 4 * j + 4], f.surface.vertices
-            )
-            for j, f in enumerate(hand.fingers)
+            predict_displacements(model, strains[..., 4 * j : 4 * j + 4], rest)
+            for j in range(N_FINGERS)
         ],
         axis=-3,
     )
@@ -188,9 +188,6 @@ def samples_from_frames(frames, hand: HandModel):
 
     Returns (X (N, 4), Y (N, V, 3), frame_index (N,), has_force (F,)).
     """
-    v_counts = {f.surface.vertices.shape[0] for f in hand.fingers}
-    if len(v_counts) != 1:
-        raise ValueError("samples_from_frames: fingers disagree on vertex count")
     rests = hand.rest_surfaces
     rest_lengths = hand.sensor_rest_lengths
     xs, ys, frame_ix = [], [], []

@@ -208,23 +208,20 @@ class ActionChunk:
 
 
 def control_vertex_indices(hand: HandModel, count):
-    """Farthest-point control-vertex subsets, one row per finger.
+    """Farthest-point control-vertex subset of the finger, one row per finger.
 
     Seeded at the fingertip (largest axial coordinate) so the tip is
     always a control vertex; greedy FPS then spreads the rest over the
-    surface. Deterministic.
+    surface. Deterministic. The fingers are one model, so the rows agree.
     """
-    rows = []
-    for finger in hand.fingers:
-        verts = finger.surface.vertices
-        if count > verts.shape[0]:
-            raise ValueError(
-                f"control_vertex_indices: {count} requested, mesh has "
-                f"{verts.shape[0]}"
-            )
-        tip = int(np.argmax(verts[:, 2]))
-        rows.append(farthest_point_indices(verts, count, start_index=tip))
-    return np.stack(rows)
+    verts = hand.fingers[0].surface.vertices
+    if count > verts.shape[0]:
+        raise ValueError(
+            f"control_vertex_indices: {count} requested, mesh has {verts.shape[0]}"
+        )
+    tip = int(np.argmax(verts[:, 2]))
+    row = farthest_point_indices(verts, count, start_index=tip)
+    return np.stack((row,) * N_FINGERS)
 
 
 def synthetic_object_cloud(center, radius_mm=10.0, height_mm=30.0, count=256,
@@ -555,14 +552,6 @@ class PolicyTrainReport:
     samples: int
     epochs: int
 
-    def as_dict(self):
-        return {
-            "losses": list(self.losses),
-            "recon_losses": list(self.recon_losses),
-            "samples": self.samples,
-            "epochs": self.epochs,
-        }
-
 
 def train_policy(dataset: PolicyDataset, schedule: DiffusionSchedule = None,
                  cfg: PolicyConfig = None, seed=0):
@@ -743,7 +732,7 @@ class RolloutTask:
 
 @dataclass(frozen=True)
 class RolloutReport:
-    """Closed-loop rollout metrics, JSON-ready via as_dict."""
+    """Closed-loop rollout metrics, JSON-ready via dataclasses.asdict."""
 
     steps: int
     replans: int
@@ -756,24 +745,6 @@ class RolloutReport:
     aborted: bool = False
     fail_step: int = None
     seed: int = 0
-
-    def as_dict(self):
-        return {
-            "steps": self.steps,
-            "replans": self.replans,
-            "per_step_ref_error_mm": list(self.per_step_ref_error_mm),
-            "deviation_mm": self.deviation_mm,
-            "path_length_mm": self.path_length_mm,
-            "deviation_ratio": self.deviation_ratio,
-            "nearest_demo": self.nearest_demo,
-            "per_step_deviation_mm": (
-                None if self.per_step_deviation_mm is None
-                else list(self.per_step_deviation_mm)
-            ),
-            "aborted": self.aborted,
-            "fail_step": self.fail_step,
-            "seed": self.seed,
-        }
 
 
 def _control_trajectory(frames, hand: HandModel, indices):

@@ -57,6 +57,11 @@ TENDON_SHORTENING = 0.25
 # each stage warm-starts the next. Pure solver aid, invisible in results.
 _STAGE_STEP = 0.5
 
+# Diagonal damping tried in turn when a Newton step is not a descent
+# direction, in units of the mean |diagonal|. Scaling by 8 is exact in
+# binary floating point.
+_DAMPING = (0.0,) + tuple(1e-7 * 8.0**k for k in range(23))
+
 _RING = 12  # angular sectors of the canonical mesh; multiple of 4 keeps the
 # build exactly symmetric under 90-degree rotation, which the
 # controller's direction fitting relies on.
@@ -295,7 +300,12 @@ def _boundary_surface(nodes, tets):
 
 @dataclass(frozen=True)
 class HandModel:
-    """Three fingers (usually one shared model) mounted around a palm frame."""
+    """One FingerModel at three mounts around a palm frame.
+
+    fingers holds the same FingerModel object three times, so every
+    per-finger constant (rest surface, sensor rest lengths, actuation
+    directions) is "the" finger's, hand.fingers[0].
+    """
 
     fingers: tuple
     mounts: tuple
@@ -303,6 +313,8 @@ class HandModel:
     def __post_init__(self):
         if len(self.fingers) != N_FINGERS or len(self.mounts) != N_FINGERS:
             raise ValueError("HandModel: exactly 3 fingers and 3 mounts required")
+        if any(f is not self.fingers[0] for f in self.fingers):
+            raise ValueError("HandModel: the three fingers must be one FingerModel")
         for m in self.mounts:
             if not isinstance(m, RigidPose):
                 raise ValueError("HandModel: mounts must be RigidPose instances")
@@ -310,12 +322,12 @@ class HandModel:
     @property
     def sensor_rest_lengths(self):
         """(12,) rest lengths of all sensors, finger by finger."""
-        return np.concatenate([f.sensor_rest_lengths for f in self.fingers])
+        return np.tile(self.fingers[0].sensor_rest_lengths, N_FINGERS)
 
     @property
     def rest_surfaces(self):
         """(3, V, 3) finger-local rest surface vertices of all fingers."""
-        return np.stack([f.surface.vertices for f in self.fingers])
+        return np.stack((self.fingers[0].surface.vertices,) * N_FINGERS)
 
     @staticmethod
     def build_standard(
@@ -378,9 +390,8 @@ class SimFrame:
         )
 
     def surfaces(self, hand: HandModel):
-        """(3, V, 3) finger-local surface vertices of all fingers."""
-        return np.stack([self.nodes[j][f.rest.surface_map]
-                         for j, f in enumerate(hand.fingers)])
+        """(3, V, 3) finger-local surface vertices of all fingers, C-ordered."""
+        return np.take(self.nodes, hand.fingers[0].rest.surface_map, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -701,22 +712,18 @@ def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0, max_it
         diag_scale = max(float(np.abs(diag).mean()), 1e-12)
         rhs = np.concatenate([-g[:, None], vmat], axis=1)
 
-        tau = 0.0
-        step_taken = False
-        for _ in range(24):
+        for tau in _DAMPING:
             # solve_banded factorizes a copy, so ab keeps its values.
             ab[band] = diag + tau * diag_scale
             try:
                 sol = solve_banded((band, band), ab, rhs)
             except LinAlgError:
-                tau = 1e-7 if tau == 0.0 else tau * 8.0
                 continue
             core = np.eye(4) / cache.k_tendon + vmat.T @ sol[:, 1:]
             coeff = np.linalg.solve(core, vmat.T @ sol[:, 0])
             d = sol[:, 0] - sol[:, 1:] @ coeff
             gd = float(g @ d)
             if not np.isfinite(d).all() or gd >= 0.0:
-                tau = 1e-7 if tau == 0.0 else tau * 8.0
                 continue
             alpha = 1.0
             for _ in range(30):
@@ -725,15 +732,14 @@ def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0, max_it
                 kn = cache.kinematics(xn)
                 en = cache.energy(kn, targets, force_field, e_scale)
                 if np.isfinite(en) and en <= energy + 1e-4 * alpha * gd:
-                    kin, energy = kn, en
-                    energies.append(energy)
-                    step_taken = True
                     break
                 alpha *= 0.5
-            if step_taken:
-                break
-            tau = 1e-7 if tau == 0.0 else tau * 8.0
-        if not step_taken:
+            else:
+                continue
+            kin, energy = kn, en
+            energies.append(energy)
+            break
+        else:
             raise SolverFailure(
                 f"no descent step found at iteration {it} (residual {residual:.3e} mN)",
                 residual=residual,
@@ -873,6 +879,8 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     the result. Solver failures skip the frame with a warning; they are
     never silently included.
     """
+    finger = hand.fingers[0]
+    r = finger.material.e_range
     frames = []
     for i in range(cfg.frames):
         rng = child_rng(seed, STAGE_DATASET, i)
@@ -880,10 +888,9 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
         e_scales = np.ones(3)
         forces = []
         for j in range(N_FINGERS):
-            r = hand.fingers[j].material.e_range
             e_scales[j] = rng.uniform(1.0 - r, 1.0 + r)
             if rng.random() < cfg.force_prob:
-                forces.append((_sample_force_event(rng, hand.fingers[j], cfg),))
+                forces.append((_sample_force_event(rng, finger, cfg),))
             else:
                 forces.append(())
         try:
@@ -974,6 +981,8 @@ def collect_demonstration(
         raise ValueError("pose_script length must equal the step count")
     if steps < 1:
         raise ValueError("collect_demonstration: steps must be >= 1")
+    if ramp_steps < 1:
+        raise ValueError("collect_demonstration: ramp_steps must be >= 1")
 
     frames = []
     warm = None

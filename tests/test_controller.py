@@ -1,6 +1,7 @@
 """Closed-loop controller tests: direction fitting, step laws, tracking."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from softprop.simulator import (
     build_canonical_finger,
     generate_dataset,
     rollout_commands,
+    solve_equilibrium,
     solve_hand,
 )
 
@@ -80,9 +82,8 @@ def hold_ref(hand):
 
 def axis_directions():
     """Synthetic directions: descriptor plane = xy, channels = x and y."""
-    basis = np.tile(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (3, 1, 1))
-    dirs = np.tile(np.eye(2), (3, 1, 1))
-    return ActuationDirections(basis, dirs, 0.2)
+    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return ActuationDirections(basis, np.eye(2), 0.2)
 
 
 def test_controller_config_validation():
@@ -96,13 +97,13 @@ def test_controller_config_validation():
 
 def test_actuation_directions_validation():
     good = axis_directions()
-    assert good.basis.shape == (3, 2, 3)
+    assert good.basis.shape == (2, 3) and good.dirs.shape == (2, 2)
     bad_basis = good.basis.copy()
-    bad_basis[1, 0] *= 2.0
+    bad_basis[1] *= 2.0
     with pytest.raises(ValueError, match="unit norm"):
         ActuationDirections(bad_basis, good.dirs, 0.2)
     with pytest.raises(ValueError, match="shapes"):
-        ActuationDirections(good.basis[:2], good.dirs[:2], 0.2)
+        ActuationDirections(good.basis[:1], good.dirs[:1], 0.2)
 
 
 def test_fit_rejects_bad_amplitude(hand):
@@ -112,20 +113,19 @@ def test_fit_rejects_bad_amplitude(hand):
 
 
 def test_fitted_directions_are_lateral_units(directions):
-    # responses live in the lateral plane and the two channels of a
+    # responses live in the lateral plane and the two channels of the
     # finger probe nearly perpendicular directions
-    assert np.abs(directions.basis[:, :, 2]).max() == 0.0
-    norms = np.linalg.norm(directions.basis, axis=2)
+    assert np.abs(directions.basis[:, 2]).max() == 0.0
+    norms = np.linalg.norm(directions.basis, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
-    for j in range(3):
-        assert abs(directions.basis[j, 0] @ directions.basis[j, 1]) < 0.1
-        assert abs(directions.dirs[j, 0] @ directions.dirs[j, 1]) < 0.1
+    assert abs(directions.basis[0] @ directions.basis[1]) < 0.1
+    assert abs(directions.dirs[0] @ directions.dirs[1]) < 0.1
 
 
 def test_probe_amplitude_barely_moves_basis(hand, directions):
     # fitted directions are a property of the finger, not the probe size
     bigger = fit_actuation_directions(hand, probe_amplitude=0.4)
-    cosines = (directions.basis * bigger.basis).sum(axis=2)
+    cosines = (directions.basis * bigger.basis).sum(axis=1)
     assert cosines.min() > np.cos(np.deg2rad(1.0))
 
 
@@ -136,6 +136,19 @@ def test_limp_tendon_is_degenerate():
     with pytest.raises(DegenerateDataError) as info:
         fit_actuation_directions(HandModel((limp,) * 3, mounts))
     assert info.value.sensor_indices == (0,)
+
+
+def test_fit_probes_the_one_finger_once_per_channel(hand, monkeypatch):
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0])
+        return solve_equilibrium(*args, **kwargs)
+
+    monkeypatch.setattr("softprop.controller.solve_equilibrium", counting_solve)
+    fit_actuation_directions(hand)
+    assert len(calls) == 2
+    assert all(f is hand.fingers[0] for f in calls)
 
 
 def test_shape_step_zero_error_is_zero():
@@ -380,7 +393,8 @@ def test_track_report_as_dict_is_json_ready(hand, model, directions):
     frames = rollout_commands(hand, [np.zeros(6)] * 2)
     ref = ReferenceTrajectory.from_frames(frames, hand)
     report = track_trajectory(hand, model, directions, ref, mode="strain")
-    payload = report.as_dict()
-    assert json.loads(json.dumps(payload)) == payload
+    payload = json.loads(json.dumps(asdict(report)))
+    assert payload == {**asdict(report),
+                       "per_step_error_mm": list(report.per_step_error_mm)}
     assert payload["aborted"] is False and payload["fail_step"] is None
     assert payload["per_step_error_mm"] == list(report.per_step_error_mm)

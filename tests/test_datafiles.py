@@ -148,6 +148,19 @@ def test_topology_hash_tracks_geometry(hand):
         require_same_topology({"topology_hash": "bogus"}, hand, "test")
 
 
+def test_topology_hash_of_benchmark_hands_is_pinned():
+    # Saved datasets, references and demonstrations carry this digest; a
+    # hand refactor that moves it orphans every artifact on disk.
+    paper = HandModel.build_standard()
+    test_hand = HandModel.build_standard(segments=4, length_mm=24.0)
+    assert topology_hash(paper) == (
+        "17838eb3e64f83f0880e86f81b62eb80dbabbe48cf69f5b01bca31cfbfe27ce5"
+    )
+    assert topology_hash(test_hand) == (
+        "4d4b565b90fe4c0e2560266f6747d7ea5ca53955dc3d9562d49a77b2cc6ebc8e"
+    )
+
+
 def test_canonical_json_is_sorted_and_stable():
     a = canonical_json_bytes({"b": 1, "a": [2, 3]})
     assert a == b'{"a":[2,3],"b":1}'

@@ -237,4 +237,4 @@ def test_rollout_completes_and_repeats(hand, model, points, trained):
     assert report.nearest_demo == 0
     assert report.seed == 6
     again = rollout(params, hand, model, directions, task, seed=6)
-    assert again.as_dict() == report.as_dict()
+    assert again == report

@@ -354,6 +354,25 @@ def test_solve_hand_collects_all_fingers(small_hand):
     assert np.array_equal(frame.nodes[1], small_hand.fingers[1].rest.nodes)
 
 
+def test_hand_rejects_distinct_finger_models():
+    f1 = build_canonical_finger(segments=4, length_mm=24.0)
+    f2 = build_canonical_finger(segments=4, length_mm=24.0)
+    mounts = HandModel.build_standard(segments=4, length_mm=24.0).mounts
+    with pytest.raises(ValueError, match="one FingerModel"):
+        HandModel((f1, f2, f2), mounts)
+    assert HandModel((f2,) * 3, mounts).fingers[2] is f2
+
+
+def test_surfaces_are_c_ordered_per_finger_gathers(small_hand):
+    # C order keeps reductions over the surfaces summing in the same order
+    # as over a stack of per-finger gathers.
+    frame, _ = solve_hand(small_hand, np.array([0.4, 0, 0, 0, 0, 0.3]))
+    surfaces = frame.surfaces(small_hand)
+    smap = small_hand.fingers[0].rest.surface_map
+    assert surfaces.flags.c_contiguous
+    assert np.array_equal(surfaces, np.stack([frame.nodes[j][smap] for j in range(3)]))
+
+
 def test_dataset_reproducible_and_prefix_stable(small_hand):
     cfg = DatasetConfig(frames=4, force_prob=0.7, force_mag_mn=(5.0, 25.0))
     a = generate_dataset(small_hand, cfg, seed=11)
@@ -462,3 +481,10 @@ def test_demo_argument_validation(small_hand):
         collect_demonstration(
             small_hand, script=(), pose_script=[RigidPose.identity()], steps=2
         )
+
+
+def test_demo_rejects_ramp_without_length(small_hand):
+    ev = ExternalForceEvent((8.0, 0.0, 30.0), 16.0, (-25.0, 0.0, 0.0), window=(0, 3))
+    for ramp in (0, -2):
+        with pytest.raises(ValueError, match="ramp_steps"):
+            collect_demonstration(small_hand, [(0, ev)], steps=3, ramp_steps=ramp)
