@@ -407,16 +407,14 @@ def alignment_report(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
 
 
 def synthesize_calibration_set(hand: HandModel, frames, true_cal: SensorCalibration,
-                               phi_true, seed, points_per_finger=500,
-                               crop_normal=None, crop_offset=0.0):
+                               phi_true, seed, points_per_finger=500):
     """Generate clouds + resistances as a planted ground-truth domain.
 
     Resistances come from the forward sensor model under `true_cal`
     (noise-free); clouds are uniform-by-area samples of each deformed
     finger surface, posed by the hand mounts composed with the planted
     `phi_true` offsets. Pass the rest frame first so the baseline reading
-    is meaningful. `crop_normal` keeps only points with
-    dot(p, crop_normal) >= crop_offset, emulating a one-sided camera.
+    is meaningful.
     """
     phi_true = np.asarray(phi_true, dtype=np.float64).reshape(N_FINGERS)
     rest_lengths = hand.sensor_rest_lengths
@@ -432,20 +430,10 @@ def synthesize_calibration_set(hand: HandModel, frames, true_cal: SensorCalibrat
             deformed = rest_surface.with_vertices(surface)
             pts = sample_surface_points(deformed, points_per_finger, rng)
             parts.append(poses[j].apply(pts))
-        cloud = np.concatenate(parts)
-        if crop_normal is not None:
-            normal = np.asarray(crop_normal, dtype=np.float64).reshape(3)
-            keep = cloud @ normal >= crop_offset
-            if not keep.any():
-                raise ValueError(
-                    f"synthesize_calibration_set: crop removed every point of "
-                    f"sample {i}"
-                )
-            cloud = cloud[keep]
         samples.append(
             CalibrationSample(
                 ResistanceFrame(resistances, timestamp=float(i)),
-                cloud,
+                np.concatenate(parts),
                 tuple(hand.mounts),
             )
         )

@@ -261,8 +261,7 @@ class ReferenceTrajectory:
         return float(np.sqrt((deltas * deltas).sum(axis=3)).max())
 
     @classmethod
-    def from_frames(cls, frames, hand: HandModel, source="recorded", times=None,
-                    vertex_indices=None):
+    def from_frames(cls, frames, hand: HandModel, source="recorded"):
         frames = list(frames)
         if not frames:
             raise ValueError("ReferenceTrajectory: no frames")
@@ -270,15 +269,8 @@ class ReferenceTrajectory:
         strains = estimator.strains_from_lengths(
             np.stack([f.sensor_lengths for f in frames]), hand.sensor_rest_lengths
         )
-        if times is None:
-            times = np.arange(len(frames), dtype=np.float64)
-        rest = hand.rest_surfaces
-        if vertex_indices is not None:
-            idx = np.ascontiguousarray(vertex_indices, dtype=np.int64)
-            vertices = select_vertices(vertices, idx)
-            rest = select_vertices(rest, idx)
-        return cls(times, vertices, strains, rest, source,
-                   vertex_indices=vertex_indices)
+        times = np.arange(len(frames), dtype=np.float64)
+        return cls(times, vertices, strains, hand.rest_surfaces, source)
 
 
 def save_reference(directory, hand: HandModel, frames, seed, config=None):
@@ -335,14 +327,14 @@ class TrackState:
     trace: list = None
 
     @classmethod
-    def at_rest(cls, hand: HandModel, max_iters=100, trace=False):
-        frame, _ = solve_hand(hand, np.zeros(N_CHANNELS), max_iters=max_iters)
+    def at_rest(cls, hand: HandModel, trace=False):
+        frame, _ = solve_hand(hand, np.zeros(N_CHANNELS))
         return cls(frame, [] if trace else None)
 
 
 def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
                      ref: ReferenceTrajectory, cfg: ControllerConfig = None,
-                     mode="shape", max_iters=100, state: TrackState = None):
+                     mode="shape", state: TrackState = None):
     """Run the estimate-command-solve loop over a reference trajectory.
 
     Shape mode feeds the strain-estimated surface into shape_step; strain
@@ -374,7 +366,7 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
         )
 
     if state is None:
-        state = TrackState.at_rest(hand, max_iters=max_iters)
+        state = TrackState.at_rest(hand)
     frame = state.frame
     # A copy: a SimFrame's command shares memory with the array it was solved for.
     u = np.array(frame.command)
@@ -392,7 +384,7 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
             du = strain_step(strains, ref.strains[t], cfg)
         u = np.clip(u + du, 0.0, 1.0)
         try:
-            frame, _ = solve_hand(hand, u, x0s=frame.nodes, max_iters=max_iters)
+            frame, _ = solve_hand(hand, u, x0s=frame.nodes)
         except SolverFailure:
             aborted = True
             fail_step = t

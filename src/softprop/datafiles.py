@@ -150,19 +150,29 @@ def _encode_frame(frame: SimFrame, n_nodes, has_pose):
 
 
 class _Reader:
-    def __init__(self, blob):
+    """Sequential reads from a blob; a read past its end raises ValueError."""
+
+    def __init__(self, blob, path):
         self.blob = blob
+        self.path = path
         self.at = 0
 
+    def _advance(self, size):
+        at = self.at
+        if at + size > len(self.blob):
+            raise ValueError(
+                f"{self.path}: blob ends early: {size} bytes needed at offset "
+                f"{at}, {len(self.blob) - at} left"
+            )
+        self.at = at + size
+        return at
+
     def floats(self, n):
-        out = np.frombuffer(self.blob, dtype="<f8", count=n, offset=self.at)
-        self.at += 8 * n
-        return out.astype(np.float64)
+        at = self._advance(8 * n)
+        return np.frombuffer(self.blob, dtype="<f8", count=n, offset=at).astype(np.float64)
 
     def unpack(self, fmt):
-        out = struct.unpack_from(fmt, self.blob, self.at)
-        self.at += struct.calcsize(fmt)
-        return out
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
 
 
 def _decode_frame(r: _Reader, n_nodes, has_pose):
@@ -229,7 +239,9 @@ def load_dataset(directory, producer="gen-data"):
     blob = blob_path.read_bytes()
     if blob[:4] != DATASET_MAGIC:
         raise ValueError(f"{blob_path}: bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<IQ", blob, 4)
+    r = _Reader(blob, blob_path)
+    r.at = 4
+    version, count = r.unpack("<IQ")
     if version != DATASET_VERSION:
         raise ValueError(f"{blob_path}: unsupported version {version}")
     if count != manifest.get("frames"):
@@ -237,8 +249,6 @@ def load_dataset(directory, producer="gen-data"):
             f"{blob_path}: blob holds {count} frames, manifest says "
             f"{manifest.get('frames')}"
         )
-    r = _Reader(blob)
-    r.at = 16
     n_nodes = int(manifest["nodes_per_finger"])
     has_pose = bool(manifest["has_pose"])
     frames = [_decode_frame(r, n_nodes, has_pose) for _ in range(count)]

@@ -354,7 +354,7 @@ def evaluate(model: ShapeModel, frames, hand: HandModel):
 
     per_frame entries average the per-vertex error across all fingers of
     one frame; mean_nn_mm additionally reports the correspondence-free
-    nearest-neighbour metric used for cloud baselines.
+    nearest-neighbour metric.
     """
     x, y, frame_ix, _ = samples_from_frames(frames, hand)
     rest_scaled = hand.fingers[0].surface.vertices / model.finger_length_mm

@@ -207,47 +207,6 @@ def backward(spec: MlpSpec, params, cache, grad_y):
     return grad_params, grad_x
 
 
-def grad_check(spec: MlpSpec, seed=0, h=1e-5, batch=3):
-    """Max relative mismatch between backward and central finite differences.
-
-    Random params and inputs from the seed; the probe loss is a random
-    linear functional of the outputs. The denominator is floored at 1 so
-    near-zero gradients are compared absolutely.
-    """
-    rng = np.random.default_rng(seed)
-    params = init_params(spec, rng)
-    x = rng.normal(size=(batch, spec.d_in))
-    probe = rng.normal(size=(batch, spec.d_out))
-
-    def loss_at(p, xv):
-        return float(np.sum(forward(spec, p, xv) * probe))
-
-    _, cache = forward_cache(spec, params, x)
-    g_params, g_x = backward(spec, params, cache, probe)
-
-    worst = 0.0
-    for i in range(params.size):
-        p = params.copy()
-        p[i] += h
-        up = loss_at(p, x)
-        p[i] -= 2 * h
-        dn = loss_at(p, x)
-        num = (up - dn) / (2 * h)
-        ana = g_params[i]
-        worst = max(worst, abs(ana - num) / max(1.0, abs(ana), abs(num)))
-    flat = x.ravel()
-    for i in range(flat.size):
-        xv = x.copy().ravel()
-        xv[i] += h
-        up = loss_at(params, xv.reshape(x.shape))
-        xv[i] -= 2 * h
-        dn = loss_at(params, xv.reshape(x.shape))
-        num = (up - dn) / (2 * h)
-        ana = g_x.ravel()[i]
-        worst = max(worst, abs(ana - num) / max(1.0, abs(ana), abs(num)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Point decoding conditioned on a per-sample code (as in DeepSDF): input row
 # (b, v) is concat(points[v], codes[b]). Only the first layer sees that
@@ -370,7 +329,11 @@ def mse_loss(pred, target):
 
 
 # ---------------------------------------------------------------------------
-# Adam.
+# Adam, with Kingma & Ba's moment decay rates and denominator floor.
+
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -381,15 +344,12 @@ class AdamState:
     v: np.ndarray
     step: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
     @staticmethod
-    def for_params(n_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(n_params, lr=1e-3):
         if n_params <= 0:
             raise ValueError("AdamState: empty parameter vector")
-        return AdamState(np.zeros(n_params), np.zeros(n_params), 0, lr, beta1, beta2, eps)
+        return AdamState(np.zeros(n_params), np.zeros(n_params), 0, lr)
 
 
 def adam_step(state: AdamState, params, grads):
@@ -403,11 +363,11 @@ def adam_step(state: AdamState, params, grads):
         )
     _check_finite(grads, "gradients")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grads
+    state.v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - _ADAM_BETA1**state.step)
+    v_hat = state.v / (1.0 - _ADAM_BETA2**state.step)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -148,18 +148,9 @@ class DiffusionSchedule:
         return self.betas.shape[0]
 
     @staticmethod
-    def linear(t_diff=50, beta_min=1e-4, beta_max=0.12):
-        return DiffusionSchedule(np.linspace(beta_min, beta_max, t_diff))
-
-    @staticmethod
     def default():
-        sched = DiffusionSchedule.linear()
-        if sched.alpha_bars[-1] >= 0.05:
-            raise ValueError(
-                "DiffusionSchedule: default terminal corruption is not "
-                "near-prior (alpha_bar_T >= 0.05)"
-            )
-        return sched
+        """50 linear betas from 1e-4 to 0.12; alpha_bar_T is below 0.05."""
+        return DiffusionSchedule(np.linspace(1e-4, 0.12, 50))
 
 
 @dataclass(frozen=True)
@@ -553,8 +544,7 @@ class PolicyTrainReport:
     epochs: int
 
 
-def train_policy(dataset: PolicyDataset, schedule: DiffusionSchedule = None,
-                 cfg: PolicyConfig = None, seed=0):
+def train_policy(dataset: PolicyDataset, cfg: PolicyConfig = None, seed=0):
     """DDPM noise-prediction training, encoders learned jointly.
 
     Per batch: draw a timestep and Gaussian noise per sample, corrupt the
@@ -570,8 +560,7 @@ def train_policy(dataset: PolicyDataset, schedule: DiffusionSchedule = None,
         cfg = dataset.config
     if cfg.chunk_dim != dataset.config.chunk_dim:
         raise ValueError("train_policy: config disagrees with the dataset")
-    if schedule is None:
-        schedule = DiffusionSchedule.default()
+    schedule = DiffusionSchedule.default()
     shape_spec, cloud_spec, denoiser_spec = _policy_specs(cfg)
     rng_init = child_rng(seed, STAGE_POLICY, 0)
     rng_batch = child_rng(seed, STAGE_POLICY, 1)
@@ -670,8 +659,7 @@ def reverse_step_mean(chunk_t, eps_hat, schedule: DiffusionSchedule, t):
     return (chunk_t - beta / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(1.0 - beta)
 
 
-def sample_actions(params: PolicyParams, state: PolicyState,
-                   schedule: DiffusionSchedule = None, seed=0) -> ActionChunk:
+def sample_actions(params: PolicyParams, state: PolicyState, seed=0) -> ActionChunk:
     """Ancestral reverse-process sampling of one action chunk.
 
     sigma_t = sqrt(beta_t), no noise injected at the last step; the
@@ -679,8 +667,7 @@ def sample_actions(params: PolicyParams, state: PolicyState,
     Deterministic per seed.
     """
     cfg = params.config
-    if schedule is None:
-        schedule = params.schedule
+    schedule = params.schedule
     rng = child_rng(seed, STAGE_POLICY, 2)
     sv = state.vector()
     if sv.shape[0] != cfg.state_dim:
@@ -753,7 +740,7 @@ def _control_trajectory(frames, hand: HandModel, indices):
 
 
 def rollout(params: PolicyParams, hand: HandModel, model, directions,
-            task: RolloutTask, ctrl_cfg=None, seed=0, max_iters=100):
+            task: RolloutTask, seed=0):
     """Receding-horizon policy execution through the shape controller.
 
     Each replan encodes the live estimated state, samples a chunk, and
@@ -767,7 +754,7 @@ def rollout(params: PolicyParams, hand: HandModel, model, directions,
     if int(params.control_indices.max()) >= hand.fingers[0].surface.vertices.shape[0]:
         raise ValueError("rollout: policy control vertices exceed the hand mesh")
 
-    state = TrackState.at_rest(hand, max_iters=max_iters, trace=True)
+    state = TrackState.at_rest(hand, trace=True)
     pose = RigidPose.identity()
     ref_errors = []
     aborted = False
@@ -795,9 +782,7 @@ def rollout(params: PolicyParams, hand: HandModel, model, directions,
             vertex_indices=params.control_indices,
         )
         try:
-            rep = track_trajectory(hand, model, directions, ref, ctrl_cfg,
-                                   mode="shape", max_iters=max_iters,
-                                   state=state)
+            rep = track_trajectory(hand, model, directions, ref, state=state)
         except SolverFailure:
             aborted = True
             fail_step = executed

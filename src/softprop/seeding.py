@@ -13,16 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 # Stage ids are part of the on-disk reproducibility contract: changing them
-# changes every derived stream. Append new stages; never renumber.
+# changes every derived stream. Append new stages; never renumber. Ids 4, 5,
+# 8 and 9 are retired and must not be reused.
 STAGE_DATASET = 1
 STAGE_TRAIN_SHAPE = 2
 STAGE_CALIBRATION = 3
-STAGE_TRACKING = 4
-STAGE_DEMO = 5
 STAGE_POLICY = 6
 STAGE_ROLLOUT = 7
-STAGE_EVAL = 8
-STAGE_BASELINE = 9
 STAGE_CALSET = 10
 
 

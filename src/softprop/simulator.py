@@ -48,10 +48,12 @@ log = logging.getLogger("softprop.simulator")
 N_FINGERS = 3
 TENDONS_PER_FINGER = 4
 SENSORS_PER_FINGER = 4
-CHANNELS_PER_FINGER = 2
 
 # Fraction of tendon rest length removed (added) at full channel command.
 TENDON_SHORTENING = 0.25
+
+# Newton iterations allowed per solve stage before SolverFailure.
+_MAX_NEWTON_ITERS = 100
 
 # Cold starts ramp the command in stages of at most this channel increment;
 # each stage warm-starts the next. Pure solver aid, invisible in results.
@@ -677,7 +679,7 @@ class _SolverCache:
         return field_
 
 
-def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0, max_iters):
+def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0):
     """Damped Newton with Armijo backtracking; returns (x, stats).
 
     The Newton matrix is C + sum_t k v_t v_t^T with C banded (elastic +
@@ -701,7 +703,7 @@ def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0, max_it
     energies = [energy]
     residual = math.inf
 
-    for it in range(max_iters):
+    for it in range(_MAX_NEWTON_ITERS):
         g, vmat = cache.gradient(kin, targets, force_field, e_scale)
         residual = float(np.linalg.norm(g))
         if residual <= tol:
@@ -747,10 +749,10 @@ def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0, max_it
             )
 
     raise SolverFailure(
-        f"Newton did not reach tolerance {tol:.3e} mN in {max_iters} iterations "
-        f"(residual {residual:.3e} mN)",
+        f"Newton did not reach tolerance {tol:.3e} mN in {_MAX_NEWTON_ITERS} "
+        f"iterations (residual {residual:.3e} mN)",
         residual=residual,
-        step=max_iters,
+        step=_MAX_NEWTON_ITERS,
     )
 
 
@@ -760,7 +762,6 @@ def solve_equilibrium(
     forces=(),
     e_scale=1.0,
     x0=None,
-    max_iters=100,
 ):
     """Static equilibrium of one finger under a 2-channel command and forces.
 
@@ -783,7 +784,7 @@ def solve_equilibrium(
     residual = 0.0
     for s in range(1, stages + 1):
         targets = cache.tendon_targets(u2 * (s / stages))
-        x, stats = _newton_solve(cache, targets, force_field, e_scale, x, max_iters)
+        x, stats = _newton_solve(cache, targets, force_field, e_scale, x)
         total_iters += stats.iterations
         energies = energies + stats.energies
         residual = stats.residual
@@ -804,7 +805,6 @@ def solve_hand(
     e_scales=(1.0, 1.0, 1.0),
     x0s=None,
     pose=None,
-    max_iters=100,
 ):
     """Solve all three fingers; returns (SimFrame, [FingerFrame x3])."""
     command = command.u if isinstance(command, TendonCommand) else np.asarray(command, float)
@@ -819,7 +819,6 @@ def solve_hand(
             forces=forces_per_finger[j],
             e_scale=float(e_scales[j]),
             x0=None if x0s is None else x0s[j],
-            max_iters=max_iters,
         )
         frames.append(frame)
         nodes.append(frame.nodes)
@@ -862,13 +861,13 @@ class DatasetConfig:
             raise ValueError("DatasetConfig: max_command must be in (0, 1]")
 
 
-def _sample_force_event(rng, finger: FingerModel, cfg: DatasetConfig, window=(0, 1)):
+def _sample_force_event(rng, finger: FingerModel, cfg: DatasetConfig):
     center = sample_surface_points(finger.surface, 1, rng)[0]
     radius = rng.uniform(*cfg.force_radius_frac) * finger.length_mm
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     magnitude = rng.uniform(*cfg.force_mag_mn)
-    return ExternalForceEvent(center, radius, magnitude * direction, window)
+    return ExternalForceEvent(center, radius, magnitude * direction)
 
 
 def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
@@ -904,7 +903,7 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     return frames
 
 
-def rollout_commands(hand: HandModel, commands, max_iters=100):
+def rollout_commands(hand: HandModel, commands):
     """Solve a command schedule sequentially with warm starts.
 
     commands: iterable of (6,) tendon commands. Returns the SimFrame list;
@@ -914,7 +913,7 @@ def rollout_commands(hand: HandModel, commands, max_iters=100):
     warm = None
     for t, command in enumerate(commands):
         try:
-            frame, _ = solve_hand(hand, command, x0s=warm, max_iters=max_iters)
+            frame, _ = solve_hand(hand, command, x0s=warm)
         except SolverFailure as err:
             raise SolverFailure(
                 f"rollout solve failed at step {t}: {err}",

@@ -288,32 +288,6 @@ def test_synthesized_baseline_reads_rest_resistance(smoke_hand, cal_frames):
     assert calset.samples[1].resistances.timestamp == 1.0
 
 
-def test_synthesize_crop_keeps_half_space(smoke_hand, cal_frames):
-    true_cal = SensorCalibration.ideal()
-    cropped = synthesize_calibration_set(
-        smoke_hand,
-        cal_frames[:2],
-        true_cal,
-        np.zeros(3),
-        seed=1,
-        crop_normal=np.array([0.0, 0.0, 1.0]),
-        crop_offset=5.0,
-    )
-    for sample in cropped.samples:
-        assert sample.cloud.shape[0] < 1500
-        assert (sample.cloud @ np.array([0.0, 0.0, 1.0]) >= 5.0).all()
-    with pytest.raises(ValueError, match="crop removed every point"):
-        synthesize_calibration_set(
-            smoke_hand,
-            cal_frames[:2],
-            true_cal,
-            np.zeros(3),
-            seed=1,
-            crop_normal=np.array([0.0, 0.0, 1.0]),
-            crop_offset=1e6,
-        )
-
-
 def test_alignment_loss_invariant_to_sample_order(smoke_model, smoke_hand, phi_calset):
     params = AlignParams.identity()
     base = alignment_loss(smoke_model, smoke_hand, phi_calset, params)

@@ -132,6 +132,26 @@ def test_truncated_blob_rejected(tmp_path, hand, frames):
         load_dataset(tmp_path / "d")
 
 
+def _event_count_offset(n_nodes):
+    # Header, then the first frame's command, e_scales, nodes and lengths.
+    return 16 + 8 * (6 + 3 + 9 * n_nodes + 12)
+
+
+@pytest.mark.parametrize("cut", [
+    lambda n, size: 10,  # inside the header's frame count
+    lambda n, size: 16 + 100,  # inside the first frame's nodes
+    lambda n, size: _event_count_offset(n) + 2,  # inside a <I event count
+    lambda n, size: size - 1,  # inside the last frame's last record
+], ids=["header", "nodes", "event-count", "last-byte"])
+def test_short_blob_rejected(tmp_path, hand, frames, cut):
+    save_dataset(tmp_path / "d", hand, frames, seed=21)
+    path = tmp_path / "d" / BLOB_NAME
+    blob = path.read_bytes()
+    path.write_bytes(blob[:cut(frames[0].nodes.shape[1], len(blob))])
+    with pytest.raises(ValueError, match=rf"{BLOB_NAME}: blob ends early: \d+ bytes needed at offset"):
+        load_dataset(tmp_path / "d")
+
+
 def test_manifest_has_no_timestamps(tmp_path, hand, frames):
     save_dataset(tmp_path / "d", hand, frames, seed=21)
     text = (tmp_path / "d" / MANIFEST_NAME).read_text().lower()

@@ -107,7 +107,7 @@ def _dotted(node):
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
 
 
-@pytest.mark.parametrize("name", ["workloads.py", "run.py"])
+@pytest.mark.parametrize("name", ["workloads.py", "run.py", "test_perfbench.py"])
 def test_perfbench_softprop_accesses_resolve(name):
     # Every softprop name the benchmark imports or reaches as
     # `<module>.<attr>` exists, and every call through such a name
@@ -131,3 +131,60 @@ def test_perfbench_softprop_accesses_resolve(name):
             for kw in node.keywords:
                 assert kw.arg is None or _accepts(resolved[node.func], kw.arg), kw.arg
     assert resolved
+
+
+# Stage entry points the pipeline CLI will call (ROADMAP item 8); nothing
+# in the package or the benchmark calls them yet.
+CLI_ENTRY_POINTS = {
+    "save_shape_model", "load_shape_model", "save_calibration_set",
+    "load_calibration_set", "alignment_report", "collect_demonstration",
+    "save_demonstration", "load_demonstration", "build_policy_dataset",
+    "train_policy", "save_policy", "load_policy", "synthetic_object_cloud",
+    "rollout",
+}
+
+
+def _definitions(tree):
+    """(name, statement) for every public module-level definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in targets if not name.startswith("_"))
+
+
+def _references(node, strings=False):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def test_every_public_name_has_a_user():
+    # A public module-level name in softprop is referenced elsewhere in the
+    # package, by the benchmark's own code (its tracer names functions as
+    # strings), or is a CLI entry point. Test-only names do not count.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "softprop").glob("*.py"))}
+    references = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
+    used = set(CLI_ENTRY_POINTS)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        if not path.name.startswith("test_"):
+            used |= _references(ast.parse(path.read_text(), str(path)), strings=True)
+    unused = [f"{module}:{name}" for module, tree in trees.items()
+              for name, definition in _definitions(tree)
+              if name not in used and not any(name in names for stmt, names in references
+                                                if stmt is not definition)]
+    assert unused == []

@@ -13,6 +13,7 @@ from softprop.errors import MissingArtifactError, TrainingError
 from softprop.estimator import init_shape_model
 from softprop.policy import (
     NORM_HEADROOM,
+    DiffusionSchedule,
     PolicyConfig,
     RolloutTask,
     build_policy_dataset,
@@ -103,6 +104,19 @@ def test_train_policy_reports_every_epoch_and_repeats(dataset, trained):
         assert np.array_equal(getattr(again, name), getattr(params, name))
     other, _ = train_policy(dataset, seed=5)
     assert not np.array_equal(other.denoiser_params, params.denoiser_params)
+
+
+def test_default_schedule_ends_near_the_prior():
+    sched = DiffusionSchedule.default()
+    assert sched.t_diff == 50
+    assert sched.betas[0] == 1e-4 and sched.betas[-1] == 0.12
+    assert np.all(np.diff(sched.betas) >= 0.0)
+    assert sched.alpha_bars[-1] < 0.05
+
+
+def test_train_policy_uses_the_default_schedule(trained):
+    params, _ = trained
+    assert np.array_equal(params.schedule.betas, DiffusionSchedule.default().betas)
 
 
 def test_train_policy_recon_losses_descend(dataset):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from softprop import simulator
 from softprop.errors import SolverFailure
 from softprop.geometry import RigidPose, rotation_about_z, signed_volumes
 from softprop.simulator import (
@@ -312,11 +313,14 @@ def test_sensor_lengths_rigid_motion_invariant(finger):
         assert path.length(moved) == pytest.approx(ln, abs=1e-9)
 
 
-def test_solver_failure_carries_diagnostics(finger):
+def test_solver_failure_carries_diagnostics(finger, monkeypatch):
+    # The iteration cap is read at each solve, so patching it takes effect.
+    monkeypatch.setattr(simulator, "_MAX_NEWTON_ITERS", 2)
     with pytest.raises(SolverFailure) as exc:
-        solve_equilibrium(finger, (1.0, 0.0), max_iters=2)
+        solve_equilibrium(finger, (1.0, 0.0))
     assert exc.value.residual is not None and exc.value.residual > 0
-    assert "iterations" in str(exc.value)
+    assert exc.value.step == 2
+    assert "in 2 iterations" in str(exc.value)
 
 
 def test_force_field_sums_to_applied_force(finger):
