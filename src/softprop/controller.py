@@ -384,7 +384,7 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
             du = strain_step(strains, ref.strains[t], cfg)
         u = np.clip(u + du, 0.0, 1.0)
         try:
-            frame, _ = solve_hand(hand, u, x0s=frame.nodes)
+            frame, _ = solve_hand(hand, u, x0s=frame.nodes, u0=frame.command)
         except SolverFailure:
             aborted = True
             fail_step = t

@@ -11,7 +11,15 @@ spread over surface nodes with a Gaussian falloff computed on the rest
 shape.
 
 Equilibria come from damped Newton with backtracking line search on the
-total energy; there are no dynamics. The Newton matrix splits into a
+total energy; there are no dynamics. Every solve is a continuation step:
+its start state balances known tendon targets (rest balances the zero
+command, each later cold stage starts at the previous stage's equilibrium,
+a warm start names the command it was solved for), and the first Newton
+matrix is taken at those targets. With the gradient at the new targets,
+that first step is the Euler (tangent) predictor of the equilibrium path;
+the later iterations are the Newton corrector (Allgower and Georg,
+"Introduction to Numerical Continuation Methods", SIAM 2003). A converged
+state with an inverted tet is a SolverFailure. The Newton matrix splits into a
 banded local part (elastic plus tendon curvature, assembled straight into
 LAPACK general-band layout and factorized with banded LU) and one rank-1
 term per tendon handled by the Woodbury identity; that split is what
@@ -679,7 +687,8 @@ class _SolverCache:
         return field_
 
 
-def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0):
+def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
+                  e_scale, x0):
     """Damped Newton with Armijo backtracking; returns (x, stats).
 
     The Newton matrix is C + sum_t k v_t v_t^T with C banded (elastic +
@@ -691,6 +700,16 @@ def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0):
     damping escalated otherwise. Kinematics are evaluated once per visited
     state (the start point and each line-search trial); the accepted
     trial's evaluation feeds the next gradient and matrix.
+
+    Iteration 0 takes its matrix at start_targets, the targets x0
+    balances, rather than at targets. Its curvature term k (L - L*) d2L
+    then sees the start state's own tendon stretch, not the jump of the
+    targets, so with the gradient at targets the first step is the tangent
+    (Euler) predictor of the equilibrium path. Later iterations, the
+    damping and the line search are plain Newton, so every accepted step
+    is still a checked descent step. Passing start_targets = targets gives
+    the plain warm start. A converged state with an inverted tet (J <= 0)
+    raises SolverFailure.
     """
     x = cache.rest.copy() if x0 is None else np.array(x0, dtype=np.float64)
     x[cache.finger.base_fixed] = cache.rest[cache.finger.base_fixed]
@@ -707,9 +726,17 @@ def _newton_solve(cache: _SolverCache, targets, force_field, e_scale, x0):
         g, vmat = cache.gradient(kin, targets, force_field, e_scale)
         residual = float(np.linalg.norm(g))
         if residual <= tol:
+            worst = int(np.argmin(kin.jdet))
+            if kin.jdet[worst] <= 0.0:
+                raise SolverFailure(
+                    f"converged state inverts tet {worst} (min J "
+                    f"{kin.jdet[worst]:.3e}) after {it} iterations",
+                    residual=residual,
+                    step=it,
+                )
             return kin.x, SolveStats(it, tuple(energies), residual, 1)
 
-        ab = cache.newton_matrix(kin, targets, e_scale)
+        ab = cache.newton_matrix(kin, start_targets if it == 0 else targets, e_scale)
         diag = ab[band].copy()
         diag_scale = max(float(np.abs(diag).mean()), 1e-12)
         rhs = np.concatenate([-g[:, None], vmat], axis=1)
@@ -762,15 +789,21 @@ def solve_equilibrium(
     forces=(),
     e_scale=1.0,
     x0=None,
+    u0=None,
 ):
     """Static equilibrium of one finger under a 2-channel command and forces.
 
     Large cold-start commands are ramped in stages (each warm-starting the
     next) purely as a solver aid; the returned state is the equilibrium of
-    the full command. Returns a FingerFrame.
+    the full command. A warm start x0 may name u0, the command x0 is an
+    equilibrium of; the first Newton step is then the tangent predictor
+    from u0 to u2 (see _newton_solve). Without u0 the first matrix is
+    taken at u2's targets. Returns a FingerFrame.
     """
     if e_scale <= 0:
         raise ValueError("solve_equilibrium: e_scale must be positive")
+    if u0 is not None and x0 is None:
+        raise ValueError("solve_equilibrium: u0 names the command of x0; pass x0 too")
     cache = finger.solver_cache()
     u2 = np.asarray(u2, dtype=np.float64).reshape(2)
     force_field = cache.force_field(forces) if forces else None
@@ -784,7 +817,12 @@ def solve_equilibrium(
     residual = 0.0
     for s in range(1, stages + 1):
         targets = cache.tendon_targets(u2 * (s / stages))
-        x, stats = _newton_solve(cache, targets, force_field, e_scale, x)
+        if x0 is None:
+            # Rest balances the zero command; stage s - 1 balances its own.
+            start_targets = cache.tendon_targets(u2 * ((s - 1) / stages))
+        else:
+            start_targets = targets if u0 is None else cache.tendon_targets(u0)
+        x, stats = _newton_solve(cache, targets, start_targets, force_field, e_scale, x)
         total_iters += stats.iterations
         energies = energies + stats.energies
         residual = stats.residual
@@ -805,8 +843,13 @@ def solve_hand(
     e_scales=(1.0, 1.0, 1.0),
     x0s=None,
     pose=None,
+    u0=None,
 ):
-    """Solve all three fingers; returns (SimFrame, [FingerFrame x3])."""
+    """Solve all three fingers; returns (SimFrame, [FingerFrame x3]).
+
+    x0s warm-starts each finger; u0, the (6,) command x0s is an
+    equilibrium of, gives each finger its slice (see solve_equilibrium).
+    """
     command = command.u if isinstance(command, TendonCommand) else np.asarray(command, float)
     command = TendonCommand(command).u  # validate range
     nodes = []
@@ -819,6 +862,7 @@ def solve_hand(
             forces=forces_per_finger[j],
             e_scale=float(e_scales[j]),
             x0=None if x0s is None else x0s[j],
+            u0=None if u0 is None else u0[2 * j : 2 * j + 2],
         )
         frames.append(frame)
         nodes.append(frame.nodes)
@@ -870,6 +914,23 @@ def _sample_force_event(rng, finger: FingerModel, cfg: DatasetConfig):
     return ExternalForceEvent(center, radius, magnitude * direction)
 
 
+def _dataset_frame_inputs(hand: HandModel, cfg: DatasetConfig, seed, i):
+    """Frame i's (command (6,), forces per finger, e_scales (3,)) from its stream."""
+    finger = hand.fingers[0]
+    r = finger.material.e_range
+    rng = child_rng(seed, STAGE_DATASET, i)
+    command = rng.uniform(0.0, cfg.max_command, size=6)
+    e_scales = np.ones(3)
+    forces = []
+    for j in range(N_FINGERS):
+        e_scales[j] = rng.uniform(1.0 - r, 1.0 + r)
+        if rng.random() < cfg.force_prob:
+            forces.append((_sample_force_event(rng, finger, cfg),))
+        else:
+            forces.append(())
+    return command, tuple(forces), e_scales
+
+
 def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     """Independent randomized frames; deterministic given the root seed.
 
@@ -878,22 +939,11 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     the result. Solver failures skip the frame with a warning; they are
     never silently included.
     """
-    finger = hand.fingers[0]
-    r = finger.material.e_range
     frames = []
     for i in range(cfg.frames):
-        rng = child_rng(seed, STAGE_DATASET, i)
-        command = rng.uniform(0.0, cfg.max_command, size=6)
-        e_scales = np.ones(3)
-        forces = []
-        for j in range(N_FINGERS):
-            e_scales[j] = rng.uniform(1.0 - r, 1.0 + r)
-            if rng.random() < cfg.force_prob:
-                forces.append((_sample_force_event(rng, finger, cfg),))
-            else:
-                forces.append(())
+        command, forces, e_scales = _dataset_frame_inputs(hand, cfg, seed, i)
         try:
-            frame, _ = solve_hand(hand, command, tuple(forces), e_scales)
+            frame, _ = solve_hand(hand, command, forces, e_scales)
         except SolverFailure as err:
             log.warning("frame %d skipped: %s", i, err)
             continue
@@ -910,17 +960,21 @@ def rollout_commands(hand: HandModel, commands):
     useful for recording tendon-reachable reference trajectories.
     """
     frames = []
-    warm = None
     for t, command in enumerate(commands):
+        prev = frames[-1] if frames else None
         try:
-            frame, _ = solve_hand(hand, command, x0s=warm)
+            frame, _ = solve_hand(
+                hand,
+                command,
+                x0s=None if prev is None else prev.nodes,
+                u0=None if prev is None else prev.command,
+            )
         except SolverFailure as err:
             raise SolverFailure(
                 f"rollout solve failed at step {t}: {err}",
                 residual=err.residual,
                 step=t,
             ) from err
-        warm = frame.nodes
         frames.append(frame)
     if not frames:
         raise ValueError("rollout_commands: empty command schedule")
@@ -984,7 +1038,6 @@ def collect_demonstration(
         raise ValueError("collect_demonstration: ramp_steps must be >= 1")
 
     frames = []
-    warm = None
     for t in range(steps):
         forces = [[] for _ in range(N_FINGERS)]
         for j, ev in script:
@@ -992,13 +1045,15 @@ def collect_demonstration(
                 scale = float(smoothstep((t - ev.window[0] + 1) / ramp_steps))
                 forces[j].append(ev.scaled(scale))
         pose = pose_script[t] if pose_script is not None else RigidPose.identity()
+        prev = frames[-1] if frames else None
         try:
             frame, _ = solve_hand(
                 hand,
                 np.zeros(6),
                 tuple(tuple(f) for f in forces),
-                x0s=warm,
+                x0s=None if prev is None else prev.nodes,
                 pose=pose,
+                u0=None if prev is None else prev.command,
             )
         except SolverFailure as err:
             raise SolverFailure(
@@ -1006,6 +1061,5 @@ def collect_demonstration(
                 residual=err.residual,
                 step=t,
             ) from err
-        warm = frame.nodes
         frames.append(frame)
     return Demonstration(tuple(frames), ramp_steps, int(seed))

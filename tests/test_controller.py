@@ -389,6 +389,31 @@ def test_track_immediate_failure_raises(hand, model, directions, hold_ref,
         track_trajectory(hand, model, directions, hold_ref, mode="strain")
 
 
+def test_track_passes_the_previous_command(hand, model, directions, hold_ref,
+                                           monkeypatch):
+    # Each control step's solve starts from the last frame's nodes and names
+    # that frame's command, so the solver's first step is the tangent
+    # predictor from the old command to the new one.
+    calls = []
+
+    def spy(*args, **kwargs):
+        out = solve_hand(*args, **kwargs)
+        calls.append((kwargs.get("x0s"), kwargs.get("u0"), out[0]))
+        return out
+
+    monkeypatch.setattr("softprop.controller.solve_hand", spy)
+    short = ReferenceTrajectory(hold_ref.times[:4], hold_ref.vertices[:4],
+                                hold_ref.strains[:4], hold_ref.rest_vertices,
+                                hold_ref.source)
+    track_trajectory(hand, model, directions, short, mode="shape")
+    assert len(calls) == 5  # the rest frame, then one solve per step
+    assert calls[0][0] is None and calls[0][1] is None
+    for (_, _, prev), (x0s, u0, frame) in zip(calls, calls[1:]):
+        assert x0s is prev.nodes
+        assert u0 is prev.command
+        assert not np.array_equal(frame.command, prev.command)
+
+
 def test_track_report_as_dict_is_json_ready(hand, model, directions):
     frames = rollout_commands(hand, [np.zeros(6)] * 2)
     ref = ReferenceTrajectory.from_frames(frames, hand)

@@ -42,6 +42,16 @@ def small_hand():
     return HandModel.build_standard(segments=6, length_mm=40.0)
 
 
+@pytest.fixture(scope="module")
+def four_hand():
+    return HandModel.build_standard(segments=4, length_mm=24.0)
+
+
+@pytest.fixture(scope="module")
+def paper_hand():
+    return HandModel.build_standard()
+
+
 # -- construction -----------------------------------------------------------
 
 
@@ -285,6 +295,116 @@ def test_warm_start_converges_fast(finger):
     fr = solve_equilibrium(finger, (0.52, 0.5), x0=base.nodes)
     assert fr.stats.iterations <= 10
     assert fr.stats.stages == 1
+
+
+# -- continuation predictor -------------------------------------------------
+
+
+def test_u0_equal_to_the_command_is_the_plain_warm_start(four_hand):
+    f = four_hand.fingers[0]
+    x = solve_equilibrium(f, (0.3, 0.2)).nodes
+    plain = solve_equilibrium(f, (0.34, 0.17), x0=x)
+    same = solve_equilibrium(f, (0.34, 0.17), x0=x, u0=(0.34, 0.17))
+    assert plain.stats.iterations > 0
+    assert np.array_equal(plain.nodes, same.nodes)
+    assert plain.stats == same.stats
+
+
+def test_predictor_saves_iterations_on_a_warm_walk(four_hand):
+    f = four_hand.fingers[0]
+    rng = np.random.default_rng(5)
+    u = np.array([0.3, 0.2])
+    plain = pred = solve_equilibrium(f, u)
+    iters_plain = iters_pred = 0
+    for _ in range(12):
+        un = np.clip(u + rng.uniform(-0.05, 0.05, 2), 0.0, 1.0)
+        plain = solve_equilibrium(f, un, x0=plain.nodes)
+        pred = solve_equilibrium(f, un, x0=pred.nodes, u0=u)
+        iters_plain += plain.stats.iterations
+        iters_pred += pred.stats.iterations
+        # Each end state is an equilibrium of the other's solve, and the
+        # two agree to far below the mesh scale.
+        assert solve_equilibrium(f, un, x0=pred.nodes).stats.iterations == 0
+        assert solve_equilibrium(f, un, x0=plain.nodes).stats.iterations == 0
+        assert np.abs(plain.nodes - pred.nodes).max() < 1e-3
+        u = un
+    assert iters_pred < iters_plain
+
+
+def test_u0_needs_x0(four_hand):
+    with pytest.raises(ValueError, match="u0"):
+        solve_equilibrium(four_hand.fingers[0], (0.2, 0.1), u0=(0.0, 0.0))
+
+
+def _spy_solve_hand(monkeypatch):
+    calls = []
+    real = simulator.solve_hand
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((kwargs.get("x0s"), kwargs.get("u0"), out[0]))
+        return out
+
+    monkeypatch.setattr(simulator, "solve_hand", spy)
+    return calls
+
+
+def _assert_chained(calls):
+    # Every solve after the first starts from the previous frame's nodes and
+    # names that frame's command.
+    assert calls[0][0] is None and calls[0][1] is None
+    for (_, _, prev), (x0s, u0, _) in zip(calls, calls[1:]):
+        assert x0s is prev.nodes
+        assert u0 is prev.command
+
+
+def test_rollout_passes_the_previous_command(four_hand, monkeypatch):
+    calls = _spy_solve_hand(monkeypatch)
+    commands = [np.full(6, 0.1), np.full(6, 0.14), np.full(6, 0.12)]
+    simulator.rollout_commands(four_hand, commands)
+    assert len(calls) == 3
+    _assert_chained(calls)
+
+
+def test_demonstration_passes_the_previous_command(four_hand, monkeypatch):
+    calls = _spy_solve_hand(monkeypatch)
+    ev = ExternalForceEvent((8.0, 0.0, 18.0), 10.0, (-10.0, 0.0, 0.0), window=(0, 3))
+    collect_demonstration(four_hand, [(0, ev)], steps=3, ramp_steps=2)
+    assert len(calls) == 3
+    _assert_chained(calls)
+
+
+def _dataset_finger_solve(hand, seed, i, j):
+    command, forces, e_scales = simulator._dataset_frame_inputs(
+        hand, DatasetConfig(), seed, i
+    )
+    return solve_equilibrium(
+        hand.fingers[j], command[2 * j : 2 * j + 2], forces[j], float(e_scales[j])
+    )
+
+
+def test_dataset_frame_that_stalled_converges(paper_hand):
+    # Frame 0 of dataset seed 1001, finger 0: command (0.485, 0.981), E scale
+    # 0.756 and an 18 mN force. Taking stage 2's first matrix at its own
+    # targets left the state with an inverted tet and a kinked tendon, and
+    # Newton stalled at a residual of 9.66e3 mN.
+    fr = _dataset_finger_solve(paper_hand, 1001, 0, 0)
+    assert fr.stats.stages == 2
+    kin = paper_hand.fingers[0].solver_cache().kinematics(fr.nodes)
+    assert kin.jdet.min() > 0.0
+
+
+def test_converged_inverted_state_is_loud(paper_hand):
+    # Frame 7 of dataset seed 2003 holds fingers whose Newton iterations can
+    # settle into a balanced state with an inverted tet; none may come back.
+    cache = paper_hand.fingers[0].solver_cache()
+    for j in range(3):
+        try:
+            fr = _dataset_finger_solve(paper_hand, 2003, 7, j)
+        except SolverFailure as err:
+            assert "inverts tet" in str(err)
+            continue
+        assert cache.kinematics(fr.nodes).jdet.min() > 0.0
 
 
 def test_push_force_deflects_and_registers(finger):
