@@ -241,18 +241,28 @@ def _refit_decoder_head(model: ShapeModel, x, y, rest_scaled):
     """Exact least-squares solve for the decoder's final linear layer.
 
     Adam handles the nonlinear features; the head is a linear problem, so
-    finishing with its closed-form optimum is free precision.
+    finishing with its closed-form optimum is free precision. The (N V, 65)
+    matrix of [hidden features | 1] is never formed: each DECODE_CHUNK
+    samples' [features | 1 | targets] rows are stacked under the running
+    R factor of a QR and reduced again, so memory does not grow with N.
+    The final R's leading columns and its target columns form a small
+    least-squares problem with the same solutions as the whole one.
     """
-    z = nn.forward(model.enc_spec, model.enc_params, x)
-    hidden = []
-    for s in range(0, z.shape[0], DECODE_CHUNK):
+    n_feats = model.dec_spec.sizes[-2] + 1
+    r = np.zeros((0, n_feats + 3))
+    for s in range(0, x.shape[0], DECODE_CHUNK):
+        z = nn.forward(model.enc_spec, model.enc_params, x[s : s + DECODE_CHUNK])
         _, (_, _, (acts, _)) = nn.forward_conditioned(
-            model.dec_spec, model.dec_params, rest_scaled, z[s : s + DECODE_CHUNK]
+            model.dec_spec, model.dec_params, rest_scaled, z
         )
-        hidden.append(acts[-2])
-    h = np.concatenate(hidden)
-    feats = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
-    sol, *_ = np.linalg.lstsq(feats, y.reshape(-1, 3), rcond=None)
+        h = acts[-2]
+        chunk = [h, np.ones((h.shape[0], 1)), y[s : s + DECODE_CHUNK].reshape(-1, 3)]
+        r = np.linalg.qr(np.concatenate([r, np.concatenate(chunk, axis=1)]), mode="r")
+    # The cutoff lstsq would use on the whole (N V, n_feats) problem.
+    rows = x.shape[0] * rest_scaled.shape[0]
+    sol, *_ = np.linalg.lstsq(
+        r[:, :n_feats], r[:, n_feats:], rcond=np.finfo(np.float64).eps * max(rows, n_feats)
+    )
     params = model.dec_params.copy()
     w_last, b_last = nn.unpack_params(model.dec_spec, params)[-1]
     w_last[:] = sol[:-1]

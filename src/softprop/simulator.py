@@ -25,15 +25,23 @@ LAPACK general-band layout and factorized with banded LU) and one rank-1
 term per tendon handled by the Woodbury identity; that split is what
 makes dataset-scale solving cheap. Each state the solver visits gets one
 kinematics evaluation (per-tet F, cofactor and J, plus tendon segments),
-shared by its energy, gradient and Newton matrix.
+shared by its energy, gradient and Newton matrix. Solves that do not
+depend on each other (the fingers of dataset frames, and each finger's
+warm-started chain through an open-loop schedule) run in a pool of forked
+workers, one per CPU this process may use, each with one BLAS thread.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
@@ -850,13 +858,9 @@ def solve_hand(
     x0s warm-starts each finger; u0, the (6,) command x0s is an
     equilibrium of, gives each finger its slice (see solve_equilibrium).
     """
-    command = command.u if isinstance(command, TendonCommand) else np.asarray(command, float)
-    command = TendonCommand(command).u  # validate range
-    nodes = []
-    lengths = []
-    frames = []
-    for j in range(N_FINGERS):
-        frame = solve_equilibrium(
+    command = _command_array(command)
+    frames = [
+        solve_equilibrium(
             hand.fingers[j],
             command[2 * j : 2 * j + 2],
             forces=forces_per_finger[j],
@@ -864,17 +868,94 @@ def solve_hand(
             x0=None if x0s is None else x0s[j],
             u0=None if u0 is None else u0[2 * j : 2 * j + 2],
         )
-        frames.append(frame)
-        nodes.append(frame.nodes)
-        lengths.append(frame.sensor_lengths)
+        for j in range(N_FINGERS)
+    ]
+    return _hand_frame(command, frames, forces_per_finger, e_scales, pose), frames
+
+
+def _command_array(command):
+    """Validated (6,) channel values of a TendonCommand or array-like."""
+    command = command.u if isinstance(command, TendonCommand) else np.asarray(command, float)
+    return TendonCommand(command).u
+
+
+def _hand_frame(command, finger_frames, forces_per_finger, e_scales, pose=None):
+    """The SimFrame of three solved fingers."""
     return SimFrame(
         command=command,
-        nodes=np.stack(nodes),
-        sensor_lengths=np.concatenate(lengths),
+        nodes=np.stack([f.nodes for f in finger_frames]),
+        sensor_lengths=np.concatenate([f.sensor_lengths for f in finger_frames]),
         forces=tuple(tuple(f) for f in forces_per_finger),
         e_scales=np.asarray(e_scales, dtype=np.float64),
         pose=pose,
-    ), frames
+    )
+
+
+# ---------------------------------------------------------------------------
+# Independent solves on every CPU this process may use.
+
+# The function a pool worker applies to its tasks; set only in workers.
+_worker_fn = None
+
+
+def _openblas_functions(action):
+    """One ctypes function `action` (e.g. "set_num_threads") per OpenBLAS
+    library mapped into this process. numpy and scipy each bundle their
+    own copy, under different symbol prefixes."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = sorted({
+            parts[5] for parts in (line.rstrip("\n").split(maxsplit=5) for line in maps)
+            if len(parts) == 6 and "openblas" in os.path.basename(parts[5])
+        })
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in (f"openblas_{action}", f"scipy_openblas_{action}",
+                     f"scipy_openblas_{action}64_"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                found.append(fn)
+                break
+    return found
+
+
+def _start_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+    # One BLAS thread per worker: with two workers of two OpenBLAS threads
+    # each on two cores, a dataset frame took 1.4-2.0 s against 0.7-0.9 s
+    # serial.
+    for set_threads in _openblas_functions("set_num_threads"):
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def _run_in_worker(task):
+    return _worker_fn(task)
+
+
+def _map_solves(fn, tasks):
+    """[fn(t) for t in tasks], spread over the CPUs this process may use.
+
+    With more than one CPU and more than one task, a pool of
+    min(CPUs, tasks) forked workers runs them; otherwise they run here.
+    Fork hands fn, and the hand it closes over, to the workers without
+    pickling; only tasks and results are pickled. Each worker pins BLAS to
+    one thread. The pool lives for this call: it is joined on return, and
+    on an error the tasks not yet started are cancelled first. Results
+    come back in task order, so the output equals the in-process run's.
+    """
+    tasks = list(tasks)
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                             initializer=_start_worker, initargs=(fn,)) as pool:
+        try:
+            return list(pool.map(_run_in_worker, tasks))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -931,54 +1012,110 @@ def _dataset_frame_inputs(hand: HandModel, cfg: DatasetConfig, seed, i):
     return command, tuple(forces), e_scales
 
 
+def _solve_dataset_finger(hand: HandModel, task):
+    """One finger of a dataset frame; a SolverFailure is returned, not raised."""
+    j, u2, forces, e_scale = task
+    try:
+        return solve_equilibrium(hand.fingers[j], u2, forces, e_scale)
+    except SolverFailure as err:
+        return err
+
+
 def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     """Independent randomized frames; deterministic given the root seed.
 
-    Each frame draws from its own (seed, STAGE_DATASET, index) stream, so
-    frames could be solved in any order or in parallel without changing
-    the result. Solver failures skip the frame with a warning; they are
-    never silently included.
+    Each frame draws from its own (seed, STAGE_DATASET, index) stream, and
+    its three finger solves are independent, so all 3 x frames finger
+    solves run in parallel: a pool of min(CPUs, 3 x frames) forked workers
+    with BLAS pinned to one thread each (see _map_solves). Frames are
+    assembled in index order, so the result equals a serial run's. A frame
+    with a failed finger solve is skipped with a warning, in index order;
+    it is never silently included.
     """
+    inputs = [_dataset_frame_inputs(hand, cfg, seed, i) for i in range(cfg.frames)]
+    solved = _map_solves(
+        partial(_solve_dataset_finger, hand),
+        [(j, command[2 * j : 2 * j + 2], forces[j], float(e_scales[j]))
+         for command, forces, e_scales in inputs for j in range(N_FINGERS)],
+    )
     frames = []
-    for i in range(cfg.frames):
-        command, forces, e_scales = _dataset_frame_inputs(hand, cfg, seed, i)
-        try:
-            frame, _ = solve_hand(hand, command, forces, e_scales)
-        except SolverFailure as err:
-            log.warning("frame %d skipped: %s", i, err)
+    for i, (command, forces, e_scales) in enumerate(inputs):
+        fingers = solved[N_FINGERS * i : N_FINGERS * (i + 1)]
+        failure = next((f for f in fingers if isinstance(f, SolverFailure)), None)
+        if failure is not None:
+            log.warning("frame %d skipped: %s", i, failure)
             continue
-        frames.append(frame)
+        frames.append(_hand_frame(command, fingers, forces, e_scales))
     if not frames:
         raise SolverFailure("every frame in the dataset failed to solve")
     return frames
 
 
-def rollout_commands(hand: HandModel, commands):
-    """Solve a command schedule sequentially with warm starts.
+def _solve_finger_chain(hand: HandModel, task):
+    """Finger j's warm-started solves over a schedule of (u2, forces).
 
-    commands: iterable of (6,) tendon commands. Returns the SimFrame list;
-    useful for recording tendon-reachable reference trajectories.
+    Each solve starts from the previous one's nodes and names its command
+    (x0, u0). Returns (FingerFrames, None), or the frames before the first
+    failed step and that step's SolverFailure.
     """
+    j, schedule = task
     frames = []
-    for t, command in enumerate(commands):
+    for u2, forces in schedule:
         prev = frames[-1] if frames else None
         try:
-            frame, _ = solve_hand(
-                hand,
-                command,
-                x0s=None if prev is None else prev.nodes,
+            frames.append(solve_equilibrium(
+                hand.fingers[j], u2, forces,
+                x0=None if prev is None else prev.nodes,
                 u0=None if prev is None else prev.command,
-            )
+            ))
         except SolverFailure as err:
-            raise SolverFailure(
-                f"rollout solve failed at step {t}: {err}",
-                residual=err.residual,
-                step=t,
-            ) from err
-        frames.append(frame)
-    if not frames:
+            return frames, err
+    return frames, None
+
+
+def _solve_open_loop(hand: HandModel, commands, forces, poses, what):
+    """SimFrames of an open-loop schedule: one warm-started chain per finger.
+
+    commands[t] is the (6,) command of step t, forces[t] its per-finger
+    events and poses[t] its palm pose. No finger's chain depends on another
+    finger, so the chains run in parallel (see _map_solves). The first
+    failure in (step, finger) order is raised, as a serial walk would.
+    """
+    chains = _map_solves(
+        partial(_solve_finger_chain, hand),
+        [(j, [(u[2 * j : 2 * j + 2], f[j]) for u, f in zip(commands, forces)])
+         for j in range(N_FINGERS)],
+    )
+    failed = [(len(frames), j, err) for j, (frames, err) in enumerate(chains)
+              if err is not None]
+    if failed:
+        t, _, err = min(failed, key=lambda f: f[:2])
+        raise SolverFailure(
+            f"{what} solve failed at step {t}: {err}", residual=err.residual, step=t
+        ) from err
+    return [
+        _hand_frame(u, [frames[t] for frames, _ in chains], f, (1.0,) * N_FINGERS, pose)
+        for t, (u, f, pose) in enumerate(zip(commands, forces, poses))
+    ]
+
+
+def rollout_commands(hand: HandModel, commands):
+    """Solve a command schedule with warm starts.
+
+    commands: iterable of (6,) tendon commands. Each finger walks its own
+    warm-started chain (x0 and u0 from its previous step); the open-loop
+    schedule makes the three chains independent, so they run in parallel
+    in forked workers with BLAS pinned to one thread each. Returns the
+    SimFrame list; useful for recording tendon-reachable reference
+    trajectories.
+    """
+    commands = [_command_array(c) for c in commands]
+    if not commands:
         raise ValueError("rollout_commands: empty command schedule")
-    return frames
+    steps = len(commands)
+    return _solve_open_loop(
+        hand, commands, [((),) * N_FINGERS] * steps, [None] * steps, "rollout"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +1154,9 @@ def collect_demonstration(
     so deformations drift smoothly toward equilibrium instead of jumping.
     pose_script: optional per-step palm RigidPose list (default identity).
     The seed is only recorded with the result; the solve itself is
-    deterministic. Each step warm-starts from the previous SimFrame.
+    deterministic. Each finger's step warm-starts from its previous step;
+    the script is open-loop, so the three fingers' chains run in parallel
+    in forked workers with BLAS pinned to one thread each.
     """
     script = tuple(script)
     for j, _ in script:
@@ -1037,29 +1176,17 @@ def collect_demonstration(
     if ramp_steps < 1:
         raise ValueError("collect_demonstration: ramp_steps must be >= 1")
 
-    frames = []
+    forces = []
     for t in range(steps):
-        forces = [[] for _ in range(N_FINGERS)]
+        step_forces = [[] for _ in range(N_FINGERS)]
         for j, ev in script:
             if ev.window[0] <= t < ev.window[1]:
                 scale = float(smoothstep((t - ev.window[0] + 1) / ramp_steps))
-                forces[j].append(ev.scaled(scale))
-        pose = pose_script[t] if pose_script is not None else RigidPose.identity()
-        prev = frames[-1] if frames else None
-        try:
-            frame, _ = solve_hand(
-                hand,
-                np.zeros(6),
-                tuple(tuple(f) for f in forces),
-                x0s=None if prev is None else prev.nodes,
-                pose=pose,
-                u0=None if prev is None else prev.command,
-            )
-        except SolverFailure as err:
-            raise SolverFailure(
-                f"demonstration solve failed at step {t}: {err}",
-                residual=err.residual,
-                step=t,
-            ) from err
-        frames.append(frame)
+                step_forces[j].append(ev.scaled(scale))
+        forces.append(tuple(tuple(f) for f in step_forces))
+    if pose_script is None:
+        pose_script = [RigidPose.identity() for _ in range(steps)]
+    frames = _solve_open_loop(
+        hand, [np.zeros(6) for _ in range(steps)], forces, pose_script, "demonstration"
+    )
     return Demonstration(tuple(frames), ramp_steps, int(seed))

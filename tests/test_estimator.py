@@ -406,6 +406,55 @@ def test_head_refit_improves_memorization(hand):
     assert final_mse(True) < final_mse(False)
 
 
+def _refit_problem(hand, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    rest_scaled = hand.fingers[0].surface.vertices / hand.fingers[0].length_mm
+    x = 0.05 * rng.standard_normal((n_samples, 4))
+    y = rng.standard_normal((n_samples, rest_scaled.shape[0], 3))
+    return x, y, rest_scaled
+
+
+@pytest.mark.parametrize("n_samples", [10, 3 * DECODE_CHUNK + 7])
+def test_head_refit_matches_whole_lstsq(hand, n_samples):
+    # The chunked QR reduction solves the same least-squares problem as
+    # lstsq on the whole (N V, 65) feature matrix; the heads agree to 1e-9
+    # of their largest entry (seen: 1e-14 to 2e-13).
+    model = _random_head_model(hand, 13)
+    x, y, rest_scaled = _refit_problem(hand, n_samples, n_samples)
+    z = nn.forward(model.enc_spec, model.enc_params, x)
+    _, (_, _, (acts, _)) = nn.forward_conditioned(
+        model.dec_spec, model.dec_params, rest_scaled, z
+    )
+    feats = np.concatenate([acts[-2], np.ones((acts[-2].shape[0], 1))], axis=1)
+    want, *_ = np.linalg.lstsq(feats, y.reshape(-1, 3), rcond=None)
+
+    refit = estimator._refit_decoder_head(model, x, y, rest_scaled)
+    w_last, b_last = nn.unpack_params(refit.dec_spec, refit.dec_params)[-1]
+    got = np.concatenate([w_last, b_last[None]])
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    # Every other parameter is the model's own.
+    n_head = w_last.size + b_last.size
+    assert np.array_equal(refit.dec_params[:-n_head], model.dec_params[:-n_head])
+    assert np.array_equal(refit.enc_params, model.enc_params)
+
+
+def test_head_refit_memory_does_not_grow_with_samples(hand):
+    import tracemalloc
+
+    model = _random_head_model(hand, 13)
+    peaks = []
+    for n_samples in (2 * DECODE_CHUNK, 8 * DECODE_CHUNK):
+        x, y, rest_scaled = _refit_problem(hand, n_samples, 1)
+        tracemalloc.start()
+        try:
+            estimator._refit_decoder_head(model, x, y, rest_scaled)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # The whole feature matrix alone would add 6 x 64 x V x 65 x 8 bytes.
+    assert peaks[1] <= 1.01 * peaks[0]
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints.
 

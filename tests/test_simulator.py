@@ -1,6 +1,8 @@
 """Finger statics: mesh construction, energies, equilibria, datasets."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -336,42 +338,38 @@ def test_u0_needs_x0(four_hand):
         solve_equilibrium(four_hand.fingers[0], (0.2, 0.1), u0=(0.0, 0.0))
 
 
-def _spy_solve_hand(monkeypatch):
-    calls = []
-    real = simulator.solve_hand
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append((kwargs.get("x0s"), kwargs.get("u0"), out[0]))
-        return out
-
-    monkeypatch.setattr(simulator, "solve_hand", spy)
-    return calls
-
-
-def _assert_chained(calls):
-    # Every solve after the first starts from the previous frame's nodes and
-    # names that frame's command.
-    assert calls[0][0] is None and calls[0][1] is None
-    for (_, _, prev), (x0s, u0, _) in zip(calls, calls[1:]):
-        assert x0s is prev.nodes
-        assert u0 is prev.command
+def _assert_warm_chain(hand, frames):
+    # Frame t of every finger is bit for bit the warm solve from frame t - 1
+    # that names its command: solve_equilibrium(..., x0=prev.nodes[j],
+    # u0=prev.command[2j:2j+2]). Dropping x0 or u0 changes the bits.
+    for t, frame in enumerate(frames):
+        prev = frames[t - 1] if t else None
+        for j in range(3):
+            want = solve_equilibrium(
+                hand.fingers[j], frame.command[2 * j : 2 * j + 2], frame.forces[j],
+                x0=None if prev is None else prev.nodes[j],
+                u0=None if prev is None else prev.command[2 * j : 2 * j + 2],
+            )
+            assert np.array_equal(frame.nodes[j], want.nodes)
+            assert np.array_equal(frame.sensor_lengths[4 * j : 4 * j + 4],
+                                  want.sensor_lengths)
 
 
-def test_rollout_passes_the_previous_command(four_hand, monkeypatch):
-    calls = _spy_solve_hand(monkeypatch)
+def test_rollout_passes_the_previous_command(four_hand, two_cpus):
     commands = [np.full(6, 0.1), np.full(6, 0.14), np.full(6, 0.12)]
-    simulator.rollout_commands(four_hand, commands)
-    assert len(calls) == 3
-    _assert_chained(calls)
+    frames = simulator.rollout_commands(four_hand, commands)
+    assert [f.command.tolist() for f in frames] == [c.tolist() for c in commands]
+    _assert_warm_chain(four_hand, frames)
+    # The chain is sensitive to u0: the plain warm start lands elsewhere.
+    plain = solve_equilibrium(four_hand.fingers[0], commands[1][:2], x0=frames[0].nodes[0])
+    assert not np.array_equal(plain.nodes, frames[1].nodes[0])
 
 
-def test_demonstration_passes_the_previous_command(four_hand, monkeypatch):
-    calls = _spy_solve_hand(monkeypatch)
+def test_demonstration_passes_the_previous_command(four_hand, two_cpus):
     ev = ExternalForceEvent((8.0, 0.0, 18.0), 10.0, (-10.0, 0.0, 0.0), window=(0, 3))
-    collect_demonstration(four_hand, [(0, ev)], steps=3, ramp_steps=2)
-    assert len(calls) == 3
-    _assert_chained(calls)
+    demo = collect_demonstration(four_hand, [(0, ev)], steps=3, ramp_steps=2)
+    assert len(demo) == 3 and len(demo.frames[1].forces[0]) == 1
+    _assert_warm_chain(four_hand, demo.frames)
 
 
 def _dataset_finger_solve(hand, seed, i, j):
@@ -544,6 +542,128 @@ def test_dataset_config_validation():
         DatasetConfig(force_radius_frac=(0.1, 0.4))
     with pytest.raises(ValueError):
         DatasetConfig(max_command=0.0)
+
+
+# -- independent solves in a worker pool ---------------------------------------
+
+POOL_CFG = DatasetConfig(frames=4, force_prob=0.7, force_mag_mn=(5.0, 25.0))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # The pool runs whenever two CPUs are allowed, even on a one-core host.
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _assert_same_frame(a, b):
+    for name in ("command", "nodes", "sensor_lengths", "e_scales"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert len(a.forces) == len(b.forces) == 3
+    for fa, fb in zip(a.forces, b.forces):
+        assert len(fa) == len(fb)
+        for ea, eb in zip(fa, fb):
+            assert np.array_equal(ea.center, eb.center)
+            assert np.array_equal(ea.force_mn, eb.force_mn)
+            assert (ea.radius_mm, ea.window) == (eb.radius_mm, eb.window)
+
+
+def _oracle_dataset_frame(hand, seed, i):
+    command, forces, e_scales = simulator._dataset_frame_inputs(hand, POOL_CFG, seed, i)
+    return solve_hand(hand, command, forces, e_scales)[0]
+
+
+def test_pooled_dataset_equals_per_frame_solves(four_hand, two_cpus):
+    frames = generate_dataset(four_hand, POOL_CFG, seed=31)
+    assert multiprocessing.active_children() == []
+    assert len(frames) == POOL_CFG.frames
+    for i, frame in enumerate(frames):
+        _assert_same_frame(frame, _oracle_dataset_frame(four_hand, 31, i))
+
+
+def test_pooled_dataset_skips_failed_frames_in_order(four_hand, two_cpus, monkeypatch,
+                                                     caplog):
+    inputs = [simulator._dataset_frame_inputs(four_hand, POOL_CFG, 32, i) for i in range(4)]
+    oracle = [_oracle_dataset_frame(four_hand, 32, i) for i in (0, 2)]
+    planted = {(1, 2), (3, 0), (3, 1)}
+    real = simulator.solve_equilibrium
+
+    def failing(finger, u2, *args, **kwargs):
+        for i, (command, _, _) in enumerate(inputs):
+            for j in range(3):
+                if (i, j) in planted and np.array_equal(u2, command[2 * j : 2 * j + 2]):
+                    raise SolverFailure(f"planted at finger {j}")
+        return real(finger, u2, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "solve_equilibrium", failing)
+    with caplog.at_level("WARNING", logger="softprop.simulator"):
+        frames = generate_dataset(four_hand, POOL_CFG, seed=32)
+    assert [r.getMessage() for r in caplog.records] == [
+        "frame 1 skipped: planted at finger 2",
+        "frame 3 skipped: planted at finger 0",
+    ]
+    assert len(frames) == 2
+    for frame, want in zip(frames, oracle):
+        _assert_same_frame(frame, want)
+
+
+def test_worker_error_reaches_caller_with_its_type(four_hand, two_cpus, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("not a solver failure")
+
+    monkeypatch.setattr(simulator, "solve_equilibrium", broken)
+    with pytest.raises(ZeroDivisionError, match="not a solver failure"):
+        generate_dataset(four_hand, POOL_CFG, seed=33)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ZeroDivisionError):
+        simulator.rollout_commands(four_hand, [np.full(6, 0.1)] * 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_open_loop_raises_the_first_failure_by_step_then_finger(four_hand, two_cpus,
+                                                                 monkeypatch):
+    # Channel values 0.1 t + 0.01 j name step t and finger j.
+    commands = [np.repeat(0.1 * t + 0.01 * np.arange(3), 2) for t in range(4)]
+    planted = {(2, 0), (1, 2), (1, 1), (3, 0)}
+    real = simulator.solve_equilibrium
+
+    def failing(finger, u2, *args, **kwargs):
+        t, j = round(u2[0] * 10), round(u2[0] * 100) % 10
+        if (t, j) in planted:
+            raise SolverFailure(f"planted at step {t} finger {j}", residual=1.5)
+        return real(finger, u2, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "solve_equilibrium", failing)
+    with pytest.raises(SolverFailure) as exc:
+        simulator.rollout_commands(four_hand, commands)
+    assert str(exc.value) == "rollout solve failed at step 1: planted at step 1 finger 1"
+    assert (exc.value.step, exc.value.residual) == (1, 1.5)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_run_one_blas_thread(two_cpus):
+    if not simulator._openblas_functions("get_num_threads"):
+        pytest.skip("no OpenBLAS library is loaded")
+
+    def blas_threads(task):
+        return os.getpid(), [f() for f in simulator._openblas_functions("get_num_threads")]
+
+    results = simulator._map_solves(blas_threads, range(4))
+    assert all(pid != os.getpid() for pid, _ in results)
+    assert all(counts and set(counts) == {1} for _, counts in results)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_solves_in_process(four_hand, monkeypatch):
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one CPU")
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+    assert simulator._map_solves(lambda t: os.getpid(), range(3)) == [os.getpid()] * 3
+    frames = generate_dataset(four_hand, POOL_CFG, seed=31)
+    _assert_same_frame(frames[0], _oracle_dataset_frame(four_hand, 31, 0))
+    assert len(simulator.rollout_commands(four_hand, [np.full(6, 0.1)] * 2)) == 2
 
 
 # -- demonstrations -------------------------------------------------------------
