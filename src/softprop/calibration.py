@@ -17,14 +17,19 @@ rank-mu covariance updates, written against plain numpy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .datafiles import artifact_file, read_manifest, write_manifest
+from .datafiles import (
+    artifact_file,
+    pose_from_floats,
+    pose_to_floats,
+    read_manifest,
+    write_manifest,
+)
 from .errors import OptimizationError, SoftpropError
 from .estimator import ShapeModel, predict, strains_from_lengths
 from .geometry import (
@@ -441,71 +446,47 @@ def synthesize_calibration_set(hand: HandModel, frames, true_cal: SensorCalibrat
 
 
 # ---------------------------------------------------------------------------
-# On-disk form: manifest + XYZ clouds + resistance CSV.
+# On-disk form: manifest + one little-endian float64 payload. Per sample it
+# holds the timestamp, the 12 resistances, the 3 mount poses (12 floats
+# each, datafiles' pose codec) and then the cloud's points; the manifest
+# lists every sample's point count, which fixes the payload's size.
 
-RESISTANCE_FILE = "resistances.csv"
-CALSET_FORMAT = "calset/1"
-
-
-def _pose_doc(pose: RigidPose):
-    return {
-        "rotation": pose.rotation.tolist(),
-        "translation": pose.translation.tolist(),
-    }
-
-
-def _pose_from_doc(doc):
-    return RigidPose(np.array(doc["rotation"]), np.array(doc["translation"]))
+CALSET_FORMAT = "calset/2"
+CALSET_PAYLOAD = "samples.f64"
+_SAMPLE_HEAD = 1 + N_SENSORS + 12 * N_FINGERS
 
 
 def save_calibration_set(directory, calset: CalibrationSet):
-    """Write manifest.json, resistances.csv, and one .xyz cloud per sample."""
+    """Write manifest.json and the float64 payload of every sample."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    cloud_files = []
-    for i, sample in enumerate(calset.samples):
-        name = f"cloud_{i:04d}.xyz"
-        np.savetxt(directory / name, sample.cloud, fmt="%.17g")
-        cloud_files.append(name)
-    with open(directory / RESISTANCE_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + [f"r{i}" for i in range(N_SENSORS)])
-        for sample in calset.samples:
-            writer.writerow(
-                [repr(float(sample.resistances.timestamp))]
-                + [repr(float(v)) for v in sample.resistances.r]
-            )
+    values = []
+    for sample in calset.samples:
+        values += [[sample.resistances.timestamp], sample.resistances.r,
+                   *map(pose_to_floats, sample.mounts), sample.cloud.ravel()]
+    (directory / CALSET_PAYLOAD).write_bytes(np.concatenate(values).astype("<f8").tobytes())
     return write_manifest(directory, {
         "format": CALSET_FORMAT,
-        "samples": len(calset.samples),
         "baseline_index": calset.baseline_index,
-        "cloud_files": cloud_files,
-        "resistance_file": RESISTANCE_FILE,
-        "mounts": [
-            [_pose_doc(p) for p in sample.mounts] for sample in calset.samples
-        ],
+        "points": [len(sample.cloud) for sample in calset.samples],
     })
 
 
-def load_calibration_set(directory, producer="calibrate"):
+def load_calibration_set(directory):
     """Read a calibration-set directory written by save_calibration_set."""
-    manifest = read_manifest(directory, CALSET_FORMAT, producer)
-    resistance_path = artifact_file(directory, manifest["resistance_file"], producer)
-    with open(resistance_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    readings = [
-        ResistanceFrame(np.array([float(v) for v in row[1:]]), float(row[0]))
-        for row in rows[1:]
-    ]
-    if len(readings) != manifest["samples"]:
+    manifest = read_manifest(directory, CALSET_FORMAT, "calibrate")
+    path = artifact_file(directory, CALSET_PAYLOAD, "calibrate")
+    sizes = [_SAMPLE_HEAD + 3 * int(p) for p in manifest["points"]]
+    blob = path.read_bytes()
+    if len(blob) != 8 * sum(sizes):
         raise ValueError(
-            f"{resistance_path}: {len(readings)} rows for "
-            f"{manifest['samples']} samples"
+            f"{path}: {len(blob)} bytes, the manifest's point counts need "
+            f"{8 * sum(sizes)}"
         )
+    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     samples = []
-    for i in range(manifest["samples"]):
-        cloud_path = artifact_file(directory, manifest["cloud_files"][i], producer)
-        cloud = np.loadtxt(cloud_path).reshape(-1, 3)
-        mounts = tuple(_pose_from_doc(d) for d in manifest["mounts"][i])
-        samples.append(CalibrationSample(readings[i], cloud, mounts))
+    for record in np.split(values, np.cumsum(sizes)[:-1]):
+        t, r, poses, cloud = np.split(record, [1, 1 + N_SENSORS, _SAMPLE_HEAD])
+        mounts = tuple(pose_from_floats(v) for v in poses.reshape(N_FINGERS, 12))
+        samples.append(CalibrationSample(ResistanceFrame(r, t[0]), cloud.reshape(-1, 3), mounts))
     return CalibrationSet(tuple(samples), baseline_index=manifest["baseline_index"])

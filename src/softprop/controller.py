@@ -279,9 +279,9 @@ def save_reference(directory, hand: HandModel, frames, seed, config=None):
                         config=config)
 
 
-def load_reference(directory, hand: HandModel, producer="track"):
+def load_reference(directory, hand: HandModel):
     """Load a reference trajectory saved by save_reference."""
-    frames, _ = load_role(directory, hand, "reference", producer)
+    frames, _ = load_role(directory, hand, "reference", "track")
     return ReferenceTrajectory.from_frames(frames, hand, source="reference")
 
 

@@ -5,11 +5,11 @@ Every artifact a stage hands to the next one is a directory holding
 is canonical JSON (sorted keys, no whitespace, ASCII, one trailing
 newline; never timestamps, so reruns are byte-identical) and carries a
 `format` tag. This module owns that convention: `write_manifest` writes
-it, `read_manifest` reads it and checks the tag, `artifact_file`
-resolves a payload file and `checkpoint_file` a network checkpoint with
-its JSON sidecar. A missing manifest or payload raises
-`MissingArtifactError` naming the stage that produces it; a foreign
-format raises `ValueError`.
+it, `read_manifest` reads it and checks the tag, and `artifact_file`
+resolves a payload file. The manifest is the only JSON file: network
+checkpoints (`nn.save_checkpoint`) and every other payload are binary.
+A missing manifest or payload raises `MissingArtifactError` naming the
+stage that produces it; a foreign format raises `ValueError`.
 
 The frame container is the first such artifact. Its manifest holds
 configuration, seed, units and finger topology hash, and `frames.ksd` is
@@ -71,13 +71,6 @@ def artifact_file(directory, name, producer):
     return path
 
 
-def checkpoint_file(directory, name, producer):
-    """Path of an `nn` checkpoint whose `<name>.json` sidecar is also present."""
-    path = artifact_file(directory, name, producer)
-    artifact_file(directory, name + ".json", producer)
-    return path
-
-
 def read_manifest(directory, fmt, producer):
     """Parsed manifest of an artifact directory whose format tag is `fmt`."""
     path = artifact_file(directory, MANIFEST_NAME, producer)
@@ -109,11 +102,12 @@ def topology_hash(hand: HandModel):
     return h.hexdigest()
 
 
-def _pose_to_floats(pose: RigidPose):
+def pose_to_floats(pose: RigidPose):
+    """The 12 floats a pose is stored as: row-major rotation, then translation."""
     return np.concatenate([pose.rotation.reshape(9), pose.translation])
 
 
-def _pose_from_floats(vals):
+def pose_from_floats(vals):
     vals = np.asarray(vals, dtype=np.float64)
     return RigidPose(vals[:9].reshape(3, 3), vals[9:12])
 
@@ -134,7 +128,7 @@ def _encode_frame(frame: SimFrame, n_nodes, has_pose):
         if frame.pose is None:
             raise ValueError("pose-tagged dataset contains a frame without a pose")
         parts.append(
-            np.ascontiguousarray(_pose_to_floats(frame.pose), dtype="<f8").tobytes()
+            np.ascontiguousarray(pose_to_floats(frame.pose), dtype="<f8").tobytes()
         )
     elif frame.pose is not None:
         raise ValueError("frame carries a pose but the dataset role does not")
@@ -180,7 +174,7 @@ def _decode_frame(r: _Reader, n_nodes, has_pose):
     e_scales = r.floats(3)
     nodes = r.floats(3 * n_nodes * 3).reshape(3, n_nodes, 3)
     lengths = r.floats(12)
-    pose = _pose_from_floats(r.floats(12)) if has_pose else None
+    pose = pose_from_floats(r.floats(12)) if has_pose else None
     (n_events,) = r.unpack("<I")
     forces = [[], [], []]
     for _ in range(n_events):

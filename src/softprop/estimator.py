@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .datafiles import checkpoint_file, config_hash, read_manifest, write_manifest
+from .datafiles import artifact_file, config_hash, read_manifest, write_manifest
 from .errors import NonFiniteError, TrainingError
 from .geometry import mean_nn_distance
 from .seeding import STAGE_TRAIN_SHAPE, child_rng
@@ -62,10 +62,14 @@ class ShapeModel:
         )
 
 
+def _shape_specs():
+    """(encoder, decoder) architectures of every shape model."""
+    return nn.MlpSpec.dense(list(ENCODER_SIZES)), nn.MlpSpec.dense(list(DECODER_SIZES))
+
+
 def init_shape_model(finger_length_mm, n_vertices, rng):
     """Fresh model whose decoder head is zeroed: it predicts rest exactly."""
-    enc_spec = nn.MlpSpec.dense(list(ENCODER_SIZES))
-    dec_spec = nn.MlpSpec.dense(list(DECODER_SIZES))
+    enc_spec, dec_spec = _shape_specs()
     enc_params = nn.init_params(enc_spec, rng)
     dec_params = nn.init_params(dec_spec, rng)
     w_last, b_last = nn.unpack_params(dec_spec, dec_params)[-1]
@@ -405,13 +409,12 @@ def save_shape_model(directory, model: ShapeModel, meta=None):
     })
 
 
-def load_shape_model(directory, producer="train-shape"):
-    doc = read_manifest(directory, SHAPE_FORMAT, producer)
-    enc_spec, enc_params, _ = nn.load_checkpoint(
-        checkpoint_file(directory, ENCODER_FILE, producer)
-    )
-    dec_spec, dec_params, _ = nn.load_checkpoint(
-        checkpoint_file(directory, DECODER_FILE, producer)
+def load_shape_model(directory):
+    doc = read_manifest(directory, SHAPE_FORMAT, "train-shape")
+    enc_spec, dec_spec = _shape_specs()
+    enc_params, dec_params = (
+        nn.load_checkpoint(artifact_file(directory, name, "train-shape"), spec)
+        for name, spec in ((ENCODER_FILE, enc_spec), (DECODER_FILE, dec_spec))
     )
     model = ShapeModel(
         enc_spec,

@@ -79,16 +79,10 @@ class MlpSpec:
             for i in range(self.n_layers)
         )
 
-    def to_dict(self):
-        return {"sizes": list(self.sizes), "activations": list(self.activations)}
-
-    @staticmethod
-    def from_dict(d):
-        return MlpSpec(tuple(d["sizes"]), tuple(d["activations"]))
-
     def digest(self):
         """sha256 of the canonical JSON form; pins checkpoints to architectures."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        doc = {"sizes": list(self.sizes), "activations": list(self.activations)}
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).digest()
 
 
@@ -371,49 +365,41 @@ def adam_step(state: AdamState, params, grads):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: 4-byte magic, u32 version, 32-byte architecture hash, then the
-# flat float64 parameter vector, little-endian. A JSON sidecar at
-# <path>.json carries the architecture itself plus caller metadata.
+# Checkpoints: 4-byte magic, u32 version, 32-byte architecture digest, then
+# the flat float64 parameter vector, little-endian. The file does not carry
+# the architecture itself: the loader is handed the spec its caller builds
+# and checks the digest against it.
 
 
-def save_checkpoint(path, spec: MlpSpec, params, meta=None):
+def save_checkpoint(path, spec: MlpSpec, params):
     params = np.ascontiguousarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise ValueError(
             f"checkpoint: {params.shape} does not match spec ({spec.n_params},)"
         )
-    path = str(path)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(spec.digest())
         fh.write(params.astype("<f8").tobytes())
-    sidecar = {"spec": spec.to_dict(), "param_count": int(params.size)}
-    if meta:
-        sidecar["meta"] = meta
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
-def load_checkpoint(path):
-    """Returns (spec, params, meta). Verifies magic, version, and spec hash."""
-    path = str(path)
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    spec = MlpSpec.from_dict(sidecar["spec"])
+def load_checkpoint(path, spec: MlpSpec):
+    """Parameters of a checkpoint of `spec`; checks magic, version, digest and size."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < 40:
+        raise ValueError(f"{path}: {len(blob)} bytes, shorter than a checkpoint header")
     if blob[:4] != _MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
     (version,) = struct.unpack("<I", blob[4:8])
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if blob[8:40] != spec.digest():
-        raise ValueError(f"{path}: architecture hash does not match sidecar")
+        raise ValueError(f"{path}: architecture hash does not match {spec}")
     params = np.frombuffer(blob[40:], dtype="<f8").astype(np.float64)
     if params.size != spec.n_params:
         raise ValueError(
             f"{path}: {params.size} parameters on disk, spec needs {spec.n_params}"
         )
-    return spec, params, sidecar.get("meta", {})
+    return params

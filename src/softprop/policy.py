@@ -32,7 +32,7 @@ from .controller import (
 )
 from .datafiles import (
     MANIFEST_NAME,
-    checkpoint_file,
+    artifact_file,
     load_role,
     read_manifest,
     save_dataset,
@@ -513,9 +513,9 @@ def save_demonstration(directory, hand: HandModel, demo: Demonstration,
                         config=cfg)
 
 
-def load_demonstration(directory, hand: HandModel, producer="collect-demo"):
+def load_demonstration(directory, hand: HandModel):
     """Load a demonstration saved by save_demonstration."""
-    frames, manifest = load_role(directory, hand, "demo", producer)
+    frames, manifest = load_role(directory, hand, "demo", "collect-demo")
     ramp = (manifest.get("config") or {}).get("ramp_steps")
     if ramp is None:
         raise ValueError(
@@ -843,12 +843,8 @@ def save_policy(directory, params: PolicyParams):
     nets = {}
     for name in ("shape", "cloud", "denoiser"):
         file_name = f"{name}.ksnn"
-        nn.save_checkpoint(
-            directory / file_name,
-            getattr(params, f"{name}_spec"),
-            getattr(params, f"{name}_params"),
-            meta={"role": f"policy-{name}"},
-        )
+        nn.save_checkpoint(directory / file_name, getattr(params, f"{name}_spec"),
+                           getattr(params, f"{name}_params"))
         nets[name] = file_name
     manifest = {
         "format": POLICY_FORMAT,
@@ -864,16 +860,14 @@ def save_policy(directory, params: PolicyParams):
     return manifest
 
 
-def load_policy(directory, producer="train-policy") -> PolicyParams:
+def load_policy(directory) -> PolicyParams:
     """Load a policy checkpoint directory written by save_policy."""
-    manifest = read_manifest(directory, POLICY_FORMAT, producer)
+    manifest = read_manifest(directory, POLICY_FORMAT, "train-policy")
     cfg = PolicyConfig(**manifest["config"])
     nets = {}
-    for name in ("shape", "cloud", "denoiser"):
-        spec, p, _ = nn.load_checkpoint(
-            checkpoint_file(directory, manifest["nets"][name], producer)
-        )
-        nets[name] = (spec, p)
+    for name, spec in zip(("shape", "cloud", "denoiser"), _policy_specs(cfg)):
+        path = artifact_file(directory, manifest["nets"][name], "train-policy")
+        nets[name] = (spec, nn.load_checkpoint(path, spec))
     return PolicyParams(
         config=cfg,
         schedule=DiffusionSchedule(np.array(manifest["betas"])),

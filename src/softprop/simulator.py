@@ -850,7 +850,6 @@ def solve_hand(
     forces_per_finger=((), (), ()),
     e_scales=(1.0, 1.0, 1.0),
     x0s=None,
-    pose=None,
     u0=None,
 ):
     """Solve all three fingers; returns (SimFrame, [FingerFrame x3]).
@@ -870,7 +869,7 @@ def solve_hand(
         )
         for j in range(N_FINGERS)
     ]
-    return _hand_frame(command, frames, forces_per_finger, e_scales, pose), frames
+    return _hand_frame(command, frames, forces_per_finger, e_scales), frames
 
 
 def _command_array(command):

@@ -7,6 +7,7 @@ import pytest
 
 from softprop import calibration
 from softprop.calibration import (
+    CALSET_PAYLOAD,
     AlignParams,
     CalibrationSample,
     CalibrationSet,
@@ -409,8 +410,8 @@ def test_calibration_set_round_trip(tmp_path, smoke_hand, cal_frames):
 
 
 def test_load_missing_calibration_set_names_producer(tmp_path):
-    with pytest.raises(MissingArtifactError, match="gen-data"):
-        load_calibration_set(tmp_path / "nope", producer="gen-data")
+    with pytest.raises(MissingArtifactError, match="calibrate"):
+        load_calibration_set(tmp_path / "nope")
 
 
 def test_load_missing_cloud_names_producer(tmp_path, smoke_hand, cal_frames):
@@ -418,10 +419,42 @@ def test_load_missing_cloud_names_producer(tmp_path, smoke_hand, cal_frames):
         smoke_hand, cal_frames[:2], SensorCalibration.ideal(), np.zeros(3), seed=2
     )
     root = save_calibration_set(tmp_path / "calset", calset)
-    (root / "cloud_0001.xyz").unlink()
+    (root / CALSET_PAYLOAD).unlink()
     with pytest.raises(MissingArtifactError, match="calibrate") as exc:
         load_calibration_set(root)
-    assert exc.value.path.endswith("cloud_0001.xyz")
+    assert exc.value.path.endswith(CALSET_PAYLOAD)
+
+
+def test_saved_calibration_set_holds_only_what_load_reads(tmp_path, smoke_hand, cal_frames):
+    calset = synthesize_calibration_set(
+        smoke_hand, cal_frames[:2], SensorCalibration.ideal(), np.zeros(3), seed=2
+    )
+    root = save_calibration_set(tmp_path / "calset", calset)
+    assert sorted(p.name for p in root.iterdir()) == sorted(["manifest.json", CALSET_PAYLOAD])
+
+
+# Bytes of one sample before its cloud: timestamp, 12 resistances, 3 poses.
+_HEAD_BYTES = 8 * (1 + 12 + 3 * 12)
+
+
+@pytest.mark.parametrize("cut", ["sample_boundary", "inside_cloud", "trailing"])
+def test_load_rejects_payload_of_wrong_size(tmp_path, smoke_hand, cal_frames, cut):
+    calset = synthesize_calibration_set(
+        smoke_hand, cal_frames[:2], SensorCalibration.ideal(), np.zeros(3), seed=2,
+        points_per_finger=10,
+    )
+    root = save_calibration_set(tmp_path / "calset", calset)
+    payload = root / CALSET_PAYLOAD
+    blob = payload.read_bytes()
+    first = _HEAD_BYTES + 8 * calset.samples[0].cloud.size
+    assert len(blob) == first + _HEAD_BYTES + 8 * calset.samples[1].cloud.size
+    payload.write_bytes({
+        "sample_boundary": blob[:first],
+        "inside_cloud": blob[:-24],
+        "trailing": blob + bytes(8),
+    }[cut])
+    with pytest.raises(ValueError, match=CALSET_PAYLOAD):
+        load_calibration_set(root)
 
 
 def test_load_rejects_foreign_manifest(tmp_path, smoke_hand, cal_frames):
@@ -430,6 +463,6 @@ def test_load_rejects_foreign_manifest(tmp_path, smoke_hand, cal_frames):
     )
     root = save_calibration_set(tmp_path / "calset", calset)
     manifest = root / "manifest.json"
-    manifest.write_text(manifest.read_text().replace("calset/1", "calset/9"))
+    manifest.write_text(manifest.read_text().replace("calset/2", "calset/9"))
     with pytest.raises(ValueError, match="format"):
         load_calibration_set(root)

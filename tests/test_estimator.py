@@ -490,12 +490,10 @@ def test_load_missing_decoder_names_producer(tmp_path, smoke_trained):
     assert exc.value.path.endswith("decoder.ksnn")
 
 
-def test_load_missing_sidecar_names_producer(tmp_path, smoke_trained):
-    save_shape_model(tmp_path / "shape", smoke_trained[0])
-    (tmp_path / "shape" / "encoder.ksnn.json").unlink()
-    with pytest.raises(MissingArtifactError, match="train-shape") as exc:
-        load_shape_model(tmp_path / "shape")
-    assert exc.value.path.endswith("encoder.ksnn.json")
+def test_saved_directory_holds_only_what_load_reads(tmp_path, hand):
+    save_shape_model(tmp_path / "shape", _fresh_model(hand))
+    assert sorted(p.name for p in (tmp_path / "shape").iterdir()) == [
+        "decoder.ksnn", "encoder.ksnn", "manifest.json"]
 
 
 def test_load_rejects_foreign_format(tmp_path, smoke_trained):

@@ -42,14 +42,18 @@ def test_scripts_import_and_dependencies_are_used():
 @pytest.mark.parametrize("needle, owner", [
     ('"manifest.json"', "datafiles.py"),
     ("raise MissingArtifactError", "datafiles.py"),
-    ("json.dump(", "nn.py"),
+    ("json.dump(", None),
+    ("np.savetxt", None),
+    ("np.loadtxt", None),
+    ("import csv", None),
 ])
 def test_artifact_io_has_one_owner(needle, owner):
-    # Artifact directories are written and read only through datafiles;
-    # the one other JSON writer is the checkpoint sidecar in nn.
+    # Artifact directories are written and read only through datafiles, and
+    # their manifests (written by write_manifest) are the only JSON or text
+    # files: every payload is binary, so no module owns a text writer.
     holders = sorted(path.name for path in (ROOT / "src" / "softprop").rglob("*.py")
                      if needle in path.read_text())
-    assert holders == [owner]
+    assert holders == ([owner] if owner else [])
 
 
 def _perfbench_tree(name):

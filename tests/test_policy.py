@@ -173,12 +173,12 @@ def test_load_policy_missing_net_names_producer(tmp_path, trained):
     assert exc.value.path.endswith("denoiser.ksnn")
 
 
-def test_load_policy_missing_sidecar_names_producer(tmp_path, trained):
-    save_policy(tmp_path / "policy", trained[0])
-    (tmp_path / "policy" / "cloud.ksnn.json").unlink()
-    with pytest.raises(MissingArtifactError, match="train-policy") as exc:
-        load_policy(tmp_path / "policy")
-    assert exc.value.path.endswith("cloud.ksnn.json")
+def test_saved_policy_directory_holds_only_what_load_reads(tmp_path, trained):
+    manifest = save_policy(tmp_path / "policy", trained[0])
+    assert sorted(p.name for p in (tmp_path / "policy").iterdir()) == sorted(
+        ["manifest.json", *manifest["nets"].values()])
+    assert sorted(manifest["nets"].values()) == [
+        "cloud.ksnn", "denoiser.ksnn", "shape.ksnn"]
 
 
 def test_demonstration_round_trip(tmp_path, hand, demo):
