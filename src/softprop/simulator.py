@@ -20,12 +20,13 @@ that first step is the Euler (tangent) predictor of the equilibrium path;
 the later iterations are the Newton corrector (Allgower and Georg,
 "Introduction to Numerical Continuation Methods", SIAM 2003). A converged
 state with an inverted tet is a SolverFailure. The Newton matrix splits into a
-banded local part (elastic plus tendon curvature, assembled straight into
-LAPACK general-band layout and factorized with banded LU) and one rank-1
-term per tendon handled by the Woodbury identity; that split is what
-makes dataset-scale solving cheap. Each state the solver visits gets one
-kinematics evaluation (per-tet F, cofactor and J, plus tendon segments),
-shared by its energy, gradient and Newton matrix. Solves that do not
+banded local part C (elastic plus tendon curvature, symmetric, assembled
+as its lower band only and factorized by banded Cholesky, or by banded LU
+where C is indefinite) and one rank-1 term per tendon handled by the
+Woodbury identity; that split is what makes dataset-scale solving cheap.
+Each state the solver visits gets one kinematics evaluation (per-tet F,
+cofactor and J, plus tendon segments), shared by its energy, gradient and
+Newton matrix. Solves that do not
 depend on each other (the fingers of dataset frames, and each finger's
 warm-started chain through an open-loop schedule) run in a pool of forked
 workers, one per CPU this process may use, each with one BLAS thread.
@@ -44,7 +45,7 @@ from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from .errors import SolverFailure
 from .geometry import (
@@ -372,6 +373,7 @@ class SolveStats:
     energies: tuple  # total energy after each accepted step, first entry = start
     residual: float
     stages: int
+    lu_fallbacks: int  # factorizations whose Cholesky failed and that ran banded LU
 
 
 @dataclass(frozen=True)
@@ -540,21 +542,14 @@ class _SolverCache:
         self.k_tendon = finger.tendon_stiffness
 
         # Elastic and tendon-curvature entries (lower triangle, r >= c) land
-        # in one LAPACK general-band array ab[b + r - c, c] through a single
-        # bincount; every off-diagonal entry is also sent to its mirror
-        # ab[b + c - r, r], right after all lower entries, so each mirror bin
-        # sums the same values in the same order as its twin.
+        # in one LAPACK lower symmetric-band array ab[r - c, c] through a
+        # single bincount; the upper triangle is never stored.
         rows = np.concatenate([rows[keep]] + [t.h_rows for t in self.tendons])
         cols = np.concatenate([cols[keep]] + [t.h_cols for t in self.tendons])
         band = int((rows - cols).max(initial=0))
         self.bandwidth = band
-        off = np.flatnonzero(rows > cols)
-        self.ab_take = np.concatenate([np.arange(rows.size), off])
-        self.ab_index = np.concatenate(
-            [(band + rows - cols) * self.n_free + cols,
-             (band + cols[off] - rows[off]) * self.n_free + rows[off]]
-        )
-        self.ab_shape = (2 * band + 1, self.n_free)
+        self.ab_index = (rows - cols) * self.n_free + cols
+        self.ab_shape = (band + 1, self.n_free)
 
         self.surface_nodes = mesh.surface_map
         self.surface_rest = self.rest[self.surface_nodes]
@@ -615,10 +610,11 @@ class _SolverCache:
         return grad.reshape(-1)[self.free_dofs], np.stack(directions, axis=1)
 
     def newton_matrix(self, kin, targets, e_scale):
-        """Banded part C of the Newton matrix in general-band layout (2b+1, nf):
+        """Lower band (b+1, nf) of the banded part C of the Newton matrix, in
+        the layout solveh_banded(lower=True) reads (ab[r - c, c] = C[r, c]):
         elastic Hessian plus sum_t k (L - L*) d2L/dx2 (indefinite when slack;
         the damped-Newton fallback copes, and leaving it out degrades
-        convergence to a crawl)."""
+        convergence to a crawl). _general_band mirrors it for banded LU."""
         f, cof = kin.f, kin.cof
         vecg = cof.transpose(0, 2, 1).reshape(f.shape[0], 9)
         hf = self.lam * vecg[:, :, None] * vecg[:, None, :]
@@ -639,9 +635,9 @@ class _SolverCache:
         for cache, (seg, lens), tgt in zip(self.tendons, kin.tendons, targets):
             stretch = float(lens.sum()) - tgt
             chunks.append(self.k_tendon * stretch * cache.curvature_values(seg, lens))
-        data = np.concatenate(chunks)
         ab = np.bincount(
-            self.ab_index, weights=data[self.ab_take], minlength=math.prod(self.ab_shape)
+            self.ab_index, weights=np.concatenate(chunks),
+            minlength=math.prod(self.ab_shape),
         )
         return ab.reshape(self.ab_shape)
 
@@ -653,7 +649,7 @@ class _SolverCache:
         """
         kin = self.kinematics(x)
         g, vmat = self.gradient(kin, targets, force_field, e_scale)
-        ab = self.newton_matrix(kin, targets, e_scale)
+        ab = _general_band(self.newton_matrix(kin, targets, e_scale))
         i, c = np.indices(ab.shape)
         r = c + i - self.bandwidth
         inside = (r >= 0) & (r < self.n_free)
@@ -695,19 +691,32 @@ class _SolverCache:
         return field_
 
 
+def _general_band(lower):
+    """LAPACK general-band layout (2b+1, nf) of the symmetric band matrix
+    whose lower band (b+1, nf) is `lower`, as solve_banded((b, b), ...)
+    reads it: row b + k holds diagonal -k, row b - k its mirror."""
+    band, n = lower.shape[0] - 1, lower.shape[1]
+    ab = np.zeros((2 * band + 1, n))
+    ab[band:] = lower
+    for k in range(1, band + 1):
+        ab[band - k, k:] = lower[k, : n - k]
+    return ab
+
+
 def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
                   e_scale, x0):
     """Damped Newton with Armijo backtracking; returns (x, stats).
 
     The Newton matrix is C + sum_t k v_t v_t^T with C banded (elastic +
-    tendon curvature + damping); C is assembled straight into LAPACK
-    general-band layout and gets a banded LU, and the tendon rank-1 terms
-    enter through the Woodbury identity. Slack tendons make C indefinite,
-    so instead of forcing definiteness (which over-damps and crawls) the
-    step is accepted whenever it is a descent direction, with diagonal
-    damping escalated otherwise. Kinematics are evaluated once per visited
-    state (the start point and each line-search trial); the accepted
-    trial's evaluation feeds the next gradient and matrix.
+    tendon curvature + damping); only C's lower band is assembled, and the
+    tendon rank-1 terms enter through the Woodbury identity. C is factored
+    by banded Cholesky first. Slack tendons make C indefinite, and then
+    Cholesky fails and banded LU factors the mirrored full band at the
+    same damping τ. Instead of forcing definiteness (which over-damps and
+    crawls) the step is accepted whenever it is a descent direction, with
+    diagonal damping escalated otherwise. Kinematics are evaluated once per
+    visited state (the start point and each line-search trial); the
+    accepted trial's evaluation feeds the next gradient and matrix.
 
     Iteration 0 takes its matrix at start_targets, the targets x0
     balances, rather than at targets. Its curvature term k (L - L*) d2L
@@ -729,6 +738,7 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
     energy = cache.energy(kin, targets, force_field, e_scale)
     energies = [energy]
     residual = math.inf
+    lu_fallbacks = 0
 
     for it in range(_MAX_NEWTON_ITERS):
         g, vmat = cache.gradient(kin, targets, force_field, e_scale)
@@ -742,20 +752,24 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
                     residual=residual,
                     step=it,
                 )
-            return kin.x, SolveStats(it, tuple(energies), residual, 1)
+            return kin.x, SolveStats(it, tuple(energies), residual, 1, lu_fallbacks)
 
         ab = cache.newton_matrix(kin, start_targets if it == 0 else targets, e_scale)
-        diag = ab[band].copy()
+        diag = ab[0].copy()
         diag_scale = max(float(np.abs(diag).mean()), 1e-12)
         rhs = np.concatenate([-g[:, None], vmat], axis=1)
 
         for tau in _DAMPING:
-            # solve_banded factorizes a copy, so ab keeps its values.
-            ab[band] = diag + tau * diag_scale
+            # Both solvers factorize a copy, so ab keeps its values.
+            ab[0] = diag + tau * diag_scale
             try:
-                sol = solve_banded((band, band), ab, rhs)
+                sol = solveh_banded(ab, rhs, lower=True)
             except LinAlgError:
-                continue
+                lu_fallbacks += 1
+                try:
+                    sol = solve_banded((band, band), _general_band(ab), rhs)
+                except LinAlgError:
+                    continue
             core = np.eye(4) / cache.k_tendon + vmat.T @ sol[:, 1:]
             coeff = np.linalg.solve(core, vmat.T @ sol[:, 0])
             d = sol[:, 0] - sol[:, 1:] @ coeff
@@ -821,6 +835,7 @@ def solve_equilibrium(
         stages = max(1, int(math.ceil(float(u2.max()) / _STAGE_STEP)))
     x = x0
     total_iters = 0
+    lu_fallbacks = 0
     energies = ()
     residual = 0.0
     for s in range(1, stages + 1):
@@ -832,6 +847,7 @@ def solve_equilibrium(
             start_targets = targets if u0 is None else cache.tendon_targets(u0)
         x, stats = _newton_solve(cache, targets, start_targets, force_field, e_scale, x)
         total_iters += stats.iterations
+        lu_fallbacks += stats.lu_fallbacks
         energies = energies + stats.energies
         residual = stats.residual
 
@@ -840,7 +856,7 @@ def solve_equilibrium(
         nodes=x,
         sensor_lengths=lengths,
         command=u2.copy(),
-        stats=SolveStats(total_iters, energies, residual, stages),
+        stats=SolveStats(total_iters, energies, residual, stages, lu_fallbacks),
     )
 
 
@@ -937,16 +953,18 @@ def _map_solves(fn, tasks):
     """[fn(t) for t in tasks], spread over the CPUs this process may use.
 
     With more than one CPU and more than one task, a pool of
-    min(CPUs, tasks) forked workers runs them; otherwise they run here.
-    Fork hands fn, and the hand it closes over, to the workers without
-    pickling; only tasks and results are pickled. Each worker pins BLAS to
-    one thread. The pool lives for this call: it is joined on return, and
-    on an error the tasks not yet started are cancelled first. Results
-    come back in task order, so the output equals the in-process run's.
+    min(CPUs, tasks) forked workers runs them; otherwise, and inside a
+    pool worker (whose siblings already hold the other CPUs), they run
+    here. Fork hands fn, and the hand it closes over, to the workers
+    without pickling; only tasks and results are pickled. Each worker pins
+    BLAS to one thread. The pool lives for this call: it is joined on
+    return, and on an error the tasks not yet started are cancelled first.
+    Results come back in task order, so the output equals the in-process
+    run's.
     """
     tasks = list(tasks)
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers <= 1:
+    if workers <= 1 or _worker_fn is not None:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                              initializer=_start_worker, initargs=(fn,)) as pool:

@@ -189,6 +189,101 @@ def test_hessian_matches_finite_differences(tiny):
         assert np.abs(fd - hess @ w).max() / max(np.abs(fd).max(), 1.0) < 1e-6
 
 
+# -- the Newton kernel: lower band, Cholesky first, LU on failure ------------
+
+
+def _dense_from_general_band(ab, band):
+    """Dense matrix of a LAPACK general-band array ab[band + r - c, c]; the
+    cells that fall outside the matrix must be zero."""
+    n = ab.shape[1]
+    i, c = np.indices(ab.shape)
+    r = c + i - band
+    inside = (r >= 0) & (r < n)
+    assert not ab[~inside].any()
+    h = np.zeros((n, n))
+    h[r[inside], c[inside]] = ab[inside]
+    return h
+
+
+def test_mirrored_newton_matrix_is_symmetric(tiny):
+    cache = tiny.solver_cache()
+    band = cache.bandwidth
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        x = _random_state(cache, rng)
+        targets = cache.tendon_targets(rng.uniform(0.0, 1.0, 2))
+        lower = cache.newton_matrix(cache.kinematics(x), targets, 1.2)
+        assert lower.shape == (band + 1, cache.n_free)
+        full = simulator._general_band(lower)
+        assert np.array_equal(full[band:], lower)
+        h = _dense_from_general_band(full, band)
+        assert np.array_equal(h, h.T)
+
+
+def test_mirrored_newton_matrix_is_the_banded_part_of_newton_system(tiny):
+    cache = tiny.solver_cache()
+    x = _random_state(cache, np.random.default_rng(11))
+    targets = cache.tendon_targets((0.7, 0.4))
+    field = cache.force_field(
+        [ExternalForceEvent((4.0, 0.0, 12.0), 6.0, (-15.0, 5.0, 0.0))]
+    )
+    kin = cache.kinematics(x)
+    # Dense C from its lower band alone, mirrored here without _general_band.
+    lower = cache.newton_matrix(kin, targets, 0.8)
+    n = cache.n_free
+    c = np.zeros((n, n))
+    for k in range(cache.bandwidth + 1):
+        c[np.arange(k, n), np.arange(n - k)] = lower[k, : n - k]
+        assert not lower[k, n - k :].any()
+    c += np.tril(c, -1).T
+    _, h = cache.newton_system(x, targets, field, 0.8)
+    _, vmat = cache.gradient(kin, targets, field, 0.8)
+    rank1 = sum(cache.k_tendon * np.outer(v, v) for v in vmat.T)
+    assert np.abs(h - rank1 - c).max() <= 1e-12 * np.abs(h).max()
+
+
+def test_cholesky_step_matches_banded_lu_on_an_spd_band(tiny):
+    # With each tendon's target at its current length the curvature term
+    # vanishes, and the elastic Hessian of a mildly deformed clamped finger
+    # is positive definite, so Cholesky must succeed.
+    cache = tiny.solver_cache()
+    rng = np.random.default_rng(13)
+    x = _random_state(cache, rng)
+    kin = cache.kinematics(x)
+    targets = np.array([lens.sum() for _, lens in kin.tendons])
+    lower = cache.newton_matrix(kin, targets, 1.0)
+    rhs = rng.normal(size=(cache.n_free, 5))
+    chol = simulator.solveh_banded(lower, rhs, lower=True)
+    band = cache.bandwidth
+    lu = simulator.solve_banded((band, band), simulator._general_band(lower), rhs)
+    assert np.abs(chol - lu).max() <= 1e-10 * np.abs(lu).max()
+
+
+def test_failed_cholesky_falls_back_to_lu_bit_for_bit(finger, monkeypatch):
+    # Every factorization that fails Cholesky runs banded LU at the same
+    # damping, so a solve whose Cholesky always fails equals an LU-only
+    # solve bit for bit.
+    band = finger.solver_cache().bandwidth
+
+    def lu_only(ab, b, lower):
+        return simulator.solve_banded((band, band), simulator._general_band(ab), b)
+
+    def failing(ab, b, lower):
+        raise simulator.LinAlgError("not positive definite")
+
+    runs = {}
+    for name, factor in (("lu", lu_only), ("fallback", failing)):
+        monkeypatch.setattr(simulator, "solveh_banded", factor)
+        runs[name] = solve_equilibrium(finger, (0.9, 0.2))
+    lu, fallback = runs["lu"], runs["fallback"]
+    assert np.array_equal(lu.nodes, fallback.nodes)
+    assert np.array_equal(lu.sensor_lengths, fallback.sensor_lengths)
+    for name in ("iterations", "energies", "residual", "stages"):
+        assert getattr(lu.stats, name) == getattr(fallback.stats, name), name
+    assert lu.stats.lu_fallbacks == 0
+    assert fallback.stats.lu_fallbacks >= fallback.stats.iterations > 0
+
+
 def test_elastic_energy_zero_at_rest(tiny):
     cache = tiny.solver_cache()
     kin = cache.kinematics(cache.rest)
@@ -403,6 +498,26 @@ def test_converged_inverted_state_is_loud(paper_hand):
             assert "inverts tet" in str(err)
             continue
         assert cache.kinematics(fr.nodes).jdet.min() > 0.0
+
+
+def test_warm_servo_step_factors_by_cholesky_only(paper_hand):
+    # A control step moves each channel by at most 0.05 and names the
+    # command its warm start balances; C stays positive definite.
+    f = paper_hand.fingers[0]
+    base = solve_equilibrium(f, (0.4, 0.3))
+    fr = solve_equilibrium(f, (0.43, 0.26), x0=base.nodes, u0=(0.4, 0.3))
+    assert fr.stats.iterations > 0
+    assert fr.stats.lu_fallbacks == 0
+
+
+def test_cold_dataset_solve_counts_lu_fallbacks(paper_hand):
+    # Frame 1 of dataset seed 1002 (a datagen pool frame), finger 1: its
+    # cold solve passes through states where a tendon goes slack and C is
+    # indefinite, so some factorizations fall back to banded LU. The solve
+    # returns, so it reached its tolerance.
+    fr = _dataset_finger_solve(paper_hand, 1002, 1, 1)
+    assert fr.stats.lu_fallbacks > 0
+    assert paper_hand.fingers[0].solver_cache().kinematics(fr.nodes).jdet.min() > 0.0
 
 
 def test_push_force_deflects_and_registers(finger):
@@ -650,6 +765,21 @@ def test_pool_workers_run_one_blas_thread(two_cpus):
     results = simulator._map_solves(blas_threads, range(4))
     assert all(pid != os.getpid() for pid, _ in results)
     assert all(counts and set(counts) == {1} for _, counts in results)
+    assert multiprocessing.active_children() == []
+
+
+def test_nested_map_solves_run_in_the_worker(two_cpus):
+    # A pool worker that maps solves itself runs them in-process: its
+    # siblings already hold the other CPUs.
+    def inner(task):
+        return os.getpid()
+
+    def outer(task):
+        return os.getpid(), simulator._map_solves(inner, range(3))
+
+    results = simulator._map_solves(outer, range(2))
+    assert all(pid != os.getpid() for pid, _ in results)
+    assert all(inner_pids == [pid] * 3 for pid, inner_pids in results)
     assert multiprocessing.active_children() == []
 
 
