@@ -21,15 +21,16 @@ the later iterations are the Newton corrector (Allgower and Georg,
 "Introduction to Numerical Continuation Methods", SIAM 2003). A converged
 state with an inverted tet is a SolverFailure. The Newton matrix splits into a
 banded local part C (elastic plus tendon curvature, symmetric, assembled
-as its lower band only and factorized by banded Cholesky, or by banded LU
-where C is indefinite) and one rank-1 term per tendon handled by the
-Woodbury identity; that split is what makes dataset-scale solving cheap.
-Each state the solver visits gets one kinematics evaluation (per-tet F,
-cofactor and J, plus tendon segments), shared by its energy, gradient and
-Newton matrix. Solves that do not
-depend on each other (the fingers of dataset frames, and each finger's
-warm-started chain through an open-loop schedule) run in a pool of forked
-workers, one per CPU this process may use, each with one BLAS thread.
+as its lower band only from precomputed per-entry stencils, and factorized
+by banded Cholesky with diagonal damping raised until it succeeds) and one
+rank-1 term per tendon handled by the Woodbury identity; that split is what
+makes dataset-scale solving cheap. Each state the solver visits gets one
+kinematics evaluation (per-tet F from one sparse operator, cofactor and J,
+plus tendon segments), shared by its energy, gradient and Newton matrix.
+Solves that do not depend on each other (the fingers of dataset frames,
+and each finger's warm-started chain through an open-loop schedule) run in
+a pool of forked workers, one per CPU this process may use, each with one
+BLAS thread.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
 
@@ -45,7 +46,8 @@ from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, solveh_banded
+from scipy.sparse import csr_matrix
 
 from .errors import SolverFailure
 from .geometry import (
@@ -76,10 +78,14 @@ _MAX_NEWTON_ITERS = 100
 # each stage warm-starts the next. Pure solver aid, invisible in results.
 _STAGE_STEP = 0.5
 
-# Diagonal damping tried in turn when a Newton step is not a descent
-# direction, in units of the mean |diagonal|. Scaling by 8 is exact in
-# binary floating point.
+# Diagonal damping tried in turn when Cholesky fails or a Newton step is
+# not a descent direction, in units of the mean |diagonal|. Scaling by 8 is
+# exact in binary floating point.
 _DAMPING = (0.0,) + tuple(1e-7 * 8.0**k for k in range(23))
+
+# Index rolls i -> i + 1 and i -> i + 2 (mod 3) of the cofactor products.
+_NEXT = np.array([1, 2, 0])
+_AFTER_NEXT = np.array([2, 0, 1])
 
 _RING = 12  # angular sectors of the canonical mesh; multiple of 4 keeps the
 # build exactly symmetric under 90-degree rotation, which the
@@ -373,7 +379,7 @@ class SolveStats:
     energies: tuple  # total energy after each accepted step, first entry = start
     residual: float
     stages: int
-    lu_fallbacks: int  # factorizations whose Cholesky failed and that ran banded LU
+    cholesky_failures: int  # damped factorizations that were not positive definite
 
 
 @dataclass(frozen=True)
@@ -418,18 +424,6 @@ class SimFrame:
 # Solver internals.
 
 
-def _skew_batch(v):
-    """(T, 3) -> (T, 3, 3) cross-product matrices."""
-    s = np.zeros(v.shape[:-1] + (3, 3))
-    s[..., 0, 1] = -v[..., 2]
-    s[..., 0, 2] = v[..., 1]
-    s[..., 1, 0] = v[..., 2]
-    s[..., 1, 2] = -v[..., 0]
-    s[..., 2, 0] = -v[..., 1]
-    s[..., 2, 1] = v[..., 0]
-    return s
-
-
 @dataclass(frozen=True)
 class _Kinematics:
     """One state's per-tet F, cofactor and J, plus (segments, lengths) per tendon."""
@@ -455,9 +449,13 @@ class _TendonCache:
         rows = dof_map[np.repeat(dofs[:, :, None], 24, axis=2).ravel()]
         cols = dof_map[np.repeat(dofs[:, None, :], 24, axis=1).ravel()]
         keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
-        self.h_take = np.flatnonzero(keep)
         self.h_rows = rows[keep]
         self.h_cols = cols[keep]
+        # Kept entry [(s, m, i), (s, n, j)] of d2L/dx2 is
+        # ws[s, m] ws[s, n] proj[s, i, j]: a weight and a projector index.
+        s, m, i, n, j = np.unravel_index(np.flatnonzero(keep), (len(dofs), 8, 3, 8, 3))
+        self.h_w = self.ws[s, m] * self.ws[s, n]
+        self.h_pix = (9 * s + 3 * i + j).astype(np.int32)
 
     def segments(self, x):
         seg = np.einsum("sm,smc->sc", self.ws, x[self.ns])
@@ -482,8 +480,7 @@ class _TendonCache:
         proj = (np.eye(3)[None] - units[:, :, None] * units[:, None, :]) / lens[
             :, None, None
         ]
-        h = np.einsum("sm,sn,sij->sminj", self.ws, self.ws, proj)
-        return h.reshape(-1)[self.h_take]
+        return self.h_w * np.take(proj, self.h_pix)
 
 
 class _SolverCache:
@@ -506,15 +503,15 @@ class _SolverCache:
         self.shape_grad = g  # f_c = sum_n G[n, c] x_n
 
         n_tets = self.tets.shape[0]
-        kmat = np.zeros((n_tets, 9, 12))  # vec F = K x_local, dof order 3n + i
-        for c in range(3):
-            for n in range(4):
-                for i in range(3):
-                    kmat[:, 3 * c + i, 3 * n + i] = g[:, n, c]
-        self.kmat = kmat
-        self.kmat_t = np.ascontiguousarray(kmat.transpose(0, 2, 1))
-
         self.n_nodes = mesh.n_nodes
+        # vec F = F_OP x.ravel(): F[t, i, c] = sum_n G[t, n, c] x[tets[t, n], i]
+        # sits in row 9t + 3i + c.
+        t, n, i, c = np.indices((n_tets, 4, 3, 3)).reshape(4, -1)
+        self.f_op = csr_matrix(
+            (g[t, n, c], (9 * t + 3 * i + c, 3 * self.tets[t, n] + i)),
+            shape=(9 * n_tets, 3 * self.n_nodes),
+        )
+
         fixed = np.zeros(self.n_nodes, dtype=bool)
         fixed[finger.base_fixed] = True
         self.free_nodes = np.flatnonzero(~fixed)
@@ -527,13 +524,29 @@ class _SolverCache:
         rows = dof_map[np.repeat(dofs12[:, :, None], 12, axis=2).ravel()]
         cols = dof_map[np.repeat(dofs12[:, None, :], 12, axis=1).ravel()]
         keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
-        self.el_take = np.flatnonzero(keep)
 
         mu, lam = finger.material.lame()
         self.mu, self.lam = mu, lam
         self.alpha = 1.0 + mu / lam
         self.psi_rest = 0.5 * mu * mu / lam  # energy offset so rest sits at 0
-        self.i9 = np.eye(9)
+
+        # Kept entry [(n, i), (m, j)] of tet t's 12x12 Hessian block, over
+        # e_scale, is vol (mu (G G^T)[n, m] d_ij + lam gJ[n, i] gJ[m, j]
+        # + eps_ijk X[k, n, m]) with gJ = G cof^T and X[:, n, m] = s F (G_n x G_m),
+        # s = lam (J - alpha): the stable Neo-Hookean Hessian in F, pushed
+        # through vec F = F_OP x. Per entry: two coefficients and the gather
+        # indices of gJ (T, 4, 3) and X (T, 3, 4, 4); lam vol scales gJ per tet.
+        t, n, i, m, j = np.unravel_index(np.flatnonzero(keep), (n_tets, 4, 3, 4, 3))
+        k = (3 - i - j) % 3  # the third index when i != j
+        vol = self.vol[t]
+        self.el_mu = mu * vol * np.einsum("tnc,tmc->tnm", g, g)[t, n, m] * (i == j)
+        self.lam_vol = lam * self.vol
+        self.el_eps = vol * ((i - j) * (j - k) * (k - i) // 2)  # Levi-Civita
+        self.el_a = (12 * t + 3 * n + i).astype(np.int32)
+        self.el_b = (12 * t + 3 * m + j).astype(np.int32)
+        self.el_x = (48 * t + 16 * k + 4 * n + m).astype(np.int32)
+        cross_g = np.cross(g[:, :, None], g[:, None, :]).reshape(n_tets, 16, 3)
+        self.cross_g = np.ascontiguousarray(cross_g.transpose(0, 2, 1))
 
         self.tendons = tuple(
             _TendonCache(p, dof_map, self.n_free) for p in finger.tendon_paths
@@ -548,7 +561,7 @@ class _SolverCache:
         cols = np.concatenate([cols[keep]] + [t.h_cols for t in self.tendons])
         band = int((rows - cols).max(initial=0))
         self.bandwidth = band
-        self.ab_index = (rows - cols) * self.n_free + cols
+        self.ab_index = ((rows - cols) * self.n_free + cols).astype(np.int32)
         self.ab_shape = (band + 1, self.n_free)
 
         self.surface_nodes = mesh.surface_map
@@ -561,12 +574,13 @@ class _SolverCache:
     # -- kinematics and its consumers ---------------------------------------
 
     def kinematics(self, x):
-        f = np.einsum("tnc,tni->tic", self.shape_grad, x[self.tets])
-        c0 = np.cross(f[:, :, 1], f[:, :, 2])
-        c1 = np.cross(f[:, :, 2], f[:, :, 0])
-        c2 = np.cross(f[:, :, 0], f[:, :, 1])
-        cof = np.stack([c0, c1, c2], axis=2)
-        jdet = np.einsum("ti,ti->t", f[:, :, 0], c0)
+        f = (self.f_op @ x.reshape(-1)).reshape(-1, 3, 3)
+        # cof[:, i, k] = f[:, i+1, k+1] f[:, i+2, k+2] - f[:, i+2, k+1] f[:, i+1, k+2]
+        # (indices mod 3): np.cross of F's columns k+1 and k+2, term by term.
+        fa, fb = f[:, _NEXT], f[:, _AFTER_NEXT]
+        cof = (fa[:, :, _NEXT] * fb[:, :, _AFTER_NEXT]
+               - fb[:, :, _NEXT] * fa[:, :, _AFTER_NEXT])
+        jdet = np.einsum("ti,ti->t", f[:, :, 0], cof[:, :, 0])
         tendons = tuple(t.segments(x) for t in self.tendons)
         return _Kinematics(x, f, cof, jdet, tendons)
 
@@ -591,13 +605,8 @@ class _SolverCache:
     def gradient(self, kin, targets, force_field, e_scale):
         """Free-DOF energy gradient (nf,) and tendon length gradients (nf, 4)."""
         p = self.mu * kin.f + self.lam * (kin.jdet - self.alpha)[:, None, None] * kin.cof
-        blocks = np.einsum("t,tic,tnc->tni", self.vol * e_scale, p, self.shape_grad)
-        grad = np.zeros((self.n_nodes, 3))
-        flat = self.tets.ravel()
-        for c in range(3):
-            grad[:, c] = np.bincount(
-                flat, weights=blocks[:, :, c].ravel(), minlength=self.n_nodes
-            )
+        p *= (self.vol * e_scale)[:, None, None]
+        grad = (self.f_op.T @ p.reshape(-1)).reshape(self.n_nodes, 3)
         tendon_grad = np.zeros((self.n_nodes, 3))
         directions = []
         for cache, (seg, lens), tgt in zip(self.tendons, kin.tendons, targets):
@@ -613,25 +622,19 @@ class _SolverCache:
         """Lower band (b+1, nf) of the banded part C of the Newton matrix, in
         the layout solveh_banded(lower=True) reads (ab[r - c, c] = C[r, c]):
         elastic Hessian plus sum_t k (L - L*) d2L/dx2 (indefinite when slack;
-        the damped-Newton fallback copes, and leaving it out degrades
-        convergence to a crawl). _general_band mirrors it for banded LU."""
-        f, cof = kin.f, kin.cof
-        vecg = cof.transpose(0, 2, 1).reshape(f.shape[0], 9)
-        hf = self.lam * vecg[:, :, None] * vecg[:, None, :]
-        hf += self.mu * self.i9
+        the damping ladder copes, and leaving it out degrades convergence to
+        a crawl). Both parts are gathered entry by entry from stencils
+        precomputed in __init__; no per-tet block is formed."""
+        g_j = np.matmul(self.shape_grad, kin.cof.transpose(0, 2, 1))
+        lam_g_j = self.lam_vol[:, None, None] * g_j
         s = self.lam * (kin.jdet - self.alpha)
-        s0 = _skew_batch(s[:, None] * f[:, :, 0])
-        s1 = _skew_batch(s[:, None] * f[:, :, 1])
-        s2 = _skew_batch(s[:, None] * f[:, :, 2])
-        hf[:, 0:3, 3:6] -= s2
-        hf[:, 3:6, 0:3] += s2
-        hf[:, 0:3, 6:9] += s1
-        hf[:, 6:9, 0:3] -= s1
-        hf[:, 3:6, 6:9] -= s0
-        hf[:, 6:9, 3:6] += s0
-        blocks = np.matmul(self.kmat_t, np.matmul(hf, self.kmat))
-        blocks *= (self.vol * e_scale)[:, None, None]
-        chunks = [blocks.reshape(-1)[self.el_take]]
+        x = np.matmul(s[:, None, None] * kin.f, self.cross_g)
+        elastic = (
+            self.el_mu
+            + np.take(lam_g_j, self.el_a) * np.take(g_j, self.el_b)
+            + self.el_eps * np.take(x, self.el_x)
+        )
+        chunks = [e_scale * elastic]
         for cache, (seg, lens), tgt in zip(self.tendons, kin.tendons, targets):
             stretch = float(lens.sum()) - tgt
             chunks.append(self.k_tendon * stretch * cache.curvature_values(seg, lens))
@@ -644,17 +647,19 @@ class _SolverCache:
     def newton_system(self, x, targets, force_field, e_scale):
         """Reduced gradient and dense reduced Hessian (small meshes only).
 
-        A dense view of the solver's own assembly, C + sum_t k v_t v_t^T;
-        used by tests to compare against finite differences.
+        A dense view of the solver's own assembly, C + sum_t k v_t v_t^T,
+        with C's lower band mirrored into its upper triangle; used by tests
+        to compare against finite differences.
         """
         kin = self.kinematics(x)
         g, vmat = self.gradient(kin, targets, force_field, e_scale)
-        ab = _general_band(self.newton_matrix(kin, targets, e_scale))
-        i, c = np.indices(ab.shape)
-        r = c + i - self.bandwidth
-        inside = (r >= 0) & (r < self.n_free)
+        ab = self.newton_matrix(kin, targets, e_scale)
+        k, c = np.indices(ab.shape)
+        r = c + k
+        inside = r < self.n_free
         h = np.zeros((self.n_free, self.n_free))
         h[r[inside], c[inside]] = ab[inside]
+        h += np.tril(h, -1).T
         for v in vmat.T:
             h += self.k_tendon * np.outer(v, v)
         return g, h
@@ -691,32 +696,21 @@ class _SolverCache:
         return field_
 
 
-def _general_band(lower):
-    """LAPACK general-band layout (2b+1, nf) of the symmetric band matrix
-    whose lower band (b+1, nf) is `lower`, as solve_banded((b, b), ...)
-    reads it: row b + k holds diagonal -k, row b - k its mirror."""
-    band, n = lower.shape[0] - 1, lower.shape[1]
-    ab = np.zeros((2 * band + 1, n))
-    ab[band:] = lower
-    for k in range(1, band + 1):
-        ab[band - k, k:] = lower[k, : n - k]
-    return ab
-
-
 def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
                   e_scale, x0):
     """Damped Newton with Armijo backtracking; returns (x, stats).
 
     The Newton matrix is C + sum_t k v_t v_t^T with C banded (elastic +
     tendon curvature + damping); only C's lower band is assembled, and the
-    tendon rank-1 terms enter through the Woodbury identity. C is factored
-    by banded Cholesky first. Slack tendons make C indefinite, and then
-    Cholesky fails and banded LU factors the mirrored full band at the
-    same damping τ. Instead of forcing definiteness (which over-damps and
-    crawls) the step is accepted whenever it is a descent direction, with
-    diagonal damping escalated otherwise. Kinematics are evaluated once per
-    visited state (the start point and each line-search trial); the
-    accepted trial's evaluation feeds the next gradient and matrix.
+    tendon rank-1 terms enter through the Woodbury identity. C + τ I is
+    factored by banded Cholesky alone, walking up the damping ladder τ of
+    _DAMPING: a factorization that is not positive definite (slack tendons
+    make C indefinite) or a step that is not a descent direction moves on
+    to the next τ, the "Cholesky with added multiple of the identity" of
+    Nocedal and Wright (Numerical Optimization, 2nd ed., §3.4). Kinematics
+    are evaluated once per visited state (the start point and each
+    line-search trial); the accepted trial's evaluation feeds the next
+    gradient and matrix.
 
     Iteration 0 takes its matrix at start_targets, the targets x0
     balances, rather than at targets. Its curvature term k (L - L*) d2L
@@ -732,13 +726,12 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
     x[cache.finger.base_fixed] = cache.rest[cache.finger.base_fixed]
     tol = cache.base_tol * e_scale
     free = cache.free_nodes
-    band = cache.bandwidth
 
     kin = cache.kinematics(x)
     energy = cache.energy(kin, targets, force_field, e_scale)
     energies = [energy]
     residual = math.inf
-    lu_fallbacks = 0
+    cholesky_failures = 0
 
     for it in range(_MAX_NEWTON_ITERS):
         g, vmat = cache.gradient(kin, targets, force_field, e_scale)
@@ -752,7 +745,8 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
                     residual=residual,
                     step=it,
                 )
-            return kin.x, SolveStats(it, tuple(energies), residual, 1, lu_fallbacks)
+            stats = SolveStats(it, tuple(energies), residual, 1, cholesky_failures)
+            return kin.x, stats
 
         ab = cache.newton_matrix(kin, start_targets if it == 0 else targets, e_scale)
         diag = ab[0].copy()
@@ -760,16 +754,13 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
         rhs = np.concatenate([-g[:, None], vmat], axis=1)
 
         for tau in _DAMPING:
-            # Both solvers factorize a copy, so ab keeps its values.
+            # solveh_banded factorizes a copy, so ab keeps its values.
             ab[0] = diag + tau * diag_scale
             try:
                 sol = solveh_banded(ab, rhs, lower=True)
             except LinAlgError:
-                lu_fallbacks += 1
-                try:
-                    sol = solve_banded((band, band), _general_band(ab), rhs)
-                except LinAlgError:
-                    continue
+                cholesky_failures += 1
+                continue
             core = np.eye(4) / cache.k_tendon + vmat.T @ sol[:, 1:]
             coeff = np.linalg.solve(core, vmat.T @ sol[:, 0])
             d = sol[:, 0] - sol[:, 1:] @ coeff
@@ -835,7 +826,7 @@ def solve_equilibrium(
         stages = max(1, int(math.ceil(float(u2.max()) / _STAGE_STEP)))
     x = x0
     total_iters = 0
-    lu_fallbacks = 0
+    cholesky_failures = 0
     energies = ()
     residual = 0.0
     for s in range(1, stages + 1):
@@ -847,7 +838,7 @@ def solve_equilibrium(
             start_targets = targets if u0 is None else cache.tendon_targets(u0)
         x, stats = _newton_solve(cache, targets, start_targets, force_field, e_scale, x)
         total_iters += stats.iterations
-        lu_fallbacks += stats.lu_fallbacks
+        cholesky_failures += stats.cholesky_failures
         energies = energies + stats.energies
         residual = stats.residual
 
@@ -856,7 +847,7 @@ def solve_equilibrium(
         nodes=x,
         sensor_lengths=lengths,
         command=u2.copy(),
-        stats=SolveStats(total_iters, energies, residual, stages, lu_fallbacks),
+        stats=SolveStats(total_iters, energies, residual, stages, cholesky_failures),
     )
 
 

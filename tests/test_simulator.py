@@ -189,34 +189,38 @@ def test_hessian_matches_finite_differences(tiny):
         assert np.abs(fd - hess @ w).max() / max(np.abs(fd).max(), 1.0) < 1e-6
 
 
-# -- the Newton kernel: lower band, Cholesky first, LU on failure ------------
+# -- the Newton kernel: lower band, Cholesky on a damping ladder -------------
 
 
-def _dense_from_general_band(ab, band):
-    """Dense matrix of a LAPACK general-band array ab[band + r - c, c]; the
-    cells that fall outside the matrix must be zero."""
-    n = ab.shape[1]
-    i, c = np.indices(ab.shape)
-    r = c + i - band
-    inside = (r >= 0) & (r < n)
-    assert not ab[~inside].any()
+def _dense_from_lower_band(lower):
+    """Dense symmetric matrix of a LAPACK lower band lower[r - c, c],
+    mirrored here; the cells that fall outside the matrix must be zero."""
+    n = lower.shape[1]
     h = np.zeros((n, n))
-    h[r[inside], c[inside]] = ab[inside]
-    return h
+    for k in range(lower.shape[0]):
+        h[np.arange(k, n), np.arange(n - k)] = lower[k, : n - k]
+        assert not lower[k, n - k :].any()
+    return h + np.tril(h, -1).T
 
 
 def test_mirrored_newton_matrix_is_symmetric(tiny):
+    # newton_system mirrors the lower band itself: its dense matrix is the
+    # band mirrored here plus the tendon rank-1 terms, bit for bit, and is
+    # exactly symmetric.
     cache = tiny.solver_cache()
-    band = cache.bandwidth
     rng = np.random.default_rng(0)
     for _ in range(3):
         x = _random_state(cache, rng)
         targets = cache.tendon_targets(rng.uniform(0.0, 1.0, 2))
-        lower = cache.newton_matrix(cache.kinematics(x), targets, 1.2)
-        assert lower.shape == (band + 1, cache.n_free)
-        full = simulator._general_band(lower)
-        assert np.array_equal(full[band:], lower)
-        h = _dense_from_general_band(full, band)
+        kin = cache.kinematics(x)
+        lower = cache.newton_matrix(kin, targets, 1.2)
+        assert lower.shape == (cache.bandwidth + 1, cache.n_free)
+        want = _dense_from_lower_band(lower)
+        _, vmat = cache.gradient(kin, targets, None, 1.2)
+        for v in vmat.T:
+            want += cache.k_tendon * np.outer(v, v)
+        _, h = cache.newton_system(x, targets, None, 1.2)
+        assert np.array_equal(h, want)
         assert np.array_equal(h, h.T)
 
 
@@ -228,14 +232,8 @@ def test_mirrored_newton_matrix_is_the_banded_part_of_newton_system(tiny):
         [ExternalForceEvent((4.0, 0.0, 12.0), 6.0, (-15.0, 5.0, 0.0))]
     )
     kin = cache.kinematics(x)
-    # Dense C from its lower band alone, mirrored here without _general_band.
-    lower = cache.newton_matrix(kin, targets, 0.8)
-    n = cache.n_free
-    c = np.zeros((n, n))
-    for k in range(cache.bandwidth + 1):
-        c[np.arange(k, n), np.arange(n - k)] = lower[k, : n - k]
-        assert not lower[k, n - k :].any()
-    c += np.tril(c, -1).T
+    # Dense C from its lower band alone, mirrored here.
+    c = _dense_from_lower_band(cache.newton_matrix(kin, targets, 0.8))
     _, h = cache.newton_system(x, targets, field, 0.8)
     _, vmat = cache.gradient(kin, targets, field, 0.8)
     rank1 = sum(cache.k_tendon * np.outer(v, v) for v in vmat.T)
@@ -245,7 +243,8 @@ def test_mirrored_newton_matrix_is_the_banded_part_of_newton_system(tiny):
 def test_cholesky_step_matches_banded_lu_on_an_spd_band(tiny):
     # With each tendon's target at its current length the curvature term
     # vanishes, and the elastic Hessian of a mildly deformed clamped finger
-    # is positive definite, so Cholesky must succeed.
+    # is positive definite, so Cholesky must succeed. Its solution matches
+    # an LU solve (np.linalg.solve) of the dense band mirrored here.
     cache = tiny.solver_cache()
     rng = np.random.default_rng(13)
     x = _random_state(cache, rng)
@@ -254,34 +253,141 @@ def test_cholesky_step_matches_banded_lu_on_an_spd_band(tiny):
     lower = cache.newton_matrix(kin, targets, 1.0)
     rhs = rng.normal(size=(cache.n_free, 5))
     chol = simulator.solveh_banded(lower, rhs, lower=True)
-    band = cache.bandwidth
-    lu = simulator.solve_banded((band, band), simulator._general_band(lower), rhs)
+    lu = np.linalg.solve(_dense_from_lower_band(lower), rhs)
     assert np.abs(chol - lu).max() <= 1e-10 * np.abs(lu).max()
 
 
-def test_failed_cholesky_falls_back_to_lu_bit_for_bit(finger, monkeypatch):
-    # Every factorization that fails Cholesky runs banded LU at the same
-    # damping, so a solve whose Cholesky always fails equals an LU-only
-    # solve bit for bit.
-    band = finger.solver_cache().bandwidth
+def test_failed_cholesky_escalates_the_damping(finger, monkeypatch):
+    # A factorization that is not positive definite moves on to the next τ
+    # of the ladder: the same band with τ times the mean |diagonal| added.
+    # cholesky_failures counts every failure, the forced one included.
+    real = simulator.solveh_banded
+    diagonals, failures = [], []
 
-    def lu_only(ab, b, lower):
-        return simulator.solve_banded((band, band), simulator._general_band(ab), b)
+    def first_fails(ab, b, lower):
+        diagonals.append(ab[0].copy())
+        try:
+            if len(diagonals) == 1:
+                raise simulator.LinAlgError("not positive definite")
+            return real(ab, b, lower=lower)
+        except simulator.LinAlgError:
+            failures.append(len(diagonals))
+            raise
+
+    monkeypatch.setattr(simulator, "solveh_banded", first_fails)
+    fr = solve_equilibrium(finger, (0.45, 0.2))
+    assert fr.stats.iterations > 0
+    assert fr.stats.cholesky_failures == len(failures) >= 1
+    scale = float(np.abs(diagonals[0]).mean())
+    assert np.array_equal(diagonals[1], diagonals[0] + simulator._DAMPING[1] * scale)
+
+    # No other solver stands behind Cholesky: when every τ fails, the
+    # iteration has no step.
+    calls = []
 
     def failing(ab, b, lower):
+        calls.append(ab[0].copy())
         raise simulator.LinAlgError("not positive definite")
 
-    runs = {}
-    for name, factor in (("lu", lu_only), ("fallback", failing)):
-        monkeypatch.setattr(simulator, "solveh_banded", factor)
-        runs[name] = solve_equilibrium(finger, (0.9, 0.2))
-    lu, fallback = runs["lu"], runs["fallback"]
-    assert np.array_equal(lu.nodes, fallback.nodes)
-    assert np.array_equal(lu.sensor_lengths, fallback.sensor_lengths)
-    for name in ("iterations", "energies", "residual", "stages"):
-        assert getattr(lu.stats, name) == getattr(fallback.stats, name), name
-    assert lu.stats.lu_fallbacks == 0
-    assert fallback.stats.lu_fallbacks >= fallback.stats.iterations > 0
+    monkeypatch.setattr(simulator, "solveh_banded", failing)
+    with pytest.raises(SolverFailure, match=r"^no descent step found at iteration 0 "):
+        solve_equilibrium(finger, (0.9, 0.2))
+    assert len(calls) == len(simulator._DAMPING)
+    assert all((b > a).all() for a, b in zip(calls, calls[1:]))
+
+
+# -- stencil assembly against the per-tet products it replaced ---------------
+
+
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _LEVI_CIVITA[_i, _j, _k], _LEVI_CIVITA[_i, _k, _j] = 1.0, -1.0
+
+
+def _stencil_states(cache):
+    rng = np.random.default_rng(17)
+    return [_random_state(cache, rng) for _ in range(4)]
+
+
+def test_sparse_f_operator_matches_the_einsum_kinematics(tiny):
+    cache = tiny.solver_cache()
+    g = cache.shape_grad
+    for x in _stencil_states(cache):
+        kin = cache.kinematics(x)
+        f = np.einsum("tnc,tni->tic", g, x[cache.tets])
+        # Four products and three additions, in any order, stay within
+        # 4 eps of the sum of the terms' magnitudes.
+        bound = 4 * np.finfo(float).eps * np.einsum(
+            "tnc,tni->tic", np.abs(g), np.abs(x[cache.tets])
+        )
+        assert (np.abs(kin.f - f) <= bound).all()
+        cof = np.stack(
+            [np.cross(kin.f[:, :, 1], kin.f[:, :, 2]),
+             np.cross(kin.f[:, :, 2], kin.f[:, :, 0]),
+             np.cross(kin.f[:, :, 0], kin.f[:, :, 1])],
+            axis=2,
+        )
+        assert np.array_equal(kin.cof, cof)
+        jdet = np.einsum("ti,ti->t", kin.f[:, :, 0], cof[:, :, 0])
+        assert np.array_equal(kin.jdet, jdet)
+
+
+def test_curvature_gather_equals_the_einsum_bit_for_bit(tiny):
+    cache = tiny.solver_cache()
+    dof_map = np.full(3 * cache.n_nodes, -1)
+    dof_map[cache.free_dofs] = np.arange(cache.n_free)
+    for x in _stencil_states(cache):
+        for tendon, (seg, lens) in zip(cache.tendons, cache.kinematics(x).tendons):
+            units = seg / lens[:, None]
+            proj = (np.eye(3)[None] - units[:, :, None] * units[:, None, :]) / lens[
+                :, None, None
+            ]
+            h = np.einsum("sm,sn,sij->sminj", tendon.ws, tendon.ws, proj)
+            dofs = (3 * tendon.ns[:, :, None] + np.arange(3)).reshape(-1, 24)
+            rows = dof_map[np.repeat(dofs[:, :, None], 24, axis=2)].ravel()
+            cols = dof_map[np.repeat(dofs[:, None, :], 24, axis=1)].ravel()
+            keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
+            assert np.array_equal(tendon.h_rows, rows[keep])
+            assert np.array_equal(tendon.h_cols, cols[keep])
+            want = h.reshape(-1)[keep]
+            assert np.array_equal(tendon.curvature_values(seg, lens), want)
+
+
+def test_elastic_stencil_matches_dense_block_products(tiny):
+    # Reference: every tet's 12x12 block K^T hf K, with vec F = K x_local
+    # (row 3c + i, column 3n + i) and hf the Hessian of the stable
+    # Neo-Hookean energy in F, summed densely over the tets.
+    cache = tiny.solver_cache()
+    g, n_tets = cache.shape_grad, cache.tets.shape[0]
+    kmat = np.zeros((n_tets, 9, 12))
+    for c in range(3):
+        for n in range(4):
+            for i in range(3):
+                kmat[:, 3 * c + i, 3 * n + i] = g[:, n, c]
+    dofs = (3 * cache.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
+    free = cache.free_dofs
+    e_scale = 1.3
+    for x in _stencil_states(cache):
+        kin = cache.kinematics(x)
+        vecg = kin.cof.transpose(0, 2, 1).reshape(-1, 9)
+        # d2J/dF_ic dF_jd = eps_ijk eps_cdl F_kl
+        d2j = np.einsum("ijk,cdl,tkl->tcidj", _LEVI_CIVITA, _LEVI_CIVITA, kin.f)
+        s = cache.lam * (kin.jdet - cache.alpha)
+        hf = (
+            cache.mu * np.eye(9)
+            + cache.lam * vecg[:, :, None] * vecg[:, None, :]
+            + s[:, None, None] * d2j.reshape(-1, 9, 9)
+        )
+        blocks = kmat.transpose(0, 2, 1) @ hf @ kmat
+        blocks *= (cache.vol * e_scale)[:, None, None]
+        dense = np.zeros((3 * cache.n_nodes,) * 2)
+        np.add.at(dense, (dofs[:, :, None], dofs[:, None, :]), blocks)
+        want = dense[np.ix_(free, free)]
+        # With each tendon's target at its current length the curvature
+        # term is exactly zero, so the band holds the elastic part alone.
+        targets = [lens.sum() for _, lens in kin.tendons]
+        got = _dense_from_lower_band(cache.newton_matrix(kin, targets, e_scale))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_elastic_energy_zero_at_rest(tiny):
@@ -488,8 +594,10 @@ def test_dataset_frame_that_stalled_converges(paper_hand):
 
 
 def test_converged_inverted_state_is_loud(paper_hand):
-    # Frame 7 of dataset seed 2003 holds fingers whose Newton iterations can
-    # settle into a balanced state with an inverted tet; none may come back.
+    # Frame 7 of dataset seed 2003 holds fingers whose Newton iterations
+    # pass through states with inverted tets (finger 0 converged inverted
+    # under banded-LU steps; see the next test). A balanced state with an
+    # inverted tet must be raised as a SolverFailure; none may come back.
     cache = paper_hand.fingers[0].solver_cache()
     for j in range(3):
         try:
@@ -500,6 +608,20 @@ def test_converged_inverted_state_is_loud(paper_hand):
         assert cache.kinematics(fr.nodes).jdet.min() > 0.0
 
 
+@pytest.mark.parametrize(
+    "seed, frame, j", [(2001, 0, 0), (2001, 0, 1), (2002, 8, 1), (2003, 7, 0)]
+)
+def test_solves_that_converged_inverted_under_lu_steps_converge(
+    paper_hand, seed, frame, j
+):
+    # Cold dataset finger solves that, when banded LU stepped wherever
+    # Cholesky failed, converged to a balanced state with an inverted tet.
+    # Raising τ until Cholesky succeeds keeps every step a descent step of a
+    # positive definite model, and they converge with J > 0.
+    fr = _dataset_finger_solve(paper_hand, seed, frame, j)
+    assert paper_hand.fingers[0].solver_cache().kinematics(fr.nodes).jdet.min() > 0.0
+
+
 def test_warm_servo_step_factors_by_cholesky_only(paper_hand):
     # A control step moves each channel by at most 0.05 and names the
     # command its warm start balances; C stays positive definite.
@@ -507,16 +629,16 @@ def test_warm_servo_step_factors_by_cholesky_only(paper_hand):
     base = solve_equilibrium(f, (0.4, 0.3))
     fr = solve_equilibrium(f, (0.43, 0.26), x0=base.nodes, u0=(0.4, 0.3))
     assert fr.stats.iterations > 0
-    assert fr.stats.lu_fallbacks == 0
+    assert fr.stats.cholesky_failures == 0
 
 
-def test_cold_dataset_solve_counts_lu_fallbacks(paper_hand):
+def test_cold_dataset_solve_counts_cholesky_failures(paper_hand):
     # Frame 1 of dataset seed 1002 (a datagen pool frame), finger 1: its
     # cold solve passes through states where a tendon goes slack and C is
-    # indefinite, so some factorizations fall back to banded LU. The solve
+    # indefinite, so some factorizations fail and τ rises. The solve
     # returns, so it reached its tolerance.
     fr = _dataset_finger_solve(paper_hand, 1002, 1, 1)
-    assert fr.stats.lu_fallbacks > 0
+    assert fr.stats.cholesky_failures > 0
     assert paper_hand.fingers[0].solver_cache().kinematics(fr.nodes).jdet.min() > 0.0
 
 
