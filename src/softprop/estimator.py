@@ -10,8 +10,10 @@ is rest + displacement, preserving vertex correspondence.
 The decoder runs through nn.forward_conditioned / backward_conditioned:
 the rest vertices are shared by every sample and the latent by every
 vertex, so its first layer adds a (V, 128) vertex term to a (B, 128)
-latent term instead of reading a tiled (B*V, 131) input. Decoding outside
-a training step goes DECODE_CHUNK samples at a time.
+latent term instead of reading a tiled (B*V, 131) input. Every decoder
+pass, in training steps as in inference, evaluation and the head refit,
+covers at most DECODE_CHUNK samples; a training step encodes its whole
+minibatch at once and sums the decoder's sub-batch gradients.
 """
 
 from __future__ import annotations
@@ -31,9 +33,22 @@ from .simulator import N_FINGERS, HandModel
 LATENT = 128
 ENCODER_SIZES = (4, 64, LATENT)
 DECODER_SIZES = (3 + LATENT, 128, 64, 3)
-# Samples per decoder pass outside a training step, the default minibatch:
-# 64 x 230 vertices x 195 activations is about 23 MB.
-DECODE_CHUNK = 64
+# Samples per decoder pass, in training steps and everywhere else: 8 x 230
+# vertices is 1,840 rows, and the largest activation, (1840, 128), is 1.9 MB.
+# Whole 64-sample minibatches made (14720, 128) temporaries of 7.5-15 MB
+# that glibc's malloc returned to the kernel and faulted in again on every
+# minibatch. malloc also trims a free heap top larger than twice the largest
+# mmap block it has freed, and one pass's cache plus its gradients come to
+# three of its largest arrays, so train() holds the last sub-batch cache
+# from one step to the next (`hold` of _forward_backward). Minor faults per
+# epoch of the benchmark's learn inputs on the paper hand: 12k at whole
+# minibatches, 4.6k with in-place activations alone, 5.9k with 8-sample
+# passes alone, 5.0k with both but no hold and 1.0-1.2k with all three,
+# with 3 ms of system time per epoch against 57 ms. Passes of 16 or 32
+# samples faulted about 2.4k times; passes of 4 were no faster on a shared
+# 2-vCPU host (104 against 106 ms of CPU per epoch) and would split the
+# 5-sample decodes of an alignment objective in two.
+DECODE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -227,18 +242,36 @@ def split_frames(n_frames, has_force, val_fraction, rng):
     return train, val
 
 
-def _forward_backward(model, x, y, rest_scaled):
-    """Loss (mm^2) and encoder/decoder gradients for one minibatch."""
+def _forward_backward(model, x, y, rest_scaled, hold):
+    """Loss (mm^2) and encoder/decoder gradients for one minibatch.
+
+    The loss is the mean squared error over the whole minibatch, as
+    nn.mse_loss would give it, but the decoder runs forward and backward
+    one DECODE_CHUNK sub-batch at a time: each sub-batch adds its squared
+    errors to the loss and its parameter gradient to grad_dec, and fills
+    its rows of the latent gradient. The encoder runs once on the whole
+    minibatch. The list `hold` keeps the last sub-batch's decoder cache
+    until the next call replaces it (see DECODE_CHUNK).
+    """
     z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
-    pred, dec_cache = nn.forward_conditioned(
-        model.dec_spec, model.dec_params, rest_scaled, z
-    )
-    loss, grad_pred = nn.mse_loss(pred, y)
-    grad_dec, _, grad_z = nn.backward_conditioned(
-        model.dec_spec, model.dec_params, dec_cache, grad_pred
-    )
+    scale = 2.0 / y.size
+    sq_sum = 0.0
+    grad_dec = np.zeros_like(model.dec_params)
+    grad_z = np.empty_like(z)
+    for s in range(0, x.shape[0], DECODE_CHUNK):
+        pred, dec_cache = nn.forward_conditioned(
+            model.dec_spec, model.dec_params, rest_scaled, z[s : s + DECODE_CHUNK]
+        )
+        diff = pred - y[s : s + DECODE_CHUNK]
+        sq_sum += float(np.sum(diff * diff))
+        diff *= scale
+        g_dec, _, grad_z[s : s + DECODE_CHUNK] = nn.backward_conditioned(
+            model.dec_spec, model.dec_params, dec_cache, diff
+        )
+        grad_dec += g_dec
     grad_enc, _ = nn.backward(model.enc_spec, model.enc_params, enc_cache, grad_z)
-    return loss, grad_enc, grad_dec
+    hold[:] = [dec_cache]
+    return sq_sum / y.size, grad_enc, grad_dec
 
 
 def _refit_decoder_head(model: ShapeModel, x, y, rest_scaled):
@@ -305,6 +338,7 @@ def train(frames, hand: HandModel, cfg: TrainConfig, seed):
 
     train_curve, val_curve = [], []
     best = (np.inf, None, None, -1)
+    held = []
     for epoch in range(cfg.epochs):
         enc_adam.lr = cfg.lr * cfg.lr_decay**epoch
         dec_adam.lr = enc_adam.lr
@@ -315,7 +349,7 @@ def train(frames, hand: HandModel, cfg: TrainConfig, seed):
             batch = order[s : s + cfg.batch]
             try:
                 loss, g_enc, g_dec = _forward_backward(
-                    model, x[batch], y[batch], rest_scaled
+                    model, x[batch], y[batch], rest_scaled, held
                 )
             except NonFiniteError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}") from exc

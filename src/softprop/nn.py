@@ -5,8 +5,14 @@ layers with relu/tanh, a point decoder conditioned on a per-sample code
 (forward_conditioned / backward_conditioned, which never tiles the
 point-code input), max-pool over a set axis, and concatenation (which
 needs no code, just slicing the upstream gradient). Everything is float64
-and allocation order is fixed, so training is bitwise reproducible for a
-given seed, architecture, and data stream.
+and every reduction runs in a fixed order, so training is bitwise
+reproducible for a given seed, architecture, and data stream.
+
+Activations and their gradients are applied in place, and only to arrays
+this module allocated: a fresh pre-activation `a @ w` in the forward pass,
+a fresh product `g @ w.T` in the backward pass. Inputs, upstream
+gradients and forward caches are never written, so a cache can be
+reused by any number of backward calls.
 
 The ReLU subgradient at exactly 0 is taken to be 0.
 """
@@ -127,19 +133,24 @@ def _check_finite(arr, what):
 
 
 def _activate(z, kind):
+    """Activation applied in place to z, a pre-activation this module allocated."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
     return z
 
 
 def _activation_grad(g, out, kind):
-    """Upstream gradient g through an activation, given its output."""
+    """Gradient g through an activation, given its output, multiplied into g
+    in place: g must be a product this module allocated, never a caller's
+    upstream gradient or a cached activation."""
     if kind == "relu":
-        return g * (out > 0.0)  # subgradient 0 at the kink
-    if kind == "tanh":
-        return g * (1.0 - out * out)
+        g *= out > 0.0  # subgradient 0 at the kink
+    elif kind == "tanh":
+        slope = out * out
+        np.subtract(1.0, slope, out=slope)
+        g *= slope
     return g
 
 
@@ -164,8 +175,9 @@ def forward_cache(spec: MlpSpec, params, x):
     layers = unpack_params(spec, params)
     acts = [a]
     for (w, b), kind in zip(layers, spec.activations):
-        a = _activate(a @ w + b, kind)
-        acts.append(a)
+        a = a @ w
+        a += b
+        acts.append(_activate(a, kind))
     _check_finite(a, "network output")
     y = a[0] if squeeze else a
     return y, (acts, squeeze)
@@ -189,13 +201,17 @@ def backward(spec: MlpSpec, params, cache, grad_y):
     layers = unpack_params(spec, params)
     grad_params = np.empty_like(np.asarray(params, dtype=np.float64))
     grads = unpack_params(spec, grad_params)
+    # The output layer is linear (MlpSpec enforces it), so grad_y enters the
+    # loop as is; each hidden activation's gradient goes into the fresh
+    # product g @ w.T that carries it.
     for i in range(spec.n_layers - 1, -1, -1):
-        g = _activation_grad(g, acts[i + 1], spec.activations[i])
         w, _ = layers[i]
         gw, gb = grads[i]
         np.matmul(acts[i].T, g, out=gw)
         np.sum(g, axis=0, out=gb)
         g = g @ w.T
+        if i > 0:
+            _activation_grad(g, acts[i], spec.activations[i - 1])
     _check_finite(grad_params, "parameter gradients")
     grad_x = g[0] if squeeze else g
     return grad_params, grad_x
@@ -240,7 +256,7 @@ def forward_conditioned(spec: MlpSpec, params, points, codes):
     _check_finite(codes, "network input codes")
     w, b, tail, tail_params = _split_first_layer(spec, params)
     d_p = points.shape[1]
-    pre = (points @ w[:d_p] + b)[None] + (codes @ w[d_p:])[:, None]
+    pre = np.add((points @ w[:d_p] + b)[None], (codes @ w[d_p:])[:, None])
     h = _activate(pre, spec.activations[0]).reshape(-1, spec.sizes[1])
     y, tail_cache = forward_cache(tail, tail_params, h)
     return y.reshape(codes.shape[0], points.shape[0], spec.d_out), (points, codes, tail_cache)

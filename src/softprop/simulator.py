@@ -720,7 +720,7 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
     damping and the line search are plain Newton, so every accepted step
     is still a checked descent step. Passing start_targets = targets gives
     the plain warm start. A converged state with an inverted tet (J <= 0)
-    raises SolverFailure.
+    or a non-finite residual raises SolverFailure.
     """
     x = cache.rest.copy() if x0 is None else np.array(x0, dtype=np.float64)
     x[cache.finger.base_fixed] = cache.rest[cache.finger.base_fixed]
@@ -736,6 +736,12 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
     for it in range(_MAX_NEWTON_ITERS):
         g, vmat = cache.gradient(kin, targets, force_field, e_scale)
         residual = float(np.linalg.norm(g))
+        if not math.isfinite(residual):
+            # A NaN or inf reaches no factorization: the band is handed to
+            # LAPACK unchecked.
+            raise SolverFailure(
+                f"non-finite residual at iteration {it}", residual=residual, step=it
+            )
         if residual <= tol:
             worst = int(np.argmin(kin.jdet))
             if kin.jdet[worst] <= 0.0:
@@ -757,7 +763,7 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
             # solveh_banded factorizes a copy, so ab keeps its values.
             ab[0] = diag + tau * diag_scale
             try:
-                sol = solveh_banded(ab, rhs, lower=True)
+                sol = solveh_banded(ab, rhs, lower=True, check_finite=False)
             except LinAlgError:
                 cholesky_failures += 1
                 continue

@@ -7,6 +7,8 @@ memorization oracle, and checkpoint round trips. Training-behaviour
 bounds were frozen from smoke runs of this exact configuration.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,12 +176,15 @@ def test_predict_matches_tiled_oracle_and_checkpoint(tmp_path, hand):
 
 
 def test_forward_backward_matches_tiled_path(hand):
+    # Two full decoder sub-batches and a partial one against one whole-batch
+    # pass on the tiled input.
     model = _random_head_model(hand, 12)
     rng = np.random.default_rng(4)
     rest_scaled = hand.fingers[0].surface.vertices / model.finger_length_mm
-    x = 0.05 * rng.standard_normal((5, 4))
-    y = 0.1 * rng.standard_normal((5, model.n_vertices, 3))
-    loss, g_enc, g_dec = estimator._forward_backward(model, x, y, rest_scaled)
+    n_b = 2 * DECODE_CHUNK + 3
+    x = 0.05 * rng.standard_normal((n_b, 4))
+    y = 0.1 * rng.standard_normal((n_b, model.n_vertices, 3))
+    loss, g_enc, g_dec = estimator._forward_backward(model, x, y, rest_scaled, [])
 
     z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
     pred, dec_cache = nn.forward_cache(
@@ -187,7 +192,7 @@ def test_forward_backward_matches_tiled_path(hand):
     )
     loss_t, grad_pred = nn.mse_loss(pred, y.reshape(-1, 3))
     g_dec_t, g_in = nn.backward(model.dec_spec, model.dec_params, dec_cache, grad_pred)
-    g_z = g_in[:, 3:].reshape(5, rest_scaled.shape[0], -1).sum(axis=1)
+    g_z = g_in[:, 3:].reshape(n_b, rest_scaled.shape[0], -1).sum(axis=1)
     g_enc_t, _ = nn.backward(model.enc_spec, model.enc_params, enc_cache, g_z)
 
     assert abs(loss - loss_t) <= 1e-12 * loss_t
@@ -196,21 +201,54 @@ def test_forward_backward_matches_tiled_path(hand):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_forward_backward_peak_memory_does_not_grow_with_the_minibatch(hand):
+    # Whole-minibatch decoder passes held several (B V, 128) activations at
+    # once; sub-batched passes hold DECODE_CHUNK x V rows whatever B is.
+    model = _random_head_model(hand, 14)
+    rng = np.random.default_rng(5)
+    rest_scaled = hand.fingers[0].surface.vertices / model.finger_length_mm
+    n_v = model.n_vertices
+
+    def peak(n_b):
+        x = 0.05 * rng.standard_normal((n_b, 4))
+        y = 0.1 * rng.standard_normal((n_b, n_v, 3))
+        tracemalloc.start()
+        try:
+            estimator._forward_backward(model, x, y, rest_scaled, [])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # first-call set-up stays out of the comparison
+    assert peak(64) - peak(16) < 64 * n_v * 128 * 8
+
+
 def test_decoding_is_chunked(monkeypatch, smoke_frames, hand):
-    # No decoder pass outside a training step sees more than DECODE_CHUNK
-    # samples, and evaluate's per-sample errors match one-sample decodes.
+    # No decoder pass, forward or backward, inside a training step or out
+    # of it, sees more than DECODE_CHUNK samples, and evaluate's per-sample
+    # errors match one-sample decodes.
     widths = []
+    backward_widths = []
     conditioned = nn.forward_conditioned
+    conditioned_backward = nn.backward_conditioned
 
     def spy(spec, params, points, codes):
         widths.append(codes.shape[0])
         return conditioned(spec, params, points, codes)
 
+    def backward_spy(spec, params, cache, grad_y):
+        backward_widths.append(grad_y.shape[0])
+        return conditioned_backward(spec, params, cache, grad_y)
+
     model = _random_head_model(hand, 13)
     monkeypatch.setattr(nn, "forward_conditioned", spy)
+    monkeypatch.setattr(nn, "backward_conditioned", backward_spy)
     scores = evaluate(model, smoke_frames, hand)
-    train(smoke_frames, hand, TrainConfig(epochs=1, val_fraction=0.5, refit_head=True), seed=3)
+    cfg = TrainConfig(epochs=1, val_fraction=0.5, refit_head=True)
+    train(smoke_frames, hand, cfg, seed=3)
     assert len(smoke_frames) * 3 > DECODE_CHUNK and max(widths) == DECODE_CHUNK
+    # Training minibatches are wider than one pass, and are split.
+    assert cfg.batch > DECODE_CHUNK and max(backward_widths) == DECODE_CHUNK
 
     x, y, _, _ = samples_from_frames(smoke_frames, hand)
     rest = hand.fingers[0].surface.vertices

@@ -116,6 +116,27 @@ class TestForwardBackward:
         x = rng.normal(size=(5, 4))
         assert np.array_equal(forward(spec, params, x), forward(spec, params, x))
 
+    @pytest.mark.parametrize("hidden", ["relu", "tanh"])
+    def test_backward_leaves_its_inputs_and_cache_alone(self, hidden):
+        # Activations and their gradients are applied in place, but only to
+        # arrays nn allocated: two backward calls on one cache return the
+        # same bits and leave the input, grad_y and the cache unchanged.
+        spec = MlpSpec.dense((4, 8, 6, 2), hidden=hidden)
+        rng = np.random.default_rng(6)
+        params = init_params(spec, rng)
+        x = rng.normal(size=(5, 4))
+        grad_y = rng.normal(size=(5, 2))
+        x0, grad_y0 = x.copy(), grad_y.copy()
+        _, cache = forward_cache(spec, params, x)
+        acts0 = [a.copy() for a in cache[0]]
+        first = backward(spec, params, cache, grad_y)
+        second = backward(spec, params, cache, grad_y)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(x, x0) and np.array_equal(grad_y, grad_y0)
+        for a, a0 in zip(cache[0], acts0):
+            assert a.tobytes() == a0.tobytes()
+
     def test_rejects_nan_input(self):
         spec = MlpSpec.dense((2, 2))
         params = init_params(spec, np.random.default_rng(0))
@@ -273,6 +294,22 @@ class TestConditioned:
         np.testing.assert_allclose(gp, gp_t, rtol=0, atol=1e-14)
         np.testing.assert_allclose(g_codes, gx_t.reshape(3, 4, 5)[:, :, 2:].sum(axis=1),
                                    rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("hidden", ["relu", "tanh"])
+    def test_backward_leaves_its_inputs_and_cache_alone(self, hidden):
+        spec = MlpSpec.dense(self.SPEC.sizes, hidden=hidden)
+        params, points, codes, probe = self._case(7)
+        saved = [a.copy() for a in (points, codes, probe)]
+        _, cache = forward_conditioned(spec, params, points, codes)
+        acts0 = [a.copy() for a in cache[2][0]]
+        first = backward_conditioned(spec, params, cache, probe)
+        second = backward_conditioned(spec, params, cache, probe)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+        for a, a0 in zip((points, codes, probe), saved):
+            assert np.array_equal(a, a0)
+        for a, a0 in zip(cache[2][0], acts0):
+            assert a.tobytes() == a0.tobytes()
 
     def test_rejects_bad_inputs(self):
         params, points, codes, probe = self._case(2)

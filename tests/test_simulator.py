@@ -261,15 +261,18 @@ def test_failed_cholesky_escalates_the_damping(finger, monkeypatch):
     # A factorization that is not positive definite moves on to the next τ
     # of the ladder: the same band with τ times the mean |diagonal| added.
     # cholesky_failures counts every failure, the forced one included.
+    # The band reaches LAPACK unchecked (check_finite=False): the residual
+    # test before assembly already refuses non-finite states.
     real = simulator.solveh_banded
-    diagonals, failures = [], []
+    diagonals, failures, checked = [], [], []
 
-    def first_fails(ab, b, lower):
+    def first_fails(ab, b, lower, check_finite=True):
         diagonals.append(ab[0].copy())
+        checked.append(check_finite)
         try:
             if len(diagonals) == 1:
                 raise simulator.LinAlgError("not positive definite")
-            return real(ab, b, lower=lower)
+            return real(ab, b, lower=lower, check_finite=check_finite)
         except simulator.LinAlgError:
             failures.append(len(diagonals))
             raise
@@ -278,6 +281,7 @@ def test_failed_cholesky_escalates_the_damping(finger, monkeypatch):
     fr = solve_equilibrium(finger, (0.45, 0.2))
     assert fr.stats.iterations > 0
     assert fr.stats.cholesky_failures == len(failures) >= 1
+    assert not any(checked)
     scale = float(np.abs(diagonals[0]).mean())
     assert np.array_equal(diagonals[1], diagonals[0] + simulator._DAMPING[1] * scale)
 
@@ -285,7 +289,7 @@ def test_failed_cholesky_escalates_the_damping(finger, monkeypatch):
     # iteration has no step.
     calls = []
 
-    def failing(ab, b, lower):
+    def failing(ab, b, lower, check_finite=True):
         calls.append(ab[0].copy())
         raise simulator.LinAlgError("not positive definite")
 
@@ -620,6 +624,46 @@ def test_solves_that_converged_inverted_under_lu_steps_converge(
     # positive definite model, and they converge with J > 0.
     fr = _dataset_finger_solve(paper_hand, seed, frame, j)
     assert paper_hand.fingers[0].solver_cache().kinematics(fr.nodes).jdet.min() > 0.0
+
+
+def _reflect_free_node(cache, x, tet):
+    """x with one free node of `tet` mirrored through the tet's opposite face."""
+    nodes = cache.tets[tet]
+    k = int(np.flatnonzero(np.isin(nodes, cache.free_nodes))[0])
+    face = x[np.delete(nodes, k)]
+    normal = np.cross(face[1] - face[0], face[2] - face[0])
+    normal /= np.linalg.norm(normal)
+    out = x.copy()
+    out[nodes[k]] -= 2.0 * ((out[nodes[k]] - face[0]) @ normal) * normal
+    return out
+
+
+def test_converged_inverted_state_raises(four_hand, monkeypatch):
+    # A state with one tet turned inside out (J = -1), accepted as converged
+    # by an infinite tolerance: the J <= 0 check must refuse it.
+    f = four_hand.fingers[0]
+    cache = f.solver_cache()
+    tet = cache.tets.shape[0] - 1
+    x0 = _reflect_free_node(cache, cache.rest, tet)
+    assert cache.kinematics(x0).jdet[tet] == pytest.approx(-1.0)
+    monkeypatch.setattr(cache, "base_tol", math.inf)
+    with pytest.raises(
+        SolverFailure, match=r"^converged state inverts tet \d+ \(min J -.*after 0 iterations"
+    ):
+        solve_equilibrium(f, (0.0, 0.0), x0=x0)
+
+
+def test_non_finite_warm_start_raises_solver_failure(four_hand):
+    # One NaN free node makes the residual NaN. The band reaches LAPACK
+    # unchecked, so this must surface as a typed SolverFailure before any
+    # matrix is assembled, not as scipy's ValueError.
+    f = four_hand.fingers[0]
+    cache = f.solver_cache()
+    x0 = cache.rest.copy()
+    x0[cache.free_nodes[0]] = np.nan
+    with pytest.raises(SolverFailure, match="^non-finite residual at iteration 0") as exc:
+        solve_equilibrium(f, (0.2, 0.1), x0=x0)
+    assert exc.value.step == 0
 
 
 def test_warm_servo_step_factors_by_cholesky_only(paper_hand):
