@@ -26,7 +26,8 @@ by banded Cholesky with diagonal damping raised until it succeeds) and one
 rank-1 term per tendon handled by the Woodbury identity; that split is what
 makes dataset-scale solving cheap. Each state the solver visits gets one
 kinematics evaluation (per-tet F from one sparse operator, cofactor and J,
-plus tendon segments), shared by its energy, gradient and Newton matrix.
+plus the segments of all four tendons from one more sparse operator),
+shared by its energy, gradient and Newton matrix.
 Solves that do not depend on each other (the fingers of dataset frames,
 and each finger's warm-started chain through an open-loop schedule) run in
 a pool of forked workers, one per CPU this process may use, each with one
@@ -426,61 +427,26 @@ class SimFrame:
 
 @dataclass(frozen=True)
 class _Kinematics:
-    """One state's per-tet F, cofactor and J, plus (segments, lengths) per tendon."""
+    """One state's per-tet F, cofactor and J, plus the segments of all four
+    tendons (in tendon order), their lengths and each tendon's length."""
 
     x: np.ndarray  # (M, 3)
     f: np.ndarray  # (T, 3, 3)
     cof: np.ndarray  # (T, 3, 3)
     jdet: np.ndarray  # (T,)
-    tendons: tuple
+    seg: np.ndarray  # (S, 3)
+    seg_len: np.ndarray  # (S,)
+    tendon_lengths: np.ndarray  # (4,)
 
 
-class _TendonCache:
-    """Per-tendon constants: path interpolation and segment stencils."""
-
-    def __init__(self, path: EmbeddedPath, dof_map, n_free):
-        self.node_index = path.node_index  # (P, 4)
-        self.weights = path.weights  # (P, 4)
-        # Each segment's length is |sum_m WS[s, m] x[NS[s, m]]|: the stencil
-        # joins the barycentric supports of its two endpoints.
-        self.ns = np.concatenate([self.node_index[:-1], self.node_index[1:]], axis=1)
-        self.ws = np.concatenate([-self.weights[:-1], self.weights[1:]], axis=1)
-        dofs = (3 * self.ns[:, :, None] + np.arange(3)).reshape(self.ns.shape[0], 24)
-        rows = dof_map[np.repeat(dofs[:, :, None], 24, axis=2).ravel()]
-        cols = dof_map[np.repeat(dofs[:, None, :], 24, axis=1).ravel()]
-        keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
-        self.h_rows = rows[keep]
-        self.h_cols = cols[keep]
-        # Kept entry [(s, m, i), (s, n, j)] of d2L/dx2 is
-        # ws[s, m] ws[s, n] proj[s, i, j]: a weight and a projector index.
-        s, m, i, n, j = np.unravel_index(np.flatnonzero(keep), (len(dofs), 8, 3, 8, 3))
-        self.h_w = self.ws[s, m] * self.ws[s, n]
-        self.h_pix = (9 * s + 3 * i + j).astype(np.int32)
-
-    def segments(self, x):
-        seg = np.einsum("sm,smc->sc", self.ws, x[self.ns])
-        lens = np.linalg.norm(seg, axis=1)
-        return seg, lens
-
-    def length_gradient(self, seg, lens, n_nodes):
-        """(M, 3) gradient of the path length."""
-        units = seg / lens[:, None]
-        contrib = self.ws[:, :, None] * units[:, None, :]  # (S, 8, 3)
-        grad = np.zeros((n_nodes, 3))
-        flat = self.ns.ravel()
-        for c in range(3):
-            grad[:, c] = np.bincount(
-                flat, weights=contrib[:, :, c].ravel(), minlength=n_nodes
-            )
-        return grad
-
-    def curvature_values(self, seg, lens):
-        """Banded-entry values of d2(length)/dx2, matching h_rows/h_cols."""
-        units = seg / lens[:, None]
-        proj = (np.eye(3)[None] - units[:, :, None] * units[:, None, :]) / lens[
-            :, None, None
-        ]
-        return self.h_w * np.take(proj, self.h_pix)
+def _lower_pairs(dofs, dof_map):
+    """Free (rows, cols) of the lower-triangle (row >= col) dof pairs of
+    each stencil row of dofs (K, d), and their flat indices in (K, d, d)."""
+    d = dofs.shape[1]
+    rows = dof_map[np.repeat(dofs[:, :, None], d, axis=2).ravel()]
+    cols = dof_map[np.repeat(dofs[:, None, :], d, axis=1).ravel()]
+    keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
+    return rows[keep], cols[keep], np.flatnonzero(keep)
 
 
 class _SolverCache:
@@ -521,9 +487,7 @@ class _SolverCache:
         dof_map[self.free_dofs] = np.arange(self.n_free)
 
         dofs12 = (3 * self.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
-        rows = dof_map[np.repeat(dofs12[:, :, None], 12, axis=2).ravel()]
-        cols = dof_map[np.repeat(dofs12[:, None, :], 12, axis=1).ravel()]
-        keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
+        el_rows, el_cols, kept = _lower_pairs(dofs12, dof_map)
 
         mu, lam = finger.material.lame()
         self.mu, self.lam = mu, lam
@@ -536,7 +500,7 @@ class _SolverCache:
         # s = lam (J - alpha): the stable Neo-Hookean Hessian in F, pushed
         # through vec F = F_OP x. Per entry: two coefficients and the gather
         # indices of gJ (T, 4, 3) and X (T, 3, 4, 4); lam vol scales gJ per tet.
-        t, n, i, m, j = np.unravel_index(np.flatnonzero(keep), (n_tets, 4, 3, 4, 3))
+        t, n, i, m, j = np.unravel_index(kept, (n_tets, 4, 3, 4, 3))
         k = (3 - i - j) % 3  # the third index when i != j
         vol = self.vol[t]
         self.el_mu = mu * vol * np.einsum("tnc,tmc->tnm", g, g)[t, n, m] * (i == j)
@@ -548,17 +512,40 @@ class _SolverCache:
         cross_g = np.cross(g[:, :, None], g[:, None, :]).reshape(n_tets, 16, 3)
         self.cross_g = np.ascontiguousarray(cross_g.transpose(0, 2, 1))
 
-        self.tendons = tuple(
-            _TendonCache(p, dof_map, self.n_free) for p in finger.tendon_paths
-        )
+        # The segments of all four tendons, in tendon order, come from one sparse
+        # operator like F_OP: segment s = sum_m ws[s, m] x[ns[s, m]] joins the
+        # barycentric supports of its endpoints and fills rows 3s..3s+2 of T_OP x.
+        paths = finger.tendon_paths
+        ns = np.vstack([np.hstack([p.node_index[:-1], p.node_index[1:]]) for p in paths])
+        ws = np.vstack([np.hstack([-p.weights[:-1], p.weights[1:]]) for p in paths])
+        self.seg_tendon = np.repeat(np.arange(len(paths)), [len(p) - 1 for p in paths])
+        n_seg = ns.shape[0]
+        s, m, c = np.indices((n_seg, 8, 3)).reshape(3, -1)
+        self.t_op = csr_matrix((ws[s, m], (3 * s + c, 3 * ns[s, m] + c)),
+                               shape=(3 * n_seg, 3 * self.n_nodes))
+        # Free rows of T_OP^T times the (3S, 4) array with each segment's unit
+        # vector in its tendon's column (flat slots unit_slot): the four tendon
+        # length gradients in one product.
+        self.t_op_free_t = self.t_op[:, self.free_dofs].T.tocsr()
+        self.unit_slot = (TENDONS_PER_FINGER * np.arange(3 * n_seg)
+                          + np.repeat(self.seg_tendon, 3))
+        # Kept entry [(s, m, i), (s, n, j)] of d2L/dx2 is ws[s, m] ws[s, n]
+        # proj[s, i, j]: a weight and a projector index, scaled by the stretch
+        # of tendon h_tendon.
+        dofs24 = (3 * ns[:, :, None] + np.arange(3)).reshape(n_seg, 24)
+        h_rows, h_cols, kept = _lower_pairs(dofs24, dof_map)
+        s, m, i, n, j = np.unravel_index(kept, (n_seg, 8, 3, 8, 3))
+        self.h_w = ws[s, m] * ws[s, n]
+        self.h_pix = (9 * s + 3 * i + j).astype(np.int32)
+        self.h_tendon = self.seg_tendon[s]
         self.tendon_rest = finger.tendon_rest_lengths
         self.k_tendon = finger.tendon_stiffness
 
         # Elastic and tendon-curvature entries (lower triangle, r >= c) land
         # in one LAPACK lower symmetric-band array ab[r - c, c] through a
         # single bincount; the upper triangle is never stored.
-        rows = np.concatenate([rows[keep]] + [t.h_rows for t in self.tendons])
-        cols = np.concatenate([cols[keep]] + [t.h_cols for t in self.tendons])
+        rows = np.concatenate([el_rows, h_rows])
+        cols = np.concatenate([el_cols, h_cols])
         band = int((rows - cols).max(initial=0))
         self.bandwidth = band
         self.ab_index = ((rows - cols) * self.n_free + cols).astype(np.int32)
@@ -581,8 +568,10 @@ class _SolverCache:
         cof = (fa[:, :, _NEXT] * fb[:, :, _AFTER_NEXT]
                - fb[:, :, _NEXT] * fa[:, :, _AFTER_NEXT])
         jdet = np.einsum("ti,ti->t", f[:, :, 0], cof[:, :, 0])
-        tendons = tuple(t.segments(x) for t in self.tendons)
-        return _Kinematics(x, f, cof, jdet, tendons)
+        seg = (self.t_op @ x.reshape(-1)).reshape(-1, 3)
+        seg_len = np.linalg.norm(seg, axis=1)
+        lengths = np.bincount(self.seg_tendon, weights=seg_len)
+        return _Kinematics(x, f, cof, jdet, seg, seg_len, lengths)
 
     def elastic_energy(self, kin, e_scale):
         ic = np.einsum("tic,tic->t", kin.f, kin.f)
@@ -594,9 +583,9 @@ class _SolverCache:
         return e_scale * float(np.dot(self.vol, psi))
 
     def energy(self, kin, targets, force_field, e_scale):
-        e = self.elastic_energy(kin, e_scale) + 0.5 * self.k_tendon * sum(
-            (float(lens.sum()) - tgt) ** 2
-            for (_, lens), tgt in zip(kin.tendons, targets)
+        stretch = kin.tendon_lengths - targets
+        e = self.elastic_energy(kin, e_scale) + 0.5 * self.k_tendon * float(
+            stretch @ stretch
         )
         if force_field is not None:
             e -= float(np.einsum("ni,ni->", force_field, kin.x))
@@ -606,17 +595,23 @@ class _SolverCache:
         """Free-DOF energy gradient (nf,) and tendon length gradients (nf, 4)."""
         p = self.mu * kin.f + self.lam * (kin.jdet - self.alpha)[:, None, None] * kin.cof
         p *= (self.vol * e_scale)[:, None, None]
-        grad = (self.f_op.T @ p.reshape(-1)).reshape(self.n_nodes, 3)
-        tendon_grad = np.zeros((self.n_nodes, 3))
-        directions = []
-        for cache, (seg, lens), tgt in zip(self.tendons, kin.tendons, targets):
-            glen = cache.length_gradient(seg, lens, self.n_nodes)
-            tendon_grad += self.k_tendon * (float(lens.sum()) - tgt) * glen
-            directions.append(glen.reshape(-1)[self.free_dofs])
-        grad += tendon_grad
+        grad = self.f_op.T @ p.reshape(-1)
         if force_field is not None:
-            grad -= force_field
-        return grad.reshape(-1)[self.free_dofs], np.stack(directions, axis=1)
+            grad -= force_field.reshape(-1)
+        units = np.zeros((self.t_op.shape[0], TENDONS_PER_FINGER))
+        units.flat[self.unit_slot] = (kin.seg / kin.seg_len[:, None]).ravel()
+        directions = self.t_op_free_t @ units
+        grad = grad[self.free_dofs]
+        grad += directions @ (self.k_tendon * (kin.tendon_lengths - targets))
+        return grad, directions
+
+    def tendon_curvature(self, kin, targets):
+        """Values of sum_t k (L_t - L*_t) d2L_t/dx2 at the band entries of
+        h_w/h_pix/h_tendon, the last ones of ab_index."""
+        u = kin.seg / kin.seg_len[:, None]
+        proj = (np.eye(3) - u[:, :, None] * u[:, None, :]) / kin.seg_len[:, None, None]
+        stretch = self.k_tendon * (kin.tendon_lengths - targets)
+        return stretch[self.h_tendon] * (self.h_w * np.take(proj, self.h_pix))
 
     def newton_matrix(self, kin, targets, e_scale):
         """Lower band (b+1, nf) of the banded part C of the Newton matrix, in
@@ -634,12 +629,9 @@ class _SolverCache:
             + np.take(lam_g_j, self.el_a) * np.take(g_j, self.el_b)
             + self.el_eps * np.take(x, self.el_x)
         )
-        chunks = [e_scale * elastic]
-        for cache, (seg, lens), tgt in zip(self.tendons, kin.tendons, targets):
-            stretch = float(lens.sum()) - tgt
-            chunks.append(self.k_tendon * stretch * cache.curvature_values(seg, lens))
+        curvature = self.tendon_curvature(kin, targets)
         ab = np.bincount(
-            self.ab_index, weights=np.concatenate(chunks),
+            self.ab_index, weights=np.concatenate([e_scale * elastic, curvature]),
             minlength=math.prod(self.ab_shape),
         )
         return ab.reshape(self.ab_shape)
@@ -660,8 +652,7 @@ class _SolverCache:
         h = np.zeros((self.n_free, self.n_free))
         h[r[inside], c[inside]] = ab[inside]
         h += np.tril(h, -1).T
-        for v in vmat.T:
-            h += self.k_tendon * np.outer(v, v)
+        h += self.k_tendon * (vmat @ vmat.T)
         return g, h
 
     # -- tendons and external forces ----------------------------------------

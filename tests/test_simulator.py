@@ -205,8 +205,8 @@ def _dense_from_lower_band(lower):
 
 def test_mirrored_newton_matrix_is_symmetric(tiny):
     # newton_system mirrors the lower band itself: its dense matrix is the
-    # band mirrored here plus the tendon rank-1 terms, bit for bit, and is
-    # exactly symmetric.
+    # band mirrored here plus the tendon rank-1 terms (one product
+    # k V V^T), bit for bit, and is exactly symmetric.
     cache = tiny.solver_cache()
     rng = np.random.default_rng(0)
     for _ in range(3):
@@ -217,8 +217,7 @@ def test_mirrored_newton_matrix_is_symmetric(tiny):
         assert lower.shape == (cache.bandwidth + 1, cache.n_free)
         want = _dense_from_lower_band(lower)
         _, vmat = cache.gradient(kin, targets, None, 1.2)
-        for v in vmat.T:
-            want += cache.k_tendon * np.outer(v, v)
+        want += cache.k_tendon * (vmat @ vmat.T)
         _, h = cache.newton_system(x, targets, None, 1.2)
         assert np.array_equal(h, want)
         assert np.array_equal(h, h.T)
@@ -249,7 +248,7 @@ def test_cholesky_step_matches_banded_lu_on_an_spd_band(tiny):
     rng = np.random.default_rng(13)
     x = _random_state(cache, rng)
     kin = cache.kinematics(x)
-    targets = np.array([lens.sum() for _, lens in kin.tendons])
+    targets = kin.tendon_lengths
     lower = cache.newton_matrix(kin, targets, 1.0)
     rhs = rng.normal(size=(cache.n_free, 5))
     chol = simulator.solveh_banded(lower, rhs, lower=True)
@@ -337,24 +336,67 @@ def test_sparse_f_operator_matches_the_einsum_kinematics(tiny):
 
 
 def test_curvature_gather_equals_the_einsum_bit_for_bit(tiny):
+    # Reference per tendon from its EmbeddedPath alone: the segment stencil
+    # joins the barycentric supports of consecutive points, d2L/dx2 is
+    # ws ws proj per segment, and only free lower-triangle entries are kept.
+    # The band receives, after the elastic entries, each tendon's kept
+    # entries scaled by k (L - L*), in tendon order.
     cache = tiny.solver_cache()
     dof_map = np.full(3 * cache.n_nodes, -1)
     dof_map[cache.free_dofs] = np.arange(cache.n_free)
+    targets = cache.tendon_targets((0.6, 0.3))
     for x in _stencil_states(cache):
-        for tendon, (seg, lens) in zip(cache.tendons, cache.kinematics(x).tendons):
+        kin = cache.kinematics(x)
+        stretch = cache.k_tendon * (kin.tendon_lengths - targets)
+        index, values, first = [], [], 0
+        for t, path in enumerate(tiny.tendon_paths):
+            ns = np.concatenate([path.node_index[:-1], path.node_index[1:]], axis=1)
+            ws = np.concatenate([-path.weights[:-1], path.weights[1:]], axis=1)
+            mine = slice(first, first + len(ns))
+            seg, lens = kin.seg[mine], kin.seg_len[mine]
+            first += len(ns)
+            assert np.allclose(seg, np.einsum("sm,smc->sc", ws, x[ns]), rtol=0, atol=1e-12)
             units = seg / lens[:, None]
             proj = (np.eye(3)[None] - units[:, :, None] * units[:, None, :]) / lens[
                 :, None, None
             ]
-            h = np.einsum("sm,sn,sij->sminj", tendon.ws, tendon.ws, proj)
-            dofs = (3 * tendon.ns[:, :, None] + np.arange(3)).reshape(-1, 24)
+            h = np.einsum("sm,sn,sij->sminj", ws, ws, proj)
+            dofs = (3 * ns[:, :, None] + np.arange(3)).reshape(-1, 24)
             rows = dof_map[np.repeat(dofs[:, :, None], 24, axis=2)].ravel()
             cols = dof_map[np.repeat(dofs[:, None, :], 24, axis=1)].ravel()
             keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
-            assert np.array_equal(tendon.h_rows, rows[keep])
-            assert np.array_equal(tendon.h_cols, cols[keep])
-            want = h.reshape(-1)[keep]
-            assert np.array_equal(tendon.curvature_values(seg, lens), want)
+            index.append((rows[keep] - cols[keep]) * cache.n_free + cols[keep])
+            values.append(stretch[t] * h.reshape(-1)[keep])
+        assert first == len(kin.seg)
+        index, values = np.concatenate(index), np.concatenate(values)
+        assert np.array_equal(cache.ab_index[-len(index):], index)
+        assert np.array_equal(cache.tendon_curvature(kin, targets), values)
+
+
+def test_tendon_lengths_and_directions_are_per_tendon(tiny):
+    # Each tendon's length and length gradient against its own
+    # EmbeddedPath: a segment credited to the wrong tendon fails here even
+    # when energy and gradient stay consistent with each other.
+    cache = tiny.solver_cache()
+    kin = cache.kinematics(cache.rest)
+    assert np.allclose(kin.tendon_lengths, tiny.tendon_rest_lengths, rtol=1e-12, atol=0)
+    targets = cache.tendon_targets((0.5, 0.2))
+    h = 1e-6
+    for x in _stencil_states(cache):
+        kin = cache.kinematics(x)
+        want = [p.length(x) for p in tiny.tendon_paths]
+        assert np.allclose(kin.tendon_lengths, want, rtol=1e-12, atol=0)
+        _, directions = cache.gradient(kin, targets, None, 1.0)
+        assert directions.shape == (cache.n_free, 4)
+        for t, path in enumerate(tiny.tendon_paths):
+            fd = np.empty(cache.n_free)
+            for d, dof in enumerate(cache.free_dofs):
+                xp = x.copy()
+                xp.reshape(-1)[dof] += h
+                xm = x.copy()
+                xm.reshape(-1)[dof] -= h
+                fd[d] = (path.length(xp) - path.length(xm)) / (2 * h)
+            assert np.abs(directions[:, t] - fd).max() < 1e-6
 
 
 def test_elastic_stencil_matches_dense_block_products(tiny):
@@ -389,7 +431,7 @@ def test_elastic_stencil_matches_dense_block_products(tiny):
         want = dense[np.ix_(free, free)]
         # With each tendon's target at its current length the curvature
         # term is exactly zero, so the band holds the elastic part alone.
-        targets = [lens.sum() for _, lens in kin.tendons]
+        targets = kin.tendon_lengths
         got = _dense_from_lower_band(cache.newton_matrix(kin, targets, e_scale))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -442,7 +484,7 @@ def test_achieved_tendon_lengths_near_targets(finger):
     fr = solve_equilibrium(finger, (0.5, 0.0))
     cache = finger.solver_cache()
     targets = cache.tendon_targets((0.5, 0.0))
-    achieved = np.array([lens.sum() for _, lens in cache.kinematics(fr.nodes).tendons])
+    achieved = cache.kinematics(fr.nodes).tendon_lengths
     # Stiff penalty pulls within a fraction of a millimetre of the target.
     assert np.abs(achieved - targets).max() < 1.0
 
