@@ -27,7 +27,7 @@ from .datafiles import load_role, save_dataset
 from .errors import DegenerateDataError, SolverFailure
 from .geometry import mean_nn_distance
 from .sensors import N_SENSORS
-from .simulator import N_FINGERS, HandModel, solve_equilibrium, solve_hand
+from .simulator import N_FINGERS, HandModel, _map_solves, solve_equilibrium, solve_hand
 
 N_CHANNELS = 2 * N_FINGERS
 
@@ -85,19 +85,18 @@ def fit_actuation_directions(hand: HandModel, probe_amplitude=0.2):
     probed once and the fitted basis serves every finger. Tendons only
     pull, so the probe is one-sided: solve at u = amplitude on one channel,
     subtract the rest surface, sum the vertex displacements, and drop the
-    axial component. A channel whose lateral response vanishes cannot be
-    servoed and raises DegenerateDataError.
+    axial component. The two probes are independent solves, mapped through
+    the simulator's pool. A channel whose lateral response vanishes cannot
+    be servoed and raises DegenerateDataError.
     """
     amp = float(probe_amplitude)
     if not 0.0 < amp <= 1.0:
         raise ValueError("fit_actuation_directions: amplitude must be in (0, 1]")
     finger = hand.fingers[0]
     rest = finger.surface.vertices
+    probes = _map_solves(hand, _probe, [amp * np.eye(2)[c] for c in range(2)])
     basis = np.zeros((2, 3))
-    for c in range(2):
-        u2 = np.zeros(2)
-        u2[c] = amp
-        frame = solve_equilibrium(finger, u2)
+    for c, frame in enumerate(probes):
         delta = frame.nodes[finger.rest.surface_map] - rest
         response = delta.sum(axis=0)
         response[2] = 0.0  # descriptor plane is lateral
@@ -113,6 +112,11 @@ def fit_actuation_directions(hand: HandModel, probe_amplitude=0.2):
         d = np.array([basis[c] @ basis[0], basis[c] @ basis[1]])
         dirs[c] = d / np.linalg.norm(d)
     return ActuationDirections(basis, dirs, amp)
+
+
+def _probe(hand: HandModel, u2):
+    """The hand's finger model solved cold at the channel command u2."""
+    return solve_equilibrium(hand.fingers[0], u2)
 
 
 def _descriptor(error_field, basis):

@@ -28,10 +28,12 @@ makes dataset-scale solving cheap. Each state the solver visits gets one
 kinematics evaluation (per-tet F from one sparse operator, cofactor and J,
 plus the segments of all four tendons from one more sparse operator),
 shared by its energy, gradient and Newton matrix.
-Solves that do not depend on each other (the fingers of dataset frames,
-and each finger's warm-started chain through an open-loop schedule) run in
-a pool of forked workers, one per CPU this process may use, each with one
-BLAS thread.
+Solves that do not depend on each other (the three fingers of a hand
+frame, the fingers of dataset frames, and each finger's warm-started chain
+through an open-loop schedule) run in one pool of forked workers per
+process, one per CPU this process may use, each with one BLAS thread. The
+pool is kept across calls, so a control step's three warm solves share
+both cores without paying for a fork.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
 
@@ -41,9 +43,10 @@ import ctypes
 import logging
 import math
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -403,6 +406,7 @@ class SimFrame:
     forces: tuple  # per finger: tuple of applied ExternalForceEvents
     e_scales: np.ndarray  # (3,) material scale used per finger
     pose: RigidPose = None  # palm pose, set on demonstration frames
+    stats: tuple = None  # per finger: its SolveStats; not stored, None when loaded
 
     def __post_init__(self):
         lengths = np.ascontiguousarray(self.sensor_lengths, dtype=np.float64).reshape(-1)
@@ -860,20 +864,30 @@ def solve_hand(
 
     x0s warm-starts each finger; u0, the (6,) command x0s is an
     equilibrium of, gives each finger its slice (see solve_equilibrium).
+    The three solves are independent, so they run in the process's pool
+    (see _map_solves); the first SolverFailure in finger order is raised,
+    as a serial loop would.
     """
     command = _command_array(command)
-    frames = [
-        solve_equilibrium(
-            hand.fingers[j],
-            command[2 * j : 2 * j + 2],
-            forces=forces_per_finger[j],
-            e_scale=float(e_scales[j]),
-            x0=None if x0s is None else x0s[j],
-            u0=None if u0 is None else u0[2 * j : 2 * j + 2],
-        )
+    frames = _map_solves(hand, _solve_hand_finger, [
+        (j, command[2 * j : 2 * j + 2], forces_per_finger[j], float(e_scales[j]),
+         None if x0s is None else x0s[j], None if u0 is None else u0[2 * j : 2 * j + 2])
         for j in range(N_FINGERS)
-    ]
+    ])
+    failure = next((f for f in frames if isinstance(f, SolverFailure)), None)
+    if failure is not None:
+        raise failure
     return _hand_frame(command, frames, forces_per_finger, e_scales), frames
+
+
+def _solve_hand_finger(hand: HandModel, task):
+    """Finger j's solve_equilibrium for task (j, u2, forces, e_scale, x0, u0);
+    a SolverFailure is returned, not raised."""
+    j, u2, forces, e_scale, x0, u0 = task
+    try:
+        return solve_equilibrium(hand.fingers[j], u2, forces, e_scale, x0, u0)
+    except SolverFailure as err:
+        return err
 
 
 def _command_array(command):
@@ -891,14 +905,22 @@ def _hand_frame(command, finger_frames, forces_per_finger, e_scales, pose=None):
         forces=tuple(tuple(f) for f in forces_per_finger),
         e_scales=np.asarray(e_scales, dtype=np.float64),
         pose=pose,
+        stats=tuple(f.stats for f in finger_frames),
     )
 
 
 # ---------------------------------------------------------------------------
 # Independent solves on every CPU this process may use.
 
-# The function a pool worker applies to its tasks; set only in workers.
-_worker_fn = None
+# The hand a pool worker was forked with; set only in workers.
+_worker_hand = None
+
+# This process's pool and the hand its workers were forked with (see
+# _map_solves).
+_pool = None
+_pool_hand = None
+
+_PR_SET_PDEATHSIG = 1  # linux/prctl.h
 
 
 def _openblas_functions(action):
@@ -922,9 +944,20 @@ def _openblas_functions(action):
     return found
 
 
-def _start_worker(fn):
-    global _worker_fn
-    _worker_fn = fn
+def _start_worker(hand, parent_pid):
+    global _worker_hand
+    _worker_hand = hand
+    # The pool outlives single calls, so a parent killed without running its
+    # exit hooks must not leave idle workers behind: the kernel kills each
+    # worker when the thread that forked it exits (_map_solves forks from
+    # the caller's thread). A parent that died before prctl is caught by
+    # the parent-pid check.
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent_pid:
+        os._exit(1)
     # One BLAS thread per worker: with two workers of two OpenBLAS threads
     # each on two cores, a dataset frame took 1.4-2.0 s against 0.7-0.9 s
     # serial.
@@ -933,34 +966,54 @@ def _start_worker(fn):
         set_threads(1)
 
 
-def _run_in_worker(task):
-    return _worker_fn(task)
+def _run_in_worker(fn, task):
+    return fn(_worker_hand, task)
 
 
-def _map_solves(fn, tasks):
-    """[fn(t) for t in tasks], spread over the CPUs this process may use.
+def _drop_pool():
+    """Shut this process's pool down, cancelling the tasks not yet started;
+    the next _map_solves forks a fresh one."""
+    global _pool, _pool_hand
+    pool, _pool, _pool_hand = _pool, None, None
+    if pool is not None:
+        pool.shutdown(cancel_futures=True)
 
-    With more than one CPU and more than one task, a pool of
-    min(CPUs, tasks) forked workers runs them; otherwise, and inside a
-    pool worker (whose siblings already hold the other CPUs), they run
-    here. Fork hands fn, and the hand it closes over, to the workers
-    without pickling; only tasks and results are pickled. Each worker pins
-    BLAS to one thread. The pool lives for this call: it is joined on
-    return, and on an error the tasks not yet started are cancelled first.
-    Results come back in task order, so the output equals the in-process
-    run's.
+
+def _map_solves(hand: HandModel, fn, tasks):
+    """[fn(hand, t) for t in tasks], spread over the CPUs this process may use.
+
+    With one CPU, a single task, or inside a pool worker (whose siblings
+    already hold the other CPUs) they run here. Otherwise they run in this
+    process's pool: one forked worker per CPU, each with BLAS pinned to one
+    thread. The pool is forked on first use and kept while calls pass the
+    same hand; a call with another hand shuts it down and forks a new one.
+    Workers inherit the hand through fork and keep its solver caches from
+    call to call; only fn, which must be a module-level function, the tasks
+    and the results are pickled. Results come back in task order, so the
+    output equals the in-process run's. A task's exception is raised here
+    with its type and the pool stays; any other failure of the map (a
+    broken pool, an interrupt) drops the pool. On a normal exit
+    concurrent.futures joins the workers; if this process is killed, the
+    kernel kills them (see _start_worker).
     """
+    global _pool, _pool_hand
     tasks = list(tasks)
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers <= 1 or _worker_fn is not None:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                             initializer=_start_worker, initargs=(fn,)) as pool:
-        try:
-            return list(pool.map(_run_in_worker, tasks))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    cpus = len(os.sched_getaffinity(0))
+    if cpus <= 1 or len(tasks) <= 1 or _worker_hand is not None:
+        return [fn(hand, t) for t in tasks]
+    if _pool_hand is not hand:
+        _drop_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(cpus, mp_context=get_context("fork"),
+                                    initializer=_start_worker,
+                                    initargs=(hand, os.getpid()))
+        _pool_hand = hand
+    try:
+        return list(_pool.map(_run_in_worker, [fn] * len(tasks), tasks))
+    except BaseException as err:
+        if isinstance(err, BrokenProcessPool) or not isinstance(err, Exception):
+            _drop_pool()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -1017,32 +1070,22 @@ def _dataset_frame_inputs(hand: HandModel, cfg: DatasetConfig, seed, i):
     return command, tuple(forces), e_scales
 
 
-def _solve_dataset_finger(hand: HandModel, task):
-    """One finger of a dataset frame; a SolverFailure is returned, not raised."""
-    j, u2, forces, e_scale = task
-    try:
-        return solve_equilibrium(hand.fingers[j], u2, forces, e_scale)
-    except SolverFailure as err:
-        return err
-
-
 def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     """Independent randomized frames; deterministic given the root seed.
 
     Each frame draws from its own (seed, STAGE_DATASET, index) stream, and
-    its three finger solves are independent, so all 3 x frames finger
-    solves run in parallel: a pool of min(CPUs, 3 x frames) forked workers
-    with BLAS pinned to one thread each (see _map_solves). Frames are
-    assembled in index order, so the result equals a serial run's. A frame
+    its three finger solves are independent, so all 3 x frames cold finger
+    solves are mapped at once through the process's pool (see
+    _map_solves). Frames are assembled in index order, so the result
+    equals a serial run's, solve records (SimFrame.stats) included. A frame
     with a failed finger solve is skipped with a warning, in index order;
     it is never silently included.
     """
     inputs = [_dataset_frame_inputs(hand, cfg, seed, i) for i in range(cfg.frames)]
-    solved = _map_solves(
-        partial(_solve_dataset_finger, hand),
-        [(j, command[2 * j : 2 * j + 2], forces[j], float(e_scales[j]))
-         for command, forces, e_scales in inputs for j in range(N_FINGERS)],
-    )
+    solved = _map_solves(hand, _solve_hand_finger, [
+        (j, command[2 * j : 2 * j + 2], forces[j], float(e_scales[j]), None, None)
+        for command, forces, e_scales in inputs for j in range(N_FINGERS)
+    ])
     frames = []
     for i, (command, forces, e_scales) in enumerate(inputs):
         fingers = solved[N_FINGERS * i : N_FINGERS * (i + 1)]
@@ -1083,14 +1126,14 @@ def _solve_open_loop(hand: HandModel, commands, forces, poses, what):
 
     commands[t] is the (6,) command of step t, forces[t] its per-finger
     events and poses[t] its palm pose. No finger's chain depends on another
-    finger, so the chains run in parallel (see _map_solves). The first
-    failure in (step, finger) order is raised, as a serial walk would.
+    finger, so the three chains are mapped through the process's pool (see
+    _map_solves). The first failure in (step, finger) order is raised, as a
+    serial walk would.
     """
-    chains = _map_solves(
-        partial(_solve_finger_chain, hand),
-        [(j, [(u[2 * j : 2 * j + 2], f[j]) for u, f in zip(commands, forces)])
-         for j in range(N_FINGERS)],
-    )
+    chains = _map_solves(hand, _solve_finger_chain, [
+        (j, [(u[2 * j : 2 * j + 2], f[j]) for u, f in zip(commands, forces)])
+        for j in range(N_FINGERS)
+    ])
     failed = [(len(frames), j, err) for j, (frames, err) in enumerate(chains)
               if err is not None]
     if failed:
@@ -1110,9 +1153,8 @@ def rollout_commands(hand: HandModel, commands):
     commands: iterable of (6,) tendon commands. Each finger walks its own
     warm-started chain (x0 and u0 from its previous step); the open-loop
     schedule makes the three chains independent, so they run in parallel
-    in forked workers with BLAS pinned to one thread each. Returns the
-    SimFrame list; useful for recording tendon-reachable reference
-    trajectories.
+    in the process's pool (see _map_solves). Returns the SimFrame list;
+    useful for recording tendon-reachable reference trajectories.
     """
     commands = [_command_array(c) for c in commands]
     if not commands:
@@ -1161,7 +1203,7 @@ def collect_demonstration(
     The seed is only recorded with the result; the solve itself is
     deterministic. Each finger's step warm-starts from its previous step;
     the script is open-loop, so the three fingers' chains run in parallel
-    in forked workers with BLAS pinned to one thread each.
+    in the process's pool (see _map_solves).
     """
     script = tuple(script)
     for j, _ in script:

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from softprop import simulator
 from softprop.controller import (
     ActuationDirections,
     ControllerConfig,
@@ -139,16 +140,28 @@ def test_limp_tendon_is_degenerate():
 
 
 def test_fit_probes_the_one_finger_once_per_channel(hand, monkeypatch):
+    # One allowed CPU keeps the probes in this process, where they are counted.
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
     calls = []
 
     def counting_solve(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return solve_equilibrium(*args, **kwargs)
 
     monkeypatch.setattr("softprop.controller.solve_equilibrium", counting_solve)
     fit_actuation_directions(hand)
     assert len(calls) == 2
-    assert all(f is hand.fingers[0] for f in calls)
+    assert all(f is hand.fingers[0] for f, _ in calls)
+    assert [u2.tolist() for _, u2 in calls] == [[0.2, 0.0], [0.0, 0.2]]
+
+
+def test_pooled_fit_equals_in_process_fit(hand, two_cpus, monkeypatch):
+    pooled = fit_actuation_directions(hand)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    serial = fit_actuation_directions(hand)
+    assert np.array_equal(pooled.basis, serial.basis)
+    assert np.array_equal(pooled.dirs, serial.dirs)
+    assert pooled.probe_amplitude == serial.probe_amplitude
 
 
 def test_shape_step_zero_error_is_zero():

@@ -3,6 +3,11 @@
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -872,15 +877,17 @@ def test_dataset_config_validation():
 POOL_CFG = DatasetConfig(frames=4, force_prob=0.7, force_mag_mn=(5.0, 25.0))
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    # The pool runs whenever two CPUs are allowed, even on a one-core host.
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+def _patch_solve(monkeypatch, fn):
+    """Patch simulator.solve_equilibrium, then drop the pool so that the next
+    map forks workers that see the patch."""
+    monkeypatch.setattr(simulator, "solve_equilibrium", fn)
+    simulator._drop_pool()
 
 
 def _assert_same_frame(a, b):
     for name in ("command", "nodes", "sensor_lengths", "e_scales"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.stats == b.stats
     assert len(a.forces) == len(b.forces) == 3
     for fa, fb in zip(a.forces, b.forces):
         assert len(fa) == len(fb)
@@ -891,16 +898,27 @@ def _assert_same_frame(a, b):
 
 
 def _oracle_dataset_frame(hand, seed, i):
+    """Frame i of a POOL_CFG dataset, its fingers solved one by one here."""
     command, forces, e_scales = simulator._dataset_frame_inputs(hand, POOL_CFG, seed, i)
-    return solve_hand(hand, command, forces, e_scales)[0]
+    fingers = [
+        solve_equilibrium(hand.fingers[j], command[2 * j : 2 * j + 2], forces[j],
+                          float(e_scales[j]))
+        for j in range(3)
+    ]
+    return simulator.SimFrame(
+        command, np.stack([f.nodes for f in fingers]),
+        np.concatenate([f.sensor_lengths for f in fingers]), forces, e_scales,
+        stats=tuple(f.stats for f in fingers),
+    )
 
 
 def test_pooled_dataset_equals_per_frame_solves(four_hand, two_cpus):
+    # Frames carry their fingers' solve records, equal to in-process solves'.
     frames = generate_dataset(four_hand, POOL_CFG, seed=31)
-    assert multiprocessing.active_children() == []
     assert len(frames) == POOL_CFG.frames
     for i, frame in enumerate(frames):
         _assert_same_frame(frame, _oracle_dataset_frame(four_hand, 31, i))
+        assert all(isinstance(st, simulator.SolveStats) for st in frame.stats)
 
 
 def test_pooled_dataset_skips_failed_frames_in_order(four_hand, two_cpus, monkeypatch,
@@ -917,7 +935,7 @@ def test_pooled_dataset_skips_failed_frames_in_order(four_hand, two_cpus, monkey
                     raise SolverFailure(f"planted at finger {j}")
         return real(finger, u2, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "solve_equilibrium", failing)
+    _patch_solve(monkeypatch, failing)
     with caplog.at_level("WARNING", logger="softprop.simulator"):
         frames = generate_dataset(four_hand, POOL_CFG, seed=32)
     assert [r.getMessage() for r in caplog.records] == [
@@ -929,17 +947,70 @@ def test_pooled_dataset_skips_failed_frames_in_order(four_hand, two_cpus, monkey
         _assert_same_frame(frame, want)
 
 
+def _pid(hand, task):
+    return os.getpid(), id(hand)
+
+
+def _pool_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _assert_served_by(results, hand, workers):
+    # Workers inherit the hand through fork: same object, same address.
+    assert {pid for pid, _ in results} <= set(workers)
+    assert all(hand_id == id(hand) for _, hand_id in results)
+
+
+def test_pool_is_kept_while_calls_pass_the_same_hand(four_hand, small_hand, two_cpus):
+    results = simulator._map_solves(four_hand, _pid, range(4))
+    workers = _pool_pids()
+    assert len(workers) == 2 and os.getpid() not in workers
+    _assert_served_by(results, four_hand, workers)
+    results = simulator._map_solves(four_hand, _pid, range(4))
+    assert _pool_pids() == workers
+    _assert_served_by(results, four_hand, workers)
+    # Another hand shuts the pool down and forks new workers.
+    results = simulator._map_solves(small_hand, _pid, range(4))
+    fresh = _pool_pids()
+    assert len(fresh) == 2 and not set(fresh) & set(workers)
+    _assert_served_by(results, small_hand, fresh)
+
+
+def _slow_pid(hand, task):
+    time.sleep(0.2)
+    return os.getpid(), id(hand)
+
+
+def test_broken_pool_is_dropped_and_forked_again(four_hand, two_cpus):
+    simulator._map_solves(four_hand, _pid, range(4))
+    workers = _pool_pids()
+    os.kill(workers[0], signal.SIGKILL)
+    # The surviving worker cannot finish 0.8 s of tasks before the pool
+    # notices its sibling died.
+    with pytest.raises(BrokenProcessPool):
+        simulator._map_solves(four_hand, _slow_pid, range(4))
+    results = simulator._map_solves(four_hand, _pid, range(4))
+    fresh = _pool_pids()
+    assert len(fresh) == 2 and not set(fresh) & set(workers)
+    _assert_served_by(results, four_hand, fresh)
+
+
 def test_worker_error_reaches_caller_with_its_type(four_hand, two_cpus, monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("not a solver failure")
 
-    monkeypatch.setattr(simulator, "solve_equilibrium", broken)
+    _patch_solve(monkeypatch, broken)
     with pytest.raises(ZeroDivisionError, match="not a solver failure"):
         generate_dataset(four_hand, POOL_CFG, seed=33)
-    assert multiprocessing.active_children() == []
+    workers = _pool_pids()
+    assert len(workers) == 2
     with pytest.raises(ZeroDivisionError):
         simulator.rollout_commands(four_hand, [np.full(6, 0.1)] * 2)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ZeroDivisionError):
+        solve_hand(four_hand, np.full(6, 0.1))
+    # The pool survives its tasks' errors and still answers.
+    _assert_served_by(simulator._map_solves(four_hand, _pid, range(4)), four_hand, workers)
+    assert _pool_pids() == workers
 
 
 def test_open_loop_raises_the_first_failure_by_step_then_finger(four_hand, two_cpus,
@@ -955,40 +1026,81 @@ def test_open_loop_raises_the_first_failure_by_step_then_finger(four_hand, two_c
             raise SolverFailure(f"planted at step {t} finger {j}", residual=1.5)
         return real(finger, u2, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "solve_equilibrium", failing)
+    _patch_solve(monkeypatch, failing)
     with pytest.raises(SolverFailure) as exc:
         simulator.rollout_commands(four_hand, commands)
     assert str(exc.value) == "rollout solve failed at step 1: planted at step 1 finger 1"
     assert (exc.value.step, exc.value.residual) == (1, 1.5)
-    assert multiprocessing.active_children() == []
 
 
-def test_pool_workers_run_one_blas_thread(two_cpus):
+def test_pooled_solve_hand_equals_in_process_solves(four_hand, two_cpus):
+    command = np.array([0.3, 0.1, 0.0, 0.5, 0.2, 0.2])
+    ev = ExternalForceEvent((8.0, 0.0, 18.0), 10.0, (-6.0, 2.0, 0.0))
+    forces, e_scales = ((), (ev,), ()), (1.1, 0.9, 1.0)
+    cold = solve_hand(four_hand, command, forces, e_scales)
+    step = command + np.array([0.04, -0.05, 0.05, 0.0, -0.03, 0.02])
+    warm = solve_hand(four_hand, step, forces, e_scales, x0s=cold[0].nodes, u0=command)
+    for (frame, fingers), u, prev in ((cold, command, None), (warm, step, cold[0])):
+        for j in range(3):
+            want = solve_equilibrium(
+                four_hand.fingers[j], u[2 * j : 2 * j + 2], forces[j], e_scales[j],
+                x0=None if prev is None else prev.nodes[j],
+                u0=None if prev is None else prev.command[2 * j : 2 * j + 2],
+            )
+            assert np.array_equal(fingers[j].nodes, want.nodes)
+            assert np.array_equal(fingers[j].sensor_lengths, want.sensor_lengths)
+            assert fingers[j].stats == want.stats
+            assert np.array_equal(frame.nodes[j], want.nodes)
+            assert np.array_equal(frame.sensor_lengths[4 * j : 4 * j + 4],
+                                  want.sensor_lengths)
+            assert frame.stats[j] == want.stats
+    assert all(st.iterations > 0 for st in warm[0].stats)
+
+
+def test_pooled_solve_hand_raises_the_first_failed_finger(four_hand, two_cpus,
+                                                          monkeypatch):
+    # Channel 0 of finger j is 0.1 (j + 1); fingers 1 and 2 fail.
+    real = simulator.solve_equilibrium
+
+    def failing(finger, u2, *args, **kwargs):
+        j = round(u2[0] * 10) - 1
+        if j in (1, 2):
+            raise SolverFailure(f"planted at finger {j}", residual=float(j), step=j)
+        return real(finger, u2, *args, **kwargs)
+
+    _patch_solve(monkeypatch, failing)
+    with pytest.raises(SolverFailure) as exc:
+        solve_hand(four_hand, np.repeat([0.1, 0.2, 0.3], 2))
+    assert str(exc.value) == "planted at finger 1"
+    assert (exc.value.residual, exc.value.step) == (1.0, 1)
+
+
+def _blas_threads(hand, task):
+    return os.getpid(), [f() for f in simulator._openblas_functions("get_num_threads")]
+
+
+def test_pool_workers_run_one_blas_thread(four_hand, two_cpus):
     if not simulator._openblas_functions("get_num_threads"):
         pytest.skip("no OpenBLAS library is loaded")
-
-    def blas_threads(task):
-        return os.getpid(), [f() for f in simulator._openblas_functions("get_num_threads")]
-
-    results = simulator._map_solves(blas_threads, range(4))
+    results = simulator._map_solves(four_hand, _blas_threads, range(4))
     assert all(pid != os.getpid() for pid, _ in results)
     assert all(counts and set(counts) == {1} for _, counts in results)
-    assert multiprocessing.active_children() == []
 
 
-def test_nested_map_solves_run_in_the_worker(two_cpus):
+def _inner(hand, task):
+    return os.getpid()
+
+
+def _outer(hand, task):
+    return os.getpid(), simulator._map_solves(hand, _inner, range(3))
+
+
+def test_nested_map_solves_run_in_the_worker(four_hand, two_cpus):
     # A pool worker that maps solves itself runs them in-process: its
     # siblings already hold the other CPUs.
-    def inner(task):
-        return os.getpid()
-
-    def outer(task):
-        return os.getpid(), simulator._map_solves(inner, range(3))
-
-    results = simulator._map_solves(outer, range(2))
+    results = simulator._map_solves(four_hand, _outer, range(2))
     assert all(pid != os.getpid() for pid, _ in results)
     assert all(inner_pids == [pid] * 3 for pid, inner_pids in results)
-    assert multiprocessing.active_children() == []
 
 
 def test_one_cpu_solves_in_process(four_hand, monkeypatch):
@@ -998,10 +1110,69 @@ def test_one_cpu_solves_in_process(four_hand, monkeypatch):
         raise AssertionError("a pool was started on one CPU")
 
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
-    assert simulator._map_solves(lambda t: os.getpid(), range(3)) == [os.getpid()] * 3
+    me = (os.getpid(), id(four_hand))
+    assert simulator._map_solves(four_hand, _pid, range(3)) == [me] * 3
     frames = generate_dataset(four_hand, POOL_CFG, seed=31)
     _assert_same_frame(frames[0], _oracle_dataset_frame(four_hand, 31, 0))
     assert len(simulator.rollout_commands(four_hand, [np.full(6, 0.1)] * 2)) == 2
+
+
+# A child process that solves a hand frame on two workers, prints their
+# pids, and then either exits normally (printing, from an atexit handler,
+# the workers still alive by then) or waits to be killed.
+_CHILD = """
+import atexit, multiprocessing, os, sys, time
+import numpy as np
+from softprop import simulator
+simulator.os.sched_getaffinity = lambda pid: {0, 1}
+hand = simulator.HandModel.build_standard(segments=4, length_mm=24.0)
+simulator.solve_hand(hand, np.full(6, 0.1))
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
+if sys.argv[1] == "exit":
+    atexit.register(lambda: print(len(multiprocessing.active_children()), flush=True))
+else:
+    time.sleep(120)
+"""
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_no_pool_worker_outlives_its_process(end):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simulator.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.Popen([sys.executable, "-c", _CHILD, end], stdout=subprocess.PIPE,
+                             text=True, env=env)
+    try:
+        workers = [int(pid) for pid in child.stdout.readline().split()]
+        assert len(workers) == 2
+        if end == "kill":
+            child.kill()
+            assert child.wait(timeout=60) == -signal.SIGKILL
+        else:
+            # concurrent.futures' exit hook joined the workers before the
+            # interpreter ran its atexit handlers.
+            assert child.stdout.read().split() == ["0"]
+            assert child.wait(timeout=60) == 0
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait(timeout=60)
+        child.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if _alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == []
 
 
 # -- demonstrations -------------------------------------------------------------
