@@ -172,15 +172,21 @@ def forward_cache(spec: MlpSpec, params, x):
     if a.ndim != 2 or a.shape[1] != spec.d_in:
         raise ValueError(f"input shape {x.shape} does not match d_in={spec.d_in}")
     _check_finite(a, "network input")
-    layers = unpack_params(spec, params)
+    acts = _layer_pass(spec, params, a)
+    y = acts[-1][0] if squeeze else acts[-1]
+    return y, (acts, squeeze)
+
+
+def _layer_pass(spec: MlpSpec, params, a):
+    """Every layer on a checked 2D input a; returns [a, post-activations...]
+    with the output checked for finiteness."""
     acts = [a]
-    for (w, b), kind in zip(layers, spec.activations):
+    for (w, b), kind in zip(unpack_params(spec, params), spec.activations):
         a = a @ w
         a += b
         acts.append(_activate(a, kind))
     _check_finite(a, "network output")
-    y = a[0] if squeeze else a
-    return y, (acts, squeeze)
+    return acts
 
 
 def backward(spec: MlpSpec, params, cache, grad_y):
@@ -222,8 +228,9 @@ def backward(spec: MlpSpec, params, cache, grad_y):
 # (b, v) is concat(points[v], codes[b]). Only the first layer sees that
 # input, so its weights split into [W_p; W_c] and its pre-activation is
 # (points @ W_p + b1)[None] + (codes @ W_c)[:, None]; the tiled (B*V, d_in)
-# input is never built. Layers 2..n run through forward_cache / backward on
-# the tail spec sizes[1:], whose parameters are the flat vector past layer 1.
+# input is never built. Layers 2..n run through the layer pass of
+# forward_cache and through backward on the tail spec sizes[1:], whose
+# parameters are the flat vector past layer 1.
 
 
 def _split_first_layer(spec: MlpSpec, params):
@@ -258,8 +265,10 @@ def forward_conditioned(spec: MlpSpec, params, points, codes):
     d_p = points.shape[1]
     pre = np.add((points @ w[:d_p] + b)[None], (codes @ w[d_p:])[:, None])
     h = _activate(pre, spec.activations[0]).reshape(-1, spec.sizes[1])
-    y, tail_cache = forward_cache(tail, tail_params, h)
-    return y.reshape(codes.shape[0], points.shape[0], spec.d_out), (points, codes, tail_cache)
+    # h is not scanned: a non-finite value in it reaches the output check.
+    acts = _layer_pass(tail, tail_params, h)
+    y = acts[-1].reshape(codes.shape[0], points.shape[0], spec.d_out)
+    return y, (points, codes, (acts, False))
 
 
 def backward_conditioned(spec: MlpSpec, params, cache, grad_y):

@@ -13,12 +13,13 @@ shape.
 Equilibria come from damped Newton with backtracking line search on the
 total energy; there are no dynamics. Every solve is a continuation step:
 its start state balances known tendon targets (rest balances the zero
-command, each later cold stage starts at the previous stage's equilibrium,
+command, each later cold stage starts at the previous stage's end state,
 a warm start names the command it was solved for), and the first Newton
 matrix is taken at those targets. With the gradient at the new targets,
 that first step is the Euler (tangent) predictor of the equilibrium path;
 the later iterations are the Newton corrector (Allgower and Georg,
-"Introduction to Numerical Continuation Methods", SIAM 2003). A converged
+"Introduction to Numerical Continuation Methods", SIAM 2003), which only
+the last stage of a cold ramp runs to the tolerance. A converged
 state with an inverted tet is a SolverFailure. The Newton matrix splits into a
 banded local part C (elastic plus tendon curvature, symmetric, assembled
 as its lower band only from precomputed per-entry stencils, and factorized
@@ -79,8 +80,13 @@ TENDON_SHORTENING = 0.25
 _MAX_NEWTON_ITERS = 100
 
 # Cold starts ramp the command in stages of at most this channel increment;
-# each stage warm-starts the next. Pure solver aid, invisible in results.
-_STAGE_STEP = 0.5
+# each stage warm-starts the next. Every stage but the last stops after at
+# most _STAGE_ITERS Newton iterations: its state only starts the next stage's
+# predictor, so only the last stage must reach the tolerance (a capped ramp
+# that fails runs again with every stage converged). Pure solver aid,
+# invisible in results beyond the tolerance.
+_STAGE_STEP = 0.25
+_STAGE_ITERS = 4
 
 # Diagonal damping tried in turn when Cholesky fails or a Newton step is
 # not a descent direction, in units of the mean |diagonal|. Scaling by 8 is
@@ -640,25 +646,6 @@ class _SolverCache:
         )
         return ab.reshape(self.ab_shape)
 
-    def newton_system(self, x, targets, force_field, e_scale):
-        """Reduced gradient and dense reduced Hessian (small meshes only).
-
-        A dense view of the solver's own assembly, C + sum_t k v_t v_t^T,
-        with C's lower band mirrored into its upper triangle; used by tests
-        to compare against finite differences.
-        """
-        kin = self.kinematics(x)
-        g, vmat = self.gradient(kin, targets, force_field, e_scale)
-        ab = self.newton_matrix(kin, targets, e_scale)
-        k, c = np.indices(ab.shape)
-        r = c + k
-        inside = r < self.n_free
-        h = np.zeros((self.n_free, self.n_free))
-        h[r[inside], c[inside]] = ab[inside]
-        h += np.tril(h, -1).T
-        h += self.k_tendon * (vmat @ vmat.T)
-        return g, h
-
     # -- tendons and external forces ----------------------------------------
 
     def tendon_targets(self, u2):
@@ -692,7 +679,7 @@ class _SolverCache:
 
 
 def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
-                  e_scale, x0):
+                  e_scale, x0, budget=None):
     """Damped Newton with Armijo backtracking; returns (x, stats).
 
     The Newton matrix is C + sum_t k v_t v_t^T with C banded (elastic +
@@ -716,6 +703,11 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
     is still a checked descent step. Passing start_targets = targets gives
     the plain warm start. A converged state with an inverted tet (J <= 0)
     or a non-finite residual raises SolverFailure.
+
+    budget caps the iterations of an intermediate ramp stage: after that
+    many steps the state is returned as it stands, converged or not (its
+    stats carry the residual before the last step). Without it,
+    _MAX_NEWTON_ITERS steps short of tolerance raise SolverFailure.
     """
     x = cache.rest.copy() if x0 is None else np.array(x0, dtype=np.float64)
     x[cache.finger.base_fixed] = cache.rest[cache.finger.base_fixed]
@@ -728,7 +720,7 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
     residual = math.inf
     cholesky_failures = 0
 
-    for it in range(_MAX_NEWTON_ITERS):
+    for it in range(_MAX_NEWTON_ITERS if budget is None else budget):
         g, vmat = cache.gradient(kin, targets, force_field, e_scale)
         residual = float(np.linalg.norm(g))
         if not math.isfinite(residual):
@@ -789,6 +781,8 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
                 step=it,
             )
 
+    if budget is not None:
+        return kin.x, SolveStats(budget, tuple(energies), residual, 1, cholesky_failures)
     raise SolverFailure(
         f"Newton did not reach tolerance {tol:.3e} mN in {_MAX_NEWTON_ITERS} "
         f"iterations (residual {residual:.3e} mN)",
@@ -807,12 +801,20 @@ def solve_equilibrium(
 ):
     """Static equilibrium of one finger under a 2-channel command and forces.
 
-    Large cold-start commands are ramped in stages (each warm-starting the
-    next) purely as a solver aid; the returned state is the equilibrium of
-    the full command. A warm start x0 may name u0, the command x0 is an
-    equilibrium of; the first Newton step is then the tangent predictor
-    from u0 to u2 (see _newton_solve). Without u0 the first matrix is
-    taken at u2's targets. Returns a FingerFrame.
+    Cold starts with a command above _STAGE_STEP are ramped in stages of at
+    most _STAGE_STEP per channel, purely as a solver aid. Each intermediate
+    stage runs at most _STAGE_ITERS Newton iterations and hands its state,
+    converged or not, to the next stage's tangent predictor; only the last
+    stage must reach the tolerance (a predictor-corrector continuation,
+    Allgower and Georg 2003). If the capped ramp fails after its first
+    stage, the same ramp runs again from rest with every stage converged,
+    and its stats are the ones returned. The returned state is the equilibrium of the full command,
+    and its stats sum the iterations over the stages.
+
+    A warm start x0 may name u0, the command x0 is an equilibrium of; the
+    first Newton step is then the tangent predictor from u0 to u2 (see
+    _newton_solve). Without u0 the first matrix is taken at u2's targets.
+    Warm starts take one full stage. Returns a FingerFrame.
     """
     if e_scale <= 0:
         raise ValueError("solve_equilibrium: e_scale must be positive")
@@ -825,6 +827,17 @@ def solve_equilibrium(
     stages = 1
     if x0 is None:
         stages = max(1, int(math.ceil(float(u2.max()) / _STAGE_STEP)))
+    x, stats = _ramp(cache, u2, stages, force_field, e_scale, x0, u0, _STAGE_ITERS)
+    lengths = np.array([p.length(x) for p in finger.sensor_paths])
+    return FingerFrame(nodes=x, sensor_lengths=lengths, command=u2.copy(), stats=stats)
+
+
+def _ramp(cache: _SolverCache, u2, stages, force_field, e_scale, x0, u0, budget):
+    """Newton over the command ramp u2 * s / stages, s = 1..stages; returns
+    (x, SolveStats). Every stage but the last runs at most budget
+    iterations (None: to the tolerance); the last always converges or
+    raises SolverFailure. A failure after a capped stage reruns the ramp
+    with budget None."""
     x = x0
     total_iters = 0
     cholesky_failures = 0
@@ -833,23 +846,28 @@ def solve_equilibrium(
     for s in range(1, stages + 1):
         targets = cache.tendon_targets(u2 * (s / stages))
         if x0 is None:
-            # Rest balances the zero command; stage s - 1 balances its own.
+            # Rest balances the zero command; stage s - 1 balances its own,
+            # to within what its iterations reached.
             start_targets = cache.tendon_targets(u2 * ((s - 1) / stages))
         else:
             start_targets = targets if u0 is None else cache.tendon_targets(u0)
-        x, stats = _newton_solve(cache, targets, start_targets, force_field, e_scale, x)
+        try:
+            x, stats = _newton_solve(
+                cache, targets, start_targets, force_field, e_scale, x,
+                budget if s < stages else None,
+            )
+        except SolverFailure:
+            if s == 1 or budget is None:
+                raise  # stage 1 runs the same either way: it would fail again
+            # A capped stage can leave the path far enough (a tet close to
+            # inverting, a tendon segment close to collapsing) that a later
+            # stage stalls; converged stages stay on it.
+            return _ramp(cache, u2, stages, force_field, e_scale, x0, u0, None)
         total_iters += stats.iterations
         cholesky_failures += stats.cholesky_failures
         energies = energies + stats.energies
         residual = stats.residual
-
-    lengths = np.array([p.length(x) for p in finger.sensor_paths])
-    return FingerFrame(
-        nodes=x,
-        sensor_lengths=lengths,
-        command=u2.copy(),
-        stats=SolveStats(total_iters, energies, residual, stages, cholesky_failures),
-    )
+    return x, SolveStats(total_iters, energies, residual, stages, cholesky_failures)
 
 
 def solve_hand(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from softprop.errors import NonFiniteError
 from softprop.nn import (
     AdamState,
     MlpSpec,
@@ -327,6 +328,15 @@ class TestConditioned:
         single = MlpSpec.dense((5, 2))
         with pytest.raises(ValueError, match="two layers"):
             forward_conditioned(single, np.zeros(single.n_params), points, codes)
+
+    @pytest.mark.parametrize("layer, part", [(0, 0), (0, 1), (1, 0), (2, 1)])
+    def test_non_finite_weight_raises(self, layer, part):
+        # The layer-1 output is not scanned on its own; a NaN weight or bias
+        # in any layer must still reach the output check.
+        params, points, codes, _ = self._case(4)
+        unpack_params(self.SPEC, params)[layer][part].flat[0] = np.nan
+        with pytest.raises(NonFiniteError, match="network output"):
+            forward_conditioned(self.SPEC, params, points, codes)
 
 
 class TestMaxPool:

@@ -146,6 +146,26 @@ def _random_state(cache, rng, scale=0.05):
     return x
 
 
+def _newton_system(cache, x, targets, force_field, e_scale):
+    """Reduced gradient and dense reduced Hessian (small meshes only).
+
+    A dense view of the solver's own assembly, C + sum_t k v_t v_t^T, with
+    C's lower band (newton_matrix) mirrored into its upper triangle by an
+    index map, independently of _dense_from_lower_band's diagonal loop.
+    """
+    kin = cache.kinematics(x)
+    g, vmat = cache.gradient(kin, targets, force_field, e_scale)
+    ab = cache.newton_matrix(kin, targets, e_scale)
+    k, c = np.indices(ab.shape)
+    r = c + k
+    inside = r < cache.n_free
+    h = np.zeros((cache.n_free, cache.n_free))
+    h[r[inside], c[inside]] = ab[inside]
+    h += np.tril(h, -1).T
+    h += cache.k_tendon * (vmat @ vmat.T)
+    return g, h
+
+
 def test_gradient_matches_finite_differences(tiny):
     cache = tiny.solver_cache()
     rng = np.random.default_rng(3)
@@ -154,7 +174,7 @@ def test_gradient_matches_finite_differences(tiny):
     field = cache.force_field(
         [ExternalForceEvent((4.0, 0.0, 12.0), 6.0, (-15.0, 5.0, 0.0))]
     )
-    g, _ = cache.newton_system(x, targets, field, 1.1)
+    g, _ = _newton_system(cache, x, targets, field, 1.1)
     free_dofs = (3 * cache.free_nodes[:, None] + np.arange(3)).ravel()
     h = 1e-6
     for d in rng.choice(cache.n_free, 25, replace=False):
@@ -177,7 +197,7 @@ def test_hessian_matches_finite_differences(tiny):
     field = cache.force_field(
         [ExternalForceEvent((0.0, 4.0, 15.0), 6.0, (0.0, -20.0, 5.0))]
     )
-    _, hess = cache.newton_system(x, targets, field, 0.9)
+    _, hess = _newton_system(cache, x, targets, field, 0.9)
     assert np.abs(hess - hess.T).max() < 1e-8
     free_dofs = (3 * cache.free_nodes[:, None] + np.arange(3)).ravel()
     h = 1e-6
@@ -188,8 +208,8 @@ def test_hessian_matches_finite_differences(tiny):
         xp.reshape(-1)[free_dofs] += h * w
         xm = x.copy()
         xm.reshape(-1)[free_dofs] -= h * w
-        gp, _ = cache.newton_system(xp, targets, field, 0.9)
-        gm, _ = cache.newton_system(xm, targets, field, 0.9)
+        gp, _ = _newton_system(cache, xp, targets, field, 0.9)
+        gm, _ = _newton_system(cache, xm, targets, field, 0.9)
         fd = (gp - gm) / (2 * h)
         assert np.abs(fd - hess @ w).max() / max(np.abs(fd).max(), 1.0) < 1e-6
 
@@ -209,8 +229,8 @@ def _dense_from_lower_band(lower):
 
 
 def test_mirrored_newton_matrix_is_symmetric(tiny):
-    # newton_system mirrors the lower band itself: its dense matrix is the
-    # band mirrored here plus the tendon rank-1 terms (one product
+    # _newton_system's index-map mirror of the lower band equals the
+    # diagonal-loop mirror plus the tendon rank-1 terms (one product
     # k V V^T), bit for bit, and is exactly symmetric.
     cache = tiny.solver_cache()
     rng = np.random.default_rng(0)
@@ -223,7 +243,7 @@ def test_mirrored_newton_matrix_is_symmetric(tiny):
         want = _dense_from_lower_band(lower)
         _, vmat = cache.gradient(kin, targets, None, 1.2)
         want += cache.k_tendon * (vmat @ vmat.T)
-        _, h = cache.newton_system(x, targets, None, 1.2)
+        _, h = _newton_system(cache, x, targets, None, 1.2)
         assert np.array_equal(h, want)
         assert np.array_equal(h, h.T)
 
@@ -238,7 +258,7 @@ def test_mirrored_newton_matrix_is_the_banded_part_of_newton_system(tiny):
     kin = cache.kinematics(x)
     # Dense C from its lower band alone, mirrored here.
     c = _dense_from_lower_band(cache.newton_matrix(kin, targets, 0.8))
-    _, h = cache.newton_system(x, targets, field, 0.8)
+    _, h = _newton_system(cache, x, targets, field, 0.8)
     _, vmat = cache.gradient(kin, targets, field, 0.8)
     rank1 = sum(cache.k_tendon * np.outer(v, v) for v in vmat.T)
     assert np.abs(h - rank1 - c).max() <= 1e-12 * np.abs(h).max()
@@ -512,8 +532,9 @@ def test_ninety_degree_equivariance(finger):
 
 
 def test_energy_decreases_along_accepted_steps(finger):
-    # Single ramp stage: one objective, so the whole sequence is monotone.
-    fr = solve_equilibrium(finger, (0.45, 0.2))
+    # Single ramp stage (no channel above _STAGE_STEP): one objective, so
+    # the whole sequence is monotone.
+    fr = solve_equilibrium(finger, (0.25, 0.2))
     assert fr.stats.stages == 1
     en = np.array(fr.stats.energies)
     assert np.all(np.diff(en) <= 1e-9)
@@ -526,15 +547,17 @@ def test_energy_decreases_along_accepted_steps(finger):
 
 def test_returned_state_matches_last_evaluation(finger):
     # The residual and the last energy belong to the returned nodes: an
-    # accepted step must carry its own kinematics into the next iteration.
-    fr = solve_equilibrium(finger, (0.45, 0.2))
-    assert fr.stats.stages == 1 and fr.stats.iterations > 0
+    # accepted step must carry its own kinematics into the next iteration,
+    # and a capped ramp stage's stats must not leak into the result's.
     cache = finger.solver_cache()
-    targets = cache.tendon_targets((0.45, 0.2))
-    kin = cache.kinematics(fr.nodes)
-    g, _ = cache.gradient(kin, targets, None, 1.0)
-    assert float(np.linalg.norm(g)) == fr.stats.residual
-    assert cache.energy(kin, targets, None, 1.0) == fr.stats.energies[-1]
+    for u, stages in [((0.25, 0.2), 1), ((0.45, 0.2), 2)]:
+        fr = solve_equilibrium(finger, u)
+        assert fr.stats.stages == stages and fr.stats.iterations > 0
+        targets = cache.tendon_targets(u)
+        kin = cache.kinematics(fr.nodes)
+        g, _ = cache.gradient(kin, targets, None, 1.0)
+        assert float(np.linalg.norm(g)) == fr.stats.residual
+        assert cache.energy(kin, targets, None, 1.0) == fr.stats.energies[-1]
 
 
 def test_solve_is_deterministic(finger):
@@ -549,6 +572,99 @@ def test_warm_start_converges_fast(finger):
     fr = solve_equilibrium(finger, (0.52, 0.5), x0=base.nodes)
     assert fr.stats.iterations <= 10
     assert fr.stats.stages == 1
+
+
+# -- cold-start ramp: capped intermediate stages ---------------------------
+
+
+def _chain(finger, u, forces=(), e_scale=1.0):
+    """The fully converged two-step path to u from public calls: a cold
+    solve at u / 2, then the predictor warm solve from it to u."""
+    u = np.asarray(u, dtype=np.float64)
+    half = solve_equilibrium(finger, u / 2, forces, e_scale)
+    return half, solve_equilibrium(finger, u, forces, e_scale, x0=half.nodes, u0=u / 2)
+
+
+def _record_stages(monkeypatch):
+    """(budget, iterations) of every _newton_solve call from now on, with
+    iterations None for a call that raised SolverFailure."""
+    real, calls = simulator._newton_solve, []
+
+    def spy(*args):
+        try:
+            x, stats = real(*args)
+        except SolverFailure:
+            calls.append((args[-1], None))
+            raise
+        calls.append((args[-1], stats.iterations))
+        return x, stats
+
+    monkeypatch.setattr(simulator, "_newton_solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "u, with_force, e_scale, stages",
+    [((0.2, 0.1), False, 1.0, 1), ((0.45, 0.3), True, 0.8, 2), ((0.9, 0.35), True, 1.2, 4)],
+)
+def test_capped_ramp_reaches_the_converged_chain(four_hand, monkeypatch, u, with_force,
+                                                 e_scale, stages):
+    # Every stage but the last stops after at most _STAGE_ITERS iterations;
+    # the last is uncapped. The result is the equilibrium the converged
+    # chain reaches: two states whose residuals are within tol differ by at
+    # most about 2 tol / λ_min of the Newton matrix there.
+    f = four_hand.fingers[0]
+    cache = f.solver_cache()
+    forces = (ExternalForceEvent((8.0, 0.0, 18.0), 10.0, (-10.0, 0.0, 0.0)),) if with_force else ()
+    calls = _record_stages(monkeypatch)
+    fr = solve_equilibrium(f, u, forces, e_scale)
+    monkeypatch.undo()
+    assert fr.stats.stages == stages == len(calls)
+    assert [b for b, _ in calls] == [simulator._STAGE_ITERS] * (stages - 1) + [None]
+    assert all(it <= simulator._STAGE_ITERS for _, it in calls[:-1])
+    assert fr.stats.iterations == sum(it for _, it in calls)
+
+    _, chained = _chain(f, u, forces, e_scale)
+    field = cache.force_field(forces) if forces else None
+    _, h = _newton_system(cache, chained.nodes, cache.tendon_targets(u), field, e_scale)
+    lam_min = float(np.linalg.eigvalsh(h)[0])
+    assert lam_min > 0.0
+    tol = cache.base_tol * e_scale
+    assert np.linalg.norm(fr.nodes - chained.nodes) <= 2.0 * tol / lam_min
+    for state in (fr, chained):
+        again = solve_equilibrium(f, u, forces, e_scale, x0=state.nodes)
+        assert again.stats.iterations == 0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_failed_capped_ramp_falls_back_to_converged_stages(paper_hand, monkeypatch):
+    # Frame 70 of dataset seed 2000, finger 1: command (0.511, 0.728), E
+    # scale 0.821 and a force. After two capped stages the last one reaches
+    # a non-finite residual. The ramp then runs again from rest with every
+    # stage converged, and that is the solve returned.
+    calls = _record_stages(monkeypatch)
+    fr = _dataset_finger_solve(paper_hand, 2000, 70, 1)
+    monkeypatch.undo()
+    cap = simulator._STAGE_ITERS
+    assert [b for b, _ in calls] == [cap, cap, None, None, None, None]
+    assert calls[2][1] is None and all(it is not None for _, it in calls[3:])
+    assert fr.stats.stages == 3
+    assert fr.stats.iterations == sum(it for _, it in calls[3:])
+    assert paper_hand.fingers[0].solver_cache().kinematics(fr.nodes).jdet.min() > 0.0
+
+
+def test_capped_ramp_takes_fewer_iterations_than_the_chain(paper_hand):
+    # On the paper finger a fully converged intermediate stage costs many
+    # iterations that only feed the next predictor. (On the 4-segment hand
+    # each stage converges in about 4 anyway, and the capped ramp is no
+    # cheaper.)
+    f = paper_hand.fingers[0]
+    ramp = chain = 0
+    for u in [(0.9, 0.35), (1.0, 1.0), (0.3, 0.95), (0.8, 0.6)]:
+        ramp += solve_equilibrium(f, u).stats.iterations
+        half, full = _chain(f, u)
+        chain += half.stats.iterations + full.stats.iterations
+    assert ramp < chain
 
 
 # -- continuation predictor -------------------------------------------------
@@ -635,11 +751,12 @@ def _dataset_finger_solve(hand, seed, i, j):
 
 def test_dataset_frame_that_stalled_converges(paper_hand):
     # Frame 0 of dataset seed 1001, finger 0: command (0.485, 0.981), E scale
-    # 0.756 and an 18 mN force. Taking stage 2's first matrix at its own
-    # targets left the state with an inverted tet and a kinked tendon, and
-    # Newton stalled at a residual of 9.66e3 mN.
+    # 0.756 and an 18 mN force. Under the two-stage ramp, taking stage 2's
+    # first matrix at its own targets left the state with an inverted tet
+    # and a kinked tendon, and Newton stalled at a residual of 9.66e3 mN.
+    # The frame must still be ramped, now in ceil(0.981 / 0.25) = 4 stages.
     fr = _dataset_finger_solve(paper_hand, 1001, 0, 0)
-    assert fr.stats.stages == 2
+    assert fr.stats.stages == math.ceil(0.981 / simulator._STAGE_STEP) == 4
     kin = paper_hand.fingers[0].solver_cache().kinematics(fr.nodes)
     assert kin.jdet.min() > 0.0
 
@@ -724,11 +841,11 @@ def test_warm_servo_step_factors_by_cholesky_only(paper_hand):
 
 
 def test_cold_dataset_solve_counts_cholesky_failures(paper_hand):
-    # Frame 1 of dataset seed 1002 (a datagen pool frame), finger 1: its
+    # Frame 2 of dataset seed 1001 (a datagen pool frame), finger 1: its
     # cold solve passes through states where a tendon goes slack and C is
     # indefinite, so some factorizations fail and τ rises. The solve
     # returns, so it reached its tolerance.
-    fr = _dataset_finger_solve(paper_hand, 1002, 1, 1)
+    fr = _dataset_finger_solve(paper_hand, 1001, 2, 1)
     assert fr.stats.cholesky_failures > 0
     assert paper_hand.fingers[0].solver_cache().kinematics(fr.nodes).jdet.min() > 0.0
 
