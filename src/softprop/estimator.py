@@ -13,7 +13,12 @@ vertex, so its first layer adds a (V, 128) vertex term to a (B, 128)
 latent term instead of reading a tiled (B*V, 131) input. Every decoder
 pass, in training steps as in inference, evaluation and the head refit,
 covers at most DECODE_CHUNK samples; a training step encodes its whole
-minibatch at once and sums the decoder's sub-batch gradients.
+minibatch at once and sums the decoder's sub-batch gradients. A training
+step of at least _POOL_ROWS decoder rows runs its sub-batches in the
+hand's pool workers, one contiguous share per worker
+(simulator._map_solves), and sums them in sub-batch order, so training
+with one BLAS thread per process gives the same bits on any number of
+CPUs. Every other pass runs in the calling process.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .datafiles import artifact_file, config_hash, read_manifest, write_manifest
 from .errors import NonFiniteError, TrainingError
 from .geometry import mean_nn_distance
 from .seeding import STAGE_TRAIN_SHAPE, child_rng
-from .simulator import N_FINGERS, HandModel
+from .simulator import N_FINGERS, HandModel, _map_solves, _workers
 
 LATENT = 128
 ENCODER_SIZES = (4, 64, LATENT)
@@ -39,16 +44,31 @@ DECODER_SIZES = (3 + LATENT, 128, 64, 3)
 # that glibc's malloc returned to the kernel and faulted in again on every
 # minibatch. malloc also trims a free heap top larger than twice the largest
 # mmap block it has freed, and one pass's cache plus its gradients come to
-# three of its largest arrays, so train() holds the last sub-batch cache
-# from one step to the next (`hold` of _forward_backward). Minor faults per
-# epoch of the benchmark's learn inputs on the paper hand: 12k at whole
-# minibatches, 4.6k with in-place activations alone, 5.9k with 8-sample
-# passes alone, 5.0k with both but no hold and 1.0-1.2k with all three,
-# with 3 ms of system time per epoch against 57 ms. Passes of 16 or 32
-# samples faulted about 2.4k times; passes of 4 were no faster on a shared
-# 2-vCPU host (104 against 106 ms of CPU per epoch) and would split the
-# 5-sample decodes of an alignment objective in two.
+# three of its largest arrays, so each process that runs training passes
+# holds its last sub-batch cache from one step to the next (_held, filled by
+# _decode_share in the caller or in a pool worker). Minor faults per epoch
+# of the benchmark's learn inputs on the paper hand, in one process: 12k at
+# whole minibatches, 4.6k with in-place activations alone, 5.9k with
+# 8-sample passes alone, 5.0k with both but no hold and 0.8-1.2k with all
+# three, with 3 ms of system time per epoch against 57 ms. With the passes
+# in two pool workers, the workers faulted 2-4 times per epoch together
+# with their held caches and, in 3 of 6 runs, 5.3k-7.1k times without.
+# Passes of 16 or 32 samples faulted about 2.4k times; passes of 4 were no
+# faster on a shared 2-vCPU host (104 against 106 ms of CPU per epoch) and
+# would split the 5-sample decodes of an alignment objective in two.
 DECODE_CHUNK = 8
+# Decoder rows (samples x V) from which a training step runs its sub-batches
+# in the pool (see _forward_backward). Each sub-batch sends back a 200 KB
+# decoder gradient whatever V is, so only wide sub-batches pay for the trip.
+# Median step times on a shared 2-vCPU host, one BLAS thread, in-process
+# against two workers: paper hand (V = 230) at 16 samples (3,680 rows)
+# 11.1 against 16.8 ms, at 24 (5,520) 18.9 against 23.1 ms in one pass and
+# 17.7 against 14.2 ms in another, at 28 (6,440) 21.0 against 17.5 ms, at
+# 32 (7,360) 18.7-24.0 against 15.4-18.4 ms and at 64 (14,720) 42.7 against
+# 30.3 ms; test hand (V = 62) 1.4-1.5x slower pooled at 32-96 samples (up to
+# 5,952 rows) and no faster at 104-192 (6,448-11,904 rows). Training on
+# 15-sample minibatches of the paper hand (3,450 rows) stays in-process.
+_POOL_ROWS = 7000
 
 
 @dataclass(frozen=True)
@@ -242,35 +262,69 @@ def split_frames(n_frames, has_force, val_fraction, rng):
     return train, val
 
 
-def _forward_backward(model, x, y, rest_scaled, hold):
+# This process's last decoder sub-batch cache, kept from one training step
+# to the next by whichever process runs the passes (see DECODE_CHUNK) and
+# released by train() in the calling process.
+_held = None
+
+
+def _decode_share(hand, task):
+    """Decoder forward and backward passes over one contiguous share of a
+    training step's sub-batches, task (dec_spec, dec_params, rest_scaled,
+    z, y, scale): [(squared error sum, decoder gradient, latent gradient
+    rows)], one entry per DECODE_CHUNK sub-batch in order. The hand is
+    unused; simulator._map_solves passes it to every task."""
+    global _held
+    dec_spec, dec_params, rest_scaled, z, y, scale = task
+    out = []
+    for s in range(0, z.shape[0], DECODE_CHUNK):
+        pred, dec_cache = nn.forward_conditioned(
+            dec_spec, dec_params, rest_scaled, z[s : s + DECODE_CHUNK]
+        )
+        diff = pred - y[s : s + DECODE_CHUNK]
+        sq = float(np.sum(diff * diff))
+        diff *= scale
+        g_dec, _, g_z = nn.backward_conditioned(dec_spec, dec_params, dec_cache, diff)
+        out.append((sq, g_dec, g_z))
+    _held = dec_cache
+    return out
+
+
+def _forward_backward(model, x, y, rest_scaled, hand):
     """Loss (mm^2) and encoder/decoder gradients for one minibatch.
 
     The loss is the mean squared error over the whole minibatch, as
     nn.mse_loss would give it, but the decoder runs forward and backward
-    one DECODE_CHUNK sub-batch at a time: each sub-batch adds its squared
-    errors to the loss and its parameter gradient to grad_dec, and fills
-    its rows of the latent gradient. The encoder runs once on the whole
-    minibatch. The list `hold` keeps the last sub-batch's decoder cache
-    until the next call replaces it (see DECODE_CHUNK).
+    one DECODE_CHUNK sub-batch at a time: each sub-batch gives its squared
+    errors, its parameter gradient and its rows of the latent gradient,
+    which are summed and stacked here in sub-batch order. The encoder runs
+    once on the whole minibatch, here. A step of at least _POOL_ROWS decoder
+    rows cuts its sub-batches into one contiguous share per worker of the
+    hand's pool (simulator._map_solves); a smaller one runs them here as
+    one share. Either way the sums are taken in the same order, so with
+    one BLAS thread here, as in the workers, the result does not depend on
+    the number of CPUs.
     """
     z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
+    n = x.shape[0]
+    chunks = -(-n // DECODE_CHUNK)
+    shares = min(_workers(), chunks) if n * rest_scaled.shape[0] >= _POOL_ROWS else 1
+    cuts = [min(DECODE_CHUNK * (chunks * k // shares), n) for k in range(shares + 1)]
     scale = 2.0 / y.size
     sq_sum = 0.0
     grad_dec = np.zeros_like(model.dec_params)
-    grad_z = np.empty_like(z)
-    for s in range(0, x.shape[0], DECODE_CHUNK):
-        pred, dec_cache = nn.forward_conditioned(
-            model.dec_spec, model.dec_params, rest_scaled, z[s : s + DECODE_CHUNK]
-        )
-        diff = pred - y[s : s + DECODE_CHUNK]
-        sq_sum += float(np.sum(diff * diff))
-        diff *= scale
-        g_dec, _, grad_z[s : s + DECODE_CHUNK] = nn.backward_conditioned(
-            model.dec_spec, model.dec_params, dec_cache, diff
-        )
-        grad_dec += g_dec
-    grad_enc, _ = nn.backward(model.enc_spec, model.enc_params, enc_cache, grad_z)
-    hold[:] = [dec_cache]
+    grad_z = []
+    for share in _map_solves(hand, _decode_share, [
+        (model.dec_spec, model.dec_params, rest_scaled, z[a:b], y[a:b], scale)
+        for a, b in zip(cuts, cuts[1:])
+    ]):
+        for sq, g_dec, g_z in share:
+            sq_sum += sq
+            grad_dec += g_dec
+            grad_z.append(g_z)
+    grad_enc, _ = nn.backward(
+        model.enc_spec, model.enc_params, enc_cache, np.concatenate(grad_z)
+    )
     return sq_sum / y.size, grad_enc, grad_dec
 
 
@@ -317,6 +371,7 @@ def _val_loss(model, x, y, rest_scaled):
 
 def train(frames, hand: HandModel, cfg: TrainConfig, seed):
     """Adam on displacement MSE; returns (best-epoch ShapeModel, TrainReport)."""
+    global _held
     if len(frames) < cfg.min_frames:
         raise TrainingError(
             f"dataset holds {len(frames)} frames; training needs {cfg.min_frames}"
@@ -338,7 +393,6 @@ def train(frames, hand: HandModel, cfg: TrainConfig, seed):
 
     train_curve, val_curve = [], []
     best = (np.inf, None, None, -1)
-    held = []
     for epoch in range(cfg.epochs):
         enc_adam.lr = cfg.lr * cfg.lr_decay**epoch
         dec_adam.lr = enc_adam.lr
@@ -349,7 +403,7 @@ def train(frames, hand: HandModel, cfg: TrainConfig, seed):
             batch = order[s : s + cfg.batch]
             try:
                 loss, g_enc, g_dec = _forward_backward(
-                    model, x[batch], y[batch], rest_scaled, held
+                    model, x[batch], y[batch], rest_scaled, hand
                 )
             except NonFiniteError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}") from exc
@@ -370,6 +424,9 @@ def train(frames, hand: HandModel, cfg: TrainConfig, seed):
             raise TrainingError(f"validation loss diverged at epoch {epoch}")
         if vloss < best[0]:
             best = (vloss, model.enc_params.copy(), model.dec_params.copy(), epoch)
+    # The steps are done: this process's held cache would only add to the
+    # caller's later peak memory. Pool workers keep theirs for the next call.
+    _held = None
 
     model = ShapeModel(
         model.enc_spec, best[1], model.dec_spec, best[2], finger_length, n_vertices

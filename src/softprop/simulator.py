@@ -928,7 +928,8 @@ def _hand_frame(command, finger_frames, forces_per_finger, e_scales, pose=None):
 
 
 # ---------------------------------------------------------------------------
-# Independent solves on every CPU this process may use.
+# Independent solves, and decoder shares of a training step, on every CPU
+# this process may use.
 
 # The hand a pool worker was forked with; set only in workers.
 _worker_hand = None
@@ -997,32 +998,40 @@ def _drop_pool():
         pool.shutdown(cancel_futures=True)
 
 
+def _workers():
+    """How many tasks _map_solves runs at once: one per CPU this process may
+    use, or 1 inside a pool worker (whose siblings already hold the other
+    CPUs)."""
+    return 1 if _worker_hand is not None else len(os.sched_getaffinity(0))
+
+
 def _map_solves(hand: HandModel, fn, tasks):
     """[fn(hand, t) for t in tasks], spread over the CPUs this process may use.
 
-    With one CPU, a single task, or inside a pool worker (whose siblings
-    already hold the other CPUs) they run here. Otherwise they run in this
-    process's pool: one forked worker per CPU, each with BLAS pinned to one
-    thread. The pool is forked on first use and kept while calls pass the
-    same hand; a call with another hand shuts it down and forks a new one.
-    Workers inherit the hand through fork and keep its solver caches from
-    call to call; only fn, which must be a module-level function, the tasks
-    and the results are pickled. Results come back in task order, so the
-    output equals the in-process run's. A task's exception is raised here
-    with its type and the pool stays; any other failure of the map (a
-    broken pool, an interrupt) drops the pool. On a normal exit
-    concurrent.futures joins the workers; if this process is killed, the
-    kernel kills them (see _start_worker).
+    The tasks are finger solves, finger chains, channel probes or shares of
+    a training step's decoder sub-batches (estimator._forward_backward).
+    With one CPU, a single task, or inside a pool worker they run here (see
+    _workers). Otherwise they run in this process's pool: one forked worker
+    per CPU, each with BLAS pinned to one thread. The pool is forked on
+    first use and kept while calls pass the same hand; a call with another
+    hand shuts it down and forks a new one. Workers inherit the hand through
+    fork and keep its solver caches from call to call; only fn, which must
+    be a module-level function, the tasks and the results are pickled.
+    Results come back in task order, so the output equals the in-process
+    run's. A task's exception is raised here with its type and the pool
+    stays; any other failure of the map (a broken pool, an interrupt)
+    drops the pool. On a normal exit concurrent.futures joins the workers;
+    if this process is killed, the kernel kills them (see _start_worker).
     """
     global _pool, _pool_hand
     tasks = list(tasks)
-    cpus = len(os.sched_getaffinity(0))
-    if cpus <= 1 or len(tasks) <= 1 or _worker_hand is not None:
+    workers = _workers()
+    if workers <= 1 or len(tasks) <= 1:
         return [fn(hand, t) for t in tasks]
     if _pool_hand is not hand:
         _drop_pool()
     if _pool is None:
-        _pool = ProcessPoolExecutor(cpus, mp_context=get_context("fork"),
+        _pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                     initializer=_start_worker,
                                     initargs=(hand, os.getpid()))
         _pool_hand = hand
@@ -1096,8 +1105,9 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     solves are mapped at once through the process's pool (see
     _map_solves). Frames are assembled in index order, so the result
     equals a serial run's, solve records (SimFrame.stats) included. A frame
-    with a failed finger solve is skipped with a warning, in index order;
-    it is never silently included.
+    with a failed finger solve is skipped, never silently included: each
+    failed finger logs one warning, in frame then finger order, whose extra
+    fields are frame, finger and the failure's residual and step.
     """
     inputs = [_dataset_frame_inputs(hand, cfg, seed, i) for i in range(cfg.frames)]
     solved = _map_solves(hand, _solve_hand_finger, [
@@ -1107,9 +1117,13 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     frames = []
     for i, (command, forces, e_scales) in enumerate(inputs):
         fingers = solved[N_FINGERS * i : N_FINGERS * (i + 1)]
-        failure = next((f for f in fingers if isinstance(f, SolverFailure)), None)
-        if failure is not None:
-            log.warning("frame %d skipped: %s", i, failure)
+        failures = [(j, f) for j, f in enumerate(fingers) if isinstance(f, SolverFailure)]
+        for j, failure in failures:
+            log.warning("frame %d skipped: finger %d: %s", i, j, failure, extra={
+                "frame": i, "finger": j, "residual": failure.residual,
+                "step": failure.step,
+            })
+        if failures:
             continue
         frames.append(_hand_frame(command, fingers, forces, e_scales))
     if not frames:

@@ -14,3 +14,10 @@ def two_cpus(monkeypatch):
     simulator._drop_pool()
     yield
     simulator._drop_pool()
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    # Every map runs in the test's process, where spies and tracemalloc see it.
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    simulator._drop_pool()

@@ -7,13 +7,17 @@ memorization oracle, and checkpoint round trips. Training-behaviour
 bounds were frozen from smoke runs of this exact configuration.
 """
 
+import contextlib
+import ctypes
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from softprop import estimator, nn
-from softprop.errors import MissingArtifactError, TrainingError
+from softprop import estimator, nn, simulator
+from softprop.errors import MissingArtifactError, NonFiniteError, TrainingError
 from softprop.estimator import (
     DECODE_CHUNK,
     TrainConfig,
@@ -184,7 +188,7 @@ def test_forward_backward_matches_tiled_path(hand):
     n_b = 2 * DECODE_CHUNK + 3
     x = 0.05 * rng.standard_normal((n_b, 4))
     y = 0.1 * rng.standard_normal((n_b, model.n_vertices, 3))
-    loss, g_enc, g_dec = estimator._forward_backward(model, x, y, rest_scaled, [])
+    loss, g_enc, g_dec = estimator._forward_backward(model, x, y, rest_scaled, hand)
 
     z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
     pred, dec_cache = nn.forward_cache(
@@ -201,9 +205,10 @@ def test_forward_backward_matches_tiled_path(hand):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_forward_backward_peak_memory_does_not_grow_with_the_minibatch(hand):
+def test_forward_backward_peak_memory_does_not_grow_with_the_minibatch(hand, one_cpu):
     # Whole-minibatch decoder passes held several (B V, 128) activations at
     # once; sub-batched passes hold DECODE_CHUNK x V rows whatever B is.
+    # On one CPU every pass runs here, where tracemalloc sees it.
     model = _random_head_model(hand, 14)
     rng = np.random.default_rng(5)
     rest_scaled = hand.fingers[0].surface.vertices / model.finger_length_mm
@@ -214,7 +219,7 @@ def test_forward_backward_peak_memory_does_not_grow_with_the_minibatch(hand):
         y = 0.1 * rng.standard_normal((n_b, n_v, 3))
         tracemalloc.start()
         try:
-            estimator._forward_backward(model, x, y, rest_scaled, [])
+            estimator._forward_backward(model, x, y, rest_scaled, hand)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,10 +228,11 @@ def test_forward_backward_peak_memory_does_not_grow_with_the_minibatch(hand):
     assert peak(64) - peak(16) < 64 * n_v * 128 * 8
 
 
-def test_decoding_is_chunked(monkeypatch, smoke_frames, hand):
+def test_decoding_is_chunked(monkeypatch, smoke_frames, hand, one_cpu):
     # No decoder pass, forward or backward, inside a training step or out
     # of it, sees more than DECODE_CHUNK samples, and evaluate's per-sample
-    # errors match one-sample decodes.
+    # errors match one-sample decodes. On one CPU every pass runs here,
+    # where the spies see it.
     widths = []
     backward_widths = []
     conditioned = nn.forward_conditioned
@@ -399,6 +405,109 @@ def test_shape_bug_is_not_reported_as_divergence(smoke_frames, hand, monkeypatch
     with pytest.raises(ValueError) as exc:
         train(smoke_frames[:12], hand, TrainConfig(epochs=1, min_frames=10), seed=1)
     assert exc.value is bug
+
+
+# ---------------------------------------------------------------------------
+# Training steps whose decoder sub-batches run in the pool.
+
+# A minibatch of 14 full sub-batches and a partial one: 117 x 62 = 7,254
+# decoder rows on the test hand, above the pooling threshold, in shares of
+# 7 and 8 sub-batches.
+POOLED_BATCH = 14 * DECODE_CHUNK + 5
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _pid(hand, task):
+    return os.getpid()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # Pool workers run one BLAS thread, and OpenBLAS products can round
+    # differently on more threads, so the compared runs use one throughout.
+    setters = simulator._openblas_functions("set_num_threads")
+    counts = [get() for get in simulator._openblas_functions("get_num_threads")]
+    for set_threads in setters:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in zip(setters, counts):
+            set_threads(count)
+
+
+def test_pooled_training_equals_one_cpu_training(smoke_frames, hand, two_cpus,
+                                                 monkeypatch):
+    # 45 train frames give 135 samples an epoch: one pooled minibatch and
+    # one of 18 samples that runs in-process.
+    assert POOLED_BATCH * hand.fingers[0].surface.vertices.shape[0] >= estimator._POOL_ROWS
+    cfg = TrainConfig(epochs=3, batch=POOLED_BATCH, lr=3e-3, refit_head=True)
+    with _one_blas_thread():
+        pooled_model, pooled = train(smoke_frames, hand, cfg, seed=5)
+        assert len(_worker_pids()) == 2
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+        model, report = train(smoke_frames, hand, cfg, seed=5)
+    assert pooled.train_mse == report.train_mse
+    assert pooled.val_mse == report.val_mse
+    assert pooled.best_epoch == report.best_epoch
+    assert pooled.heldout_mean_mm == report.heldout_mean_mm
+    assert np.array_equal(pooled_model.enc_params, model.enc_params)
+    assert np.array_equal(pooled_model.dec_params, model.dec_params)
+
+
+def test_pooled_training_runs_decoder_passes_in_workers(smoke_frames, hand, two_cpus,
+                                                        monkeypatch, tmp_path):
+    # One minibatch of all 135 train samples an epoch; every backward pass
+    # is a training pass, and each appends its process id to a file.
+    log = tmp_path / "pids"
+    conditioned_backward = nn.backward_conditioned
+
+    def backward_spy(spec, params, cache, grad_y):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return conditioned_backward(spec, params, cache, grad_y)
+
+    monkeypatch.setattr(nn, "backward_conditioned", backward_spy)
+    train(smoke_frames, hand, TrainConfig(epochs=2, batch=1000), seed=5)
+    pids = [int(line) for line in log.read_text().split()]
+    workers = _worker_pids()
+    assert len(workers) == 2 and os.getpid() not in workers
+    assert len(pids) == 2 * -(-135 // DECODE_CHUNK)
+    assert set(pids) <= set(workers)
+
+
+def test_training_below_the_threshold_forks_no_pool(smoke_frames, hand, two_cpus):
+    # 64 samples are 3,968 decoder rows on the test hand.
+    assert 64 * hand.fingers[0].surface.vertices.shape[0] < estimator._POOL_ROWS
+    assert simulator._pool is None
+    train(smoke_frames, hand, TrainConfig(epochs=1, batch=64), seed=5)
+    assert simulator._pool is None
+
+
+def test_non_finite_pass_in_a_worker_is_divergence(smoke_frames, hand, two_cpus,
+                                                   monkeypatch):
+    parent = os.getpid()
+    conditioned_backward = nn.backward_conditioned
+
+    def blow_up(spec, params, cache, grad_y):
+        if os.getpid() != parent:
+            raise NonFiniteError("planted non-finite gradient")
+        return conditioned_backward(spec, params, cache, grad_y)
+
+    monkeypatch.setattr(nn, "backward_conditioned", blow_up)
+    with pytest.raises(TrainingError, match="training diverged at epoch 0") as exc:
+        train(smoke_frames, hand, TrainConfig(epochs=1, batch=1000), seed=5)
+    assert isinstance(exc.value.__cause__, NonFiniteError)
+    assert "planted" in str(exc.value.__cause__)
+    # The pool survives its task's error and still answers.
+    workers = _worker_pids()
+    assert len(workers) == 2
+    assert set(simulator._map_solves(hand, _pid, range(4))) <= set(workers)
+    assert _worker_pids() == workers
 
 
 # ---------------------------------------------------------------------------

@@ -1049,15 +1049,21 @@ def test_pooled_dataset_skips_failed_frames_in_order(four_hand, two_cpus, monkey
         for i, (command, _, _) in enumerate(inputs):
             for j in range(3):
                 if (i, j) in planted and np.array_equal(u2, command[2 * j : 2 * j + 2]):
-                    raise SolverFailure(f"planted at finger {j}")
+                    raise SolverFailure(f"planted at finger {j}", residual=0.5 + j,
+                                        step=10 * i + j)
         return real(finger, u2, *args, **kwargs)
 
     _patch_solve(monkeypatch, failing)
     with caplog.at_level("WARNING", logger="softprop.simulator"):
         frames = generate_dataset(four_hand, POOL_CFG, seed=32)
+    # One record per failed finger, in frame then finger order.
     assert [r.getMessage() for r in caplog.records] == [
-        "frame 1 skipped: planted at finger 2",
-        "frame 3 skipped: planted at finger 0",
+        "frame 1 skipped: finger 2: planted at finger 2",
+        "frame 3 skipped: finger 0: planted at finger 0",
+        "frame 3 skipped: finger 1: planted at finger 1",
+    ]
+    assert [(r.frame, r.finger, r.residual, r.step) for r in caplog.records] == [
+        (1, 2, 2.5, 12), (3, 0, 0.5, 30), (3, 1, 1.5, 31),
     ]
     assert len(frames) == 2
     for frame, want in zip(frames, oracle):
