@@ -12,13 +12,19 @@ predicted surfaces, and adapt the search distribution from the ranking.
 
 The CMA-ES here is the standard (mu/mu_w, lambda) strategy with weighted
 recombination, cumulative step-size adaptation, and rank-one plus
-rank-mu covariance updates, written against plain numpy.
+rank-mu covariance updates, written against plain numpy. A generation's
+candidates are scored independently before the update, so align_domains
+scores them in the hand's pool of forked workers (simulator._map_solves),
+one contiguous share per CPU, and gathers the losses in candidate order.
+With one BLAS thread in the caller, as in the workers, the search is bit
+for bit the one a single process runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +54,7 @@ from .sensors import (
     resistance_array_from_strain,
     strain_array_from_resistance,
 )
-from .simulator import N_FINGERS, HandModel
+from .simulator import N_FINGERS, HandModel, _map_solves, _share_cuts, _workers
 
 N_ALIGN_PARAMS = 2 * N_SENSORS + N_FINGERS  # 24 correction factors + 3 angles
 
@@ -91,7 +97,7 @@ def _safe_loss(objective, x):
     return value if math.isfinite(value) else math.inf
 
 
-def cma_es_minimize(objective, dim, cfg: CmaConfig, seed):
+def cma_es_minimize(objective, dim, cfg: CmaConfig, seed, score_generation=None):
     """Minimize a black-box function; returns (best x, best loss, history).
 
     Deterministic per seed. The initial mean is evaluated first, so the
@@ -100,7 +106,16 @@ def cma_es_minimize(objective, dim, cfg: CmaConfig, seed):
     SoftpropError, or returns a non-finite value, count as +inf; a
     generation where every candidate does so aborts the run. Any other
     exception propagates.
+
+    score_generation(candidates) scores a generation's (lambda, dim)
+    candidates, returning their losses in candidate order as _safe_loss of
+    the objective would; by default it does exactly that here, one
+    candidate after another. The initial mean is always scored here.
     """
+    if score_generation is None:
+        def score_generation(candidates):
+            return [_safe_loss(objective, c) for c in candidates]
+
     if dim < 1:
         raise ValueError("cma_es_minimize: dim must be >= 1")
     n = int(dim)
@@ -150,7 +165,11 @@ def cma_es_minimize(objective, dim, cfg: CmaConfig, seed):
         z = rng.standard_normal((lam, n))
         steps = (z * scales) @ basis.T
         candidates = mean + sigma * steps
-        losses = np.array([_safe_loss(objective, c) for c in candidates])
+        losses = np.array(score_generation(candidates), dtype=np.float64)
+        if losses.shape != (lam,):
+            raise ValueError(
+                f"cma_es_minimize: {losses.size} losses for {lam} candidates"
+            )
         evals += lam
         generation += 1
         if np.isinf(losses).all():
@@ -357,13 +376,34 @@ class AlignResult:
     history: tuple
 
 
+def _objective(model: ShapeModel, hand: HandModel, calset: CalibrationSet, theta):
+    """The alignment objective of a parameter vector: +inf for a
+    non-positive correction factor, otherwise alignment_loss."""
+    if theta[: 2 * N_SENSORS].min() <= 0.0:
+        return math.inf
+    return alignment_loss(model, hand, calset, AlignParams.from_vector(theta))
+
+
+def _score_share(hand: HandModel, task):
+    """_safe_loss of each candidate of one contiguous share of a CMA-ES
+    generation, in order; task (model, calset, thetas). Runs in a pool
+    worker of the hand (simulator._map_solves) or in the caller."""
+    model, calset, thetas = task
+    objective = partial(_objective, model, hand, calset)
+    return [_safe_loss(objective, theta) for theta in thetas]
+
+
 def align_domains(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
                   cfg: CmaConfig = None, seed=0):
     """Fit correction factors and mount angles to the observed clouds.
 
     The search starts at the identity correction (unit factors, zero
     angles); candidates with a non-positive factor score +inf and are
-    never selected. Returns an AlignResult whose loss is never above the
+    never selected. The initial mean is scored in this process. Each
+    generation's candidates are cut into one contiguous share per CPU
+    this process may use, scored in the hand's pool workers
+    (simulator._map_solves) and gathered in candidate order; with one CPU
+    they are scored here. Returns an AlignResult whose loss is never above the
     identity-initialization loss.
     """
     if cfg is None:
@@ -371,13 +411,16 @@ def align_domains(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
     if cfg.mean0 is None:
         cfg = replace(cfg, mean0=AlignParams.identity().vector())
 
-    def objective(theta):
-        if theta[: 2 * N_SENSORS].min() <= 0.0:
-            return math.inf
-        return alignment_loss(model, hand, calset, AlignParams.from_vector(theta))
+    def score_generation(candidates):
+        cuts = _share_cuts(len(candidates), min(_workers(), len(candidates)))
+        shares = _map_solves(hand, _score_share, [
+            (model, calset, candidates[a:b]) for a, b in zip(cuts, cuts[1:])
+        ])
+        return [loss for share in shares for loss in share]
 
     best_theta, best_loss, history = cma_es_minimize(
-        objective, N_ALIGN_PARAMS, cfg, seed
+        partial(_objective, model, hand, calset), N_ALIGN_PARAMS, cfg, seed,
+        score_generation=score_generation,
     )
     return AlignResult(AlignParams.from_vector(best_theta), float(best_loss), history)
 

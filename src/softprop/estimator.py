@@ -33,7 +33,7 @@ from .datafiles import artifact_file, config_hash, read_manifest, write_manifest
 from .errors import NonFiniteError, TrainingError
 from .geometry import mean_nn_distance
 from .seeding import STAGE_TRAIN_SHAPE, child_rng
-from .simulator import N_FINGERS, HandModel, _map_solves, _workers
+from .simulator import N_FINGERS, HandModel, _map_solves, _share_cuts, _workers
 
 LATENT = 128
 ENCODER_SIZES = (4, 64, LATENT)
@@ -309,7 +309,7 @@ def _forward_backward(model, x, y, rest_scaled, hand):
     n = x.shape[0]
     chunks = -(-n // DECODE_CHUNK)
     shares = min(_workers(), chunks) if n * rest_scaled.shape[0] >= _POOL_ROWS else 1
-    cuts = [min(DECODE_CHUNK * (chunks * k // shares), n) for k in range(shares + 1)]
+    cuts = [min(DECODE_CHUNK * c, n) for c in _share_cuts(chunks, shares)]
     scale = 2.0 / y.size
     sq_sum = 0.0
     grad_dec = np.zeros_like(model.dec_params)

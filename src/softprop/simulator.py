@@ -32,9 +32,11 @@ shared by its energy, gradient and Newton matrix.
 Solves that do not depend on each other (the three fingers of a hand
 frame, the fingers of dataset frames, and each finger's warm-started chain
 through an open-loop schedule) run in one pool of forked workers per
-process, one per CPU this process may use, each with one BLAS thread. The
-pool is kept across calls, so a control step's three warm solves share
-both cores without paying for a fork.
+process, one per CPU this process may use, each pinned to its own CPU and
+with one BLAS thread. The pool is kept across calls, so a control step's
+three warm solves share both cores without paying for a fork; the
+estimator's training steps and the calibration's CMA-ES generations run
+their contiguous shares in the same pool.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
 
@@ -701,8 +703,9 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
     (Euler) predictor of the equilibrium path. Later iterations, the
     damping and the line search are plain Newton, so every accepted step
     is still a checked descent step. Passing start_targets = targets gives
-    the plain warm start. A converged state with an inverted tet (J <= 0)
-    or a non-finite residual raises SolverFailure.
+    the plain warm start. A converged state with an inverted tet (J <= 0),
+    a state with a tendon segment of length 0 (whose direction the
+    gradient needs) or a non-finite residual raises SolverFailure.
 
     budget caps the iterations of an intermediate ramp stage: after that
     many steps the state is returned as it stands, converged or not (its
@@ -721,6 +724,16 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
     cholesky_failures = 0
 
     for it in range(_MAX_NEWTON_ITERS if budget is None else budget):
+        shortest = int(np.argmin(kin.seg_len))
+        if kin.seg_len[shortest] <= 0.0:
+            # The gradient divides by every segment length; the line search
+            # only checks the energy, which stays finite.
+            raise SolverFailure(
+                f"tendon {int(cache.seg_tendon[shortest])} has a collapsed "
+                f"segment (length 0) at iteration {it}",
+                residual=residual,
+                step=it,
+            )
         g, vmat = cache.gradient(kin, targets, force_field, e_scale)
         residual = float(np.linalg.norm(g))
         if not math.isfinite(residual):
@@ -928,8 +941,8 @@ def _hand_frame(command, finger_frames, forces_per_finger, e_scales, pose=None):
 
 
 # ---------------------------------------------------------------------------
-# Independent solves, and decoder shares of a training step, on every CPU
-# this process may use.
+# Independent solves, decoder shares of a training step and candidate shares
+# of a CMA-ES generation, on every CPU this process may use.
 
 # The hand a pool worker was forked with; set only in workers.
 _worker_hand = None
@@ -963,7 +976,7 @@ def _openblas_functions(action):
     return found
 
 
-def _start_worker(hand, parent_pid):
+def _start_worker(hand, parent_pid, cpus, next_cpu):
     global _worker_hand
     _worker_hand = hand
     # The pool outlives single calls, so a parent killed without running its
@@ -983,6 +996,13 @@ def _start_worker(hand, parent_pid):
     for set_threads in _openblas_functions("set_num_threads"):
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)
+    # One CPU per worker, each the next of the parent's allowed CPUs. Left
+    # to the scheduler, a pool's workers sometimes shared one core, and a
+    # CMA-ES generation's shares then ran one after the other.
+    with next_cpu.get_lock():
+        cpu = cpus[next_cpu.value % len(cpus)]
+        next_cpu.value += 1
+    os.sched_setaffinity(0, {cpu})
 
 
 def _run_in_worker(fn, task):
@@ -1005,18 +1025,26 @@ def _workers():
     return 1 if _worker_hand is not None else len(os.sched_getaffinity(0))
 
 
+def _share_cuts(count, shares):
+    """Bounds of `shares` contiguous shares of `count` items, as even as
+    they come: share k holds items cuts[k]:cuts[k + 1]."""
+    return [count * k // shares for k in range(shares + 1)]
+
+
 def _map_solves(hand: HandModel, fn, tasks):
     """[fn(hand, t) for t in tasks], spread over the CPUs this process may use.
 
-    The tasks are finger solves, finger chains, channel probes or shares of
-    a training step's decoder sub-batches (estimator._forward_backward).
+    The tasks are finger solves, finger chains, channel probes, shares of
+    a training step's decoder sub-batches (estimator._forward_backward) or
+    shares of a CMA-ES generation's candidates (calibration.align_domains).
     With one CPU, a single task, or inside a pool worker they run here (see
     _workers). Otherwise they run in this process's pool: one forked worker
-    per CPU, each with BLAS pinned to one thread. The pool is forked on
-    first use and kept while calls pass the same hand; a call with another
-    hand shuts it down and forks a new one. Workers inherit the hand through
-    fork and keep its solver caches from call to call; only fn, which must
-    be a module-level function, the tasks and the results are pickled.
+    per CPU, each pinned to its own CPU and with BLAS pinned to one thread;
+    this process stays unpinned. The pool is forked on first use and kept
+    while calls pass the same hand; a call with another hand shuts it down
+    and forks a new one. Workers inherit the hand through fork and keep its
+    solver caches from call to call; only fn, which must be a module-level
+    function, the tasks and the results are pickled.
     Results come back in task order, so the output equals the in-process
     run's. A task's exception is raised here with its type and the pool
     stays; any other failure of the map (a broken pool, an interrupt)
@@ -1031,9 +1059,12 @@ def _map_solves(hand: HandModel, fn, tasks):
     if _pool_hand is not hand:
         _drop_pool()
     if _pool is None:
-        _pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+        context = get_context("fork")
+        _pool = ProcessPoolExecutor(workers, mp_context=context,
                                     initializer=_start_worker,
-                                    initargs=(hand, os.getpid()))
+                                    initargs=(hand, os.getpid(),
+                                              sorted(os.sched_getaffinity(0)),
+                                              context.Value("i", 0)))
         _pool_hand = hand
     try:
         return list(_pool.map(_run_in_worker, [fn] * len(tasks), tasks))

@@ -1,11 +1,13 @@
 """Tests for the derivative-free optimizer and domain alignment."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from softprop import calibration
+from softprop import calibration, simulator
 from softprop.calibration import (
     CALSET_PAYLOAD,
     AlignParams,
@@ -383,6 +385,128 @@ def test_predict_observed_cloud_is_posed_union(smoke_model, smoke_hand, phi_cals
     # Fingers are mounted apart; the union must not collapse onto one mount.
     spans = cloud[:, 0].max() - cloud[:, 0].min()
     assert spans > smoke_hand.fingers[0].radius_mm
+
+
+# ---------------------------------------------------------------------------
+# Generations scored in the pool.
+
+# 9 candidates a generation: shares of 4 and 5 on two workers.
+POOLED_CFG = CmaConfig(sigma0=0.3, popsize=9, max_evals=1 + 2 * 9)
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _record_generations(monkeypatch):
+    """(candidates, losses) of every generation align_domains scores from
+    now on, as the search receives them."""
+    real, generations = calibration.cma_es_minimize, []
+
+    def spy(objective, dim, cfg, seed, score_generation):
+        def recorded(candidates):
+            losses = score_generation(candidates)
+            generations.append((candidates.copy(), list(losses)))
+            return losses
+
+        return real(objective, dim, cfg, seed, score_generation=recorded)
+
+    monkeypatch.setattr(calibration, "cma_es_minimize", spy)
+    return generations
+
+
+def test_pooled_alignment_equals_one_cpu_alignment(smoke_model, smoke_hand, phi_calset,
+                                                   two_cpus, one_blas_thread,
+                                                   monkeypatch):
+    generations = _record_generations(monkeypatch)
+    pooled = align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=2)
+    assert len(_worker_pids()) == 2
+    pooled_losses = [losses for _, losses in generations]
+    generations.clear()
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    serial = align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=2)
+    assert pooled_losses == [losses for _, losses in generations]
+    assert np.array_equal(pooled.params.kappa, serial.params.kappa)
+    assert np.array_equal(pooled.params.phi, serial.params.phi)
+    assert pooled.loss == serial.loss
+    assert pooled.history == serial.history
+
+
+def test_alignment_scores_only_the_initial_mean_in_the_caller(smoke_model, smoke_hand,
+                                                              phi_calset, two_cpus,
+                                                              monkeypatch, tmp_path):
+    log = tmp_path / "pids"
+    real = calibration.alignment_loss
+
+    def spy(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(calibration, "alignment_loss", spy)
+    generations = _record_generations(monkeypatch)
+    align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=0)
+    pids = [int(line) for line in log.read_text().split()]
+    workers = _worker_pids()
+    assert len(workers) == 2 and os.getpid() not in workers
+    # A candidate with a non-positive factor scores +inf unevaluated.
+    scored = sum(int((thetas[:, :24].min(axis=1) > 0).sum()) for thetas, _ in generations)
+    assert len(generations) == 2 and scored > 0
+    assert len(pids) == 1 + scored
+    assert pids[0] == os.getpid()
+    assert set(pids[1:]) <= set(workers)
+
+
+def test_value_error_in_a_worker_scores_inf_and_is_never_selected(
+        smoke_model, smoke_hand, phi_calset, two_cpus, monkeypatch):
+    generations = _record_generations(monkeypatch)
+    reference = align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=0)
+    candidates, losses = generations[0]
+    best = int(np.argmin(losses))
+    planted = candidates[best, :24].copy()  # generation 1's best
+    simulator._drop_pool()  # the next pool forks with the planted error
+    parent = os.getpid()
+    real = calibration.alignment_loss
+
+    def planted_error(model, hand, calset, params):
+        if os.getpid() != parent and np.array_equal(params.kappa, planted):
+            raise ValueError("planted")
+        return real(model, hand, calset, params)
+
+    monkeypatch.setattr(calibration, "alignment_loss", planted_error)
+    generations.clear()
+    result = align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=0)
+    again, planted_losses = generations[0]
+    assert np.array_equal(again, candidates)
+    assert planted_losses[best] == math.inf
+    assert np.delete(planted_losses, best).tolist() == np.delete(losses, best).tolist()
+    assert result.history[0]["gen_best"] > reference.history[0]["gen_best"]
+    assert not any(np.array_equal(thetas[:, :24], planted[None])
+                   for thetas, _ in generations[1:])
+    assert not np.array_equal(result.params.kappa, planted)
+
+
+def test_uncaught_error_in_a_worker_reaches_the_caller_and_the_pool_stays(
+        smoke_model, smoke_hand, phi_calset, two_cpus, monkeypatch, tmp_path):
+    flag = tmp_path / "fail"
+    flag.touch()
+    parent = os.getpid()
+    real = calibration.alignment_loss
+
+    def flagged_error(*args):
+        if os.getpid() != parent and flag.exists():
+            raise KeyError("planted")
+        return real(*args)
+
+    monkeypatch.setattr(calibration, "alignment_loss", flagged_error)
+    with pytest.raises(KeyError, match="planted"):
+        align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=0)
+    workers = _worker_pids()
+    assert len(workers) == 2
+    flag.unlink()
+    result = align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=0)
+    assert result.history[-1]["evaluations"] == POOLED_CFG.max_evals
+    assert _worker_pids() == workers
 
 
 # ---------------------------------------------------------------------------

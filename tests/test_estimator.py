@@ -7,8 +7,6 @@ memorization oracle, and checkpoint round trips. Training-behaviour
 bounds were frozen from smoke runs of this exact configuration.
 """
 
-import contextlib
-import ctypes
 import multiprocessing
 import os
 import tracemalloc
@@ -424,33 +422,16 @@ def _pid(hand, task):
     return os.getpid()
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    # Pool workers run one BLAS thread, and OpenBLAS products can round
-    # differently on more threads, so the compared runs use one throughout.
-    setters = simulator._openblas_functions("set_num_threads")
-    counts = [get() for get in simulator._openblas_functions("get_num_threads")]
-    for set_threads in setters:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for set_threads, count in zip(setters, counts):
-            set_threads(count)
-
-
 def test_pooled_training_equals_one_cpu_training(smoke_frames, hand, two_cpus,
-                                                 monkeypatch):
+                                                 one_blas_thread, monkeypatch):
     # 45 train frames give 135 samples an epoch: one pooled minibatch and
     # one of 18 samples that runs in-process.
     assert POOLED_BATCH * hand.fingers[0].surface.vertices.shape[0] >= estimator._POOL_ROWS
     cfg = TrainConfig(epochs=3, batch=POOLED_BATCH, lr=3e-3, refit_head=True)
-    with _one_blas_thread():
-        pooled_model, pooled = train(smoke_frames, hand, cfg, seed=5)
-        assert len(_worker_pids()) == 2
-        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
-        model, report = train(smoke_frames, hand, cfg, seed=5)
+    pooled_model, pooled = train(smoke_frames, hand, cfg, seed=5)
+    assert len(_worker_pids()) == 2
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    model, report = train(smoke_frames, hand, cfg, seed=5)
     assert pooled.train_mse == report.train_mse
     assert pooled.val_mse == report.val_mse
     assert pooled.best_epoch == report.best_epoch

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -636,12 +637,11 @@ def test_capped_ramp_reaches_the_converged_chain(four_hand, monkeypatch, u, with
         assert again.stats.iterations == 0
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 def test_failed_capped_ramp_falls_back_to_converged_stages(paper_hand, monkeypatch):
     # Frame 70 of dataset seed 2000, finger 1: command (0.511, 0.728), E
     # scale 0.821 and a force. After two capped stages the last one reaches
-    # a non-finite residual. The ramp then runs again from rest with every
-    # stage converged, and that is the solve returned.
+    # a state with a collapsed tendon segment. The ramp then runs again from
+    # rest with every stage converged, and that is the solve returned.
     calls = _record_stages(monkeypatch)
     fr = _dataset_finger_solve(paper_hand, 2000, 70, 1)
     monkeypatch.undo()
@@ -651,6 +651,30 @@ def test_failed_capped_ramp_falls_back_to_converged_stages(paper_hand, monkeypat
     assert fr.stats.stages == 3
     assert fr.stats.iterations == sum(it for _, it in calls[3:])
     assert paper_hand.fingers[0].solver_cache().kinematics(fr.nodes).jdet.min() > 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_collapsed_tendon_segment_fails_before_the_gradient(paper_hand, monkeypatch):
+    # The same frame: the last capped stage's line search accepts a state
+    # in which a segment of tendon 1 has length 0. That stage fails at the
+    # next iteration, naming the tendon, before the gradient divides by the
+    # length; the converged rerun is returned as before.
+    real, failures = simulator._newton_solve, []
+
+    def spy(*args):
+        try:
+            return real(*args)
+        except SolverFailure as err:
+            failures.append(err)
+            raise
+
+    monkeypatch.setattr(simulator, "_newton_solve", spy)
+    fr = _dataset_finger_solve(paper_hand, 2000, 70, 1)
+    assert len(failures) == 1
+    match = re.fullmatch(r"tendon 1 has a collapsed segment \(length 0\) at iteration (\d+)",
+                         str(failures[0]))
+    assert match and int(match[1]) == failures[0].step
+    assert fr.stats.stages == 3
 
 
 def test_capped_ramp_takes_fewer_iterations_than_the_chain(paper_hand):
@@ -1208,6 +1232,29 @@ def test_pool_workers_run_one_blas_thread(four_hand, two_cpus):
     results = simulator._map_solves(four_hand, _blas_threads, range(4))
     assert all(pid != os.getpid() for pid, _ in results)
     assert all(counts and set(counts) == {1} for _, counts in results)
+
+
+# The real call: two_cpus patches os.sched_getaffinity.
+_allowed_cpus = os.sched_getaffinity
+# Set before a test's pool forks, so its workers inherit it.
+_both_workers = None
+
+
+def _pinned_cpus(hand, task):
+    # Two tasks that each wait for the other run on both workers.
+    _both_workers.wait(timeout=60)
+    return os.getpid(), _allowed_cpus(0)
+
+
+def test_pool_workers_are_pinned_to_distinct_cpus(four_hand, two_cpus, monkeypatch):
+    if not {0, 1} <= _allowed_cpus(0):
+        pytest.skip("this process may not use both CPUs 0 and 1")
+    allowed = _allowed_cpus(0)
+    monkeypatch.setattr(sys.modules[__name__], "_both_workers", multiprocessing.Barrier(2))
+    results = simulator._map_solves(four_hand, _pinned_cpus, range(2))
+    assert sorted(pid for pid, _ in results) == _pool_pids()
+    assert sorted(tuple(cpus) for _, cpus in results) == [(0,), (1,)]
+    assert _allowed_cpus(0) == allowed  # this process stays unpinned
 
 
 def _inner(hand, task):
