@@ -279,6 +279,8 @@ class CalibrationSample:
         cloud = as_cloud(self.cloud, "CalibrationSample.cloud")
         if len(self.mounts) != N_FINGERS:
             raise ValueError(f"CalibrationSample: needs {N_FINGERS} mount poses")
+        if not all(isinstance(m, RigidPose) for m in self.mounts):
+            raise ValueError("CalibrationSample: mounts must be RigidPose instances")
         object.__setattr__(self, "cloud", cloud)
         object.__setattr__(self, "mounts", tuple(self.mounts))
 
@@ -311,11 +313,20 @@ class CalibrationSet:
 
 
 def _finger_poses(mounts, phi):
-    """Mount pose combined with the candidate angular offset per finger."""
-    return [
-        mounts[j].compose(RigidPose(rotation_about_y(phi[j]), np.zeros(3)))
-        for j in range(N_FINGERS)
-    ]
+    """Per mount tuple, each finger's (rotation, translation): its mount
+    after the angular offset phi[j] about its local y axis.
+
+    The arithmetic is RigidPose.compose's, so points mapped by a pair equal
+    mount.compose(RigidPose(rotation_about_y(phi[j]), 0)).apply bit for bit;
+    no RigidPose is built or validated per call: the mounts are RigidPose
+    instances already (CalibrationSample and HandModel check it), and a
+    rotation about y is a proper rotation by construction.
+    """
+    turns = [rotation_about_y(angle) for angle in phi]
+    zero = np.zeros(3)
+    return [[(m.rotation @ turn, m.rotation @ zero + m.translation)
+             for m, turn in zip(sample_mounts, turns)]
+            for sample_mounts in mounts]
 
 
 def _posed_clouds(model: ShapeModel, hand: HandModel, params: AlignParams, r0,
@@ -323,19 +334,19 @@ def _posed_clouds(model: ShapeModel, hand: HandModel, params: AlignParams, r0,
     """Posed hand-frame surface predictions, one cloud per reading.
 
     readings holds S resistance vectors of 12 and mounts one per-finger
-    pose tuple per reading; every reading is decoded in one pass per finger.
+    pose tuple per reading; every reading is decoded in one pass per finger,
+    and each finger is posed by its _finger_poses pair (mount after the
+    angle params.phi[j]).
     """
     strains = strain_array_from_resistance(np.asarray(readings),
                                            params.sensor_calibration(r0))
     disp = predict(model, hand, strains)  # (S, 3, V, 3)
     rest = hand.fingers[0].surface.vertices
-    clouds = []
-    for i, sample_mounts in enumerate(mounts):
-        poses = _finger_poses(sample_mounts, params.phi)
-        clouds.append(np.concatenate([
-            poses[j].apply(rest + disp[i, j]) for j in range(N_FINGERS)
-        ]))
-    return clouds
+    return [
+        np.concatenate([(rest + disp[i, j]) @ rot.T + trans
+                        for j, (rot, trans) in enumerate(poses)])
+        for i, poses in enumerate(_finger_poses(mounts, params.phi))
+    ]
 
 
 def predict_observed_cloud(model: ShapeModel, hand: HandModel, params: AlignParams,
@@ -360,9 +371,14 @@ def alignment_loss(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
     the predicted cloud being the union of the three posed finger
     surfaces under the candidate correction factors and mount angles.
     """
+    return _summed_ucd(calset, _sample_clouds(model, hand, calset, params))
+
+
+def _summed_ucd(calset: CalibrationSet, clouds):
+    """chamfer_ucd of each sample's observed cloud against its predicted
+    cloud, added in sample order."""
     total = 0.0
-    for sample, predicted in zip(calset.samples,
-                                 _sample_clouds(model, hand, calset, params)):
+    for sample, predicted in zip(calset.samples, clouds):
         total += chamfer_ucd(sample.cloud, predicted)
     return total
 
@@ -427,24 +443,29 @@ def align_domains(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
 
 def alignment_report(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
                      before: AlignParams, result: AlignResult):
-    """Before/after comparison plus the optimizer's convergence curve."""
+    """Before/after comparison plus the optimizer's convergence curve.
 
-    def per_sample_nn(params):
+    Each parameter set is decoded once: before_loss (alignment_loss of
+    before, summed as alignment_loss sums) and the per-sample mean NN
+    distances come from the same predicted clouds; after_loss is the
+    search's own result.loss.
+    """
+    before_clouds = _sample_clouds(model, hand, calset, before)
+    after_clouds = _sample_clouds(model, hand, calset, result.params)
+
+    def per_sample_nn(clouds):
         return [float(mean_nn_distance(s.cloud, c))
-                for s, c in zip(calset.samples,
-                                _sample_clouds(model, hand, calset, params))]
+                for s, c in zip(calset.samples, clouds)]
 
-    before_nn = per_sample_nn(before)
-    after_nn = per_sample_nn(result.params)
     return {
         "metric": "summed_ucd_mm2",
-        "before_loss": float(alignment_loss(model, hand, calset, before)),
+        "before_loss": float(_summed_ucd(calset, before_clouds)),
         "after_loss": float(result.loss),
         "loss_curve": [h["best_so_far"] for h in result.history],
         "generations": len(result.history),
         "evaluations": result.history[-1]["evaluations"] if result.history else 1,
-        "before_mean_nn_mm": before_nn,
-        "after_mean_nn_mm": after_nn,
+        "before_mean_nn_mm": per_sample_nn(before_clouds),
+        "after_mean_nn_mm": per_sample_nn(after_clouds),
         "kappa": result.params.kappa.tolist(),
         "phi": result.params.phi.tolist(),
     }
@@ -466,7 +487,7 @@ def synthesize_calibration_set(hand: HandModel, frames, true_cal: SensorCalibrat
     """
     phi_true = np.asarray(phi_true, dtype=np.float64).reshape(N_FINGERS)
     rest_lengths = hand.sensor_rest_lengths
-    poses = _finger_poses(hand.mounts, phi_true)
+    poses = _finger_poses([hand.mounts], phi_true)[0]
     rest_surface = hand.fingers[0].surface
     samples = []
     for i, frame in enumerate(frames):
@@ -474,10 +495,10 @@ def synthesize_calibration_set(hand: HandModel, frames, true_cal: SensorCalibrat
         strains = strains_from_lengths(frame.sensor_lengths, rest_lengths)
         resistances = resistance_array_from_strain(strains, true_cal)
         parts = []
-        for j, surface in enumerate(frame.surfaces(hand)):
+        for (rot, trans), surface in zip(poses, frame.surfaces(hand)):
             deformed = rest_surface.with_vertices(surface)
             pts = sample_surface_points(deformed, points_per_finger, rng)
-            parts.append(poses[j].apply(pts))
+            parts.append(pts @ rot.T + trans)
         samples.append(
             CalibrationSample(
                 ResistanceFrame(resistances, timestamp=float(i)),

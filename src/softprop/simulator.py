@@ -512,15 +512,17 @@ class _SolverCache:
         # s = lam (J - alpha): the stable Neo-Hookean Hessian in F, pushed
         # through vec F = F_OP x. Per entry: two coefficients and the gather
         # indices of gJ (T, 4, 3) and X (T, 3, 4, 4); lam vol scales gJ per tet.
+        # Gather indices here and below are intp, which np.take and np.bincount
+        # use as they are; any other integer type is converted on every call.
         t, n, i, m, j = np.unravel_index(kept, (n_tets, 4, 3, 4, 3))
         k = (3 - i - j) % 3  # the third index when i != j
         vol = self.vol[t]
         self.el_mu = mu * vol * np.einsum("tnc,tmc->tnm", g, g)[t, n, m] * (i == j)
         self.lam_vol = lam * self.vol
         self.el_eps = vol * ((i - j) * (j - k) * (k - i) // 2)  # Levi-Civita
-        self.el_a = (12 * t + 3 * n + i).astype(np.int32)
-        self.el_b = (12 * t + 3 * m + j).astype(np.int32)
-        self.el_x = (48 * t + 16 * k + 4 * n + m).astype(np.int32)
+        self.el_a = (12 * t + 3 * n + i).astype(np.intp)
+        self.el_b = (12 * t + 3 * m + j).astype(np.intp)
+        self.el_x = (48 * t + 16 * k + 4 * n + m).astype(np.intp)
         cross_g = np.cross(g[:, :, None], g[:, None, :]).reshape(n_tets, 16, 3)
         self.cross_g = np.ascontiguousarray(cross_g.transpose(0, 2, 1))
 
@@ -548,7 +550,7 @@ class _SolverCache:
         h_rows, h_cols, kept = _lower_pairs(dofs24, dof_map)
         s, m, i, n, j = np.unravel_index(kept, (n_seg, 8, 3, 8, 3))
         self.h_w = ws[s, m] * ws[s, n]
-        self.h_pix = (9 * s + 3 * i + j).astype(np.int32)
+        self.h_pix = (9 * s + 3 * i + j).astype(np.intp)
         self.h_tendon = self.seg_tendon[s]
         self.tendon_rest = finger.tendon_rest_lengths
         self.k_tendon = finger.tendon_stiffness
@@ -560,7 +562,7 @@ class _SolverCache:
         cols = np.concatenate([el_cols, h_cols])
         band = int((rows - cols).max(initial=0))
         self.bandwidth = band
-        self.ab_index = ((rows - cols) * self.n_free + cols).astype(np.int32)
+        self.ab_index = ((rows - cols) * self.n_free + cols).astype(np.intp)
         self.ab_shape = (band + 1, self.n_free)
 
         self.surface_nodes = mesh.surface_map

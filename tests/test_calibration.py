@@ -24,8 +24,19 @@ from softprop.calibration import (
     synthesize_calibration_set,
 )
 from softprop.errors import MissingArtifactError, OptimizationError
-from softprop.estimator import TrainConfig, train
-from softprop.sensors import ResistanceFrame, SensorCalibration
+from softprop.estimator import TrainConfig, predict, train
+from softprop.geometry import (
+    RigidPose,
+    mean_nn_distance,
+    rotation_about_y,
+    sample_surface_points,
+)
+from softprop.seeding import STAGE_CALSET, child_rng
+from softprop.sensors import (
+    ResistanceFrame,
+    SensorCalibration,
+    strain_array_from_resistance,
+)
 from softprop.simulator import DatasetConfig, HandModel, generate_dataset, solve_hand
 
 
@@ -211,6 +222,9 @@ def test_calibration_set_validation():
         CalibrationSet((sample,), baseline_index=1)
     with pytest.raises(ValueError, match="mount"):
         CalibrationSample(reading, np.zeros((5, 3)), mounts[:2])
+    with pytest.raises(ValueError, match="RigidPose"):
+        CalibrationSample(reading, np.zeros((5, 3)),
+                          (mounts[0], mounts[1], (np.eye(3), np.zeros(3))))
     with pytest.raises(ValueError, match="cloud"):
         CalibrationSample(reading, np.zeros((0, 3)), mounts)
     calset = CalibrationSet((sample, sample))
@@ -367,6 +381,71 @@ def test_alignment_report_contract(smoke_model, smoke_hand, phi_calset,
     assert len(report["before_mean_nn_mm"]) == len(phi_calset)
     assert len(report["kappa"]) == 24 and len(report["phi"]) == 3
     assert report["evaluations"] == phi_align_result.history[-1]["evaluations"]
+
+
+def test_alignment_report_decodes_once_and_matches_the_loss(
+        smoke_model, smoke_hand, phi_calset, phi_align_result, monkeypatch):
+    decoded = []
+
+    def counting_predict(*args):
+        decoded.append(args[2].shape)
+        return predict(*args)
+
+    monkeypatch.setattr(calibration, "predict", counting_predict)
+    before = AlignParams(np.linspace(0.9, 1.1, 24), np.array([0.1, -0.05, 0.0]))
+    report = alignment_report(
+        smoke_model, smoke_hand, phi_calset, before, phi_align_result
+    )
+    assert len(decoded) == 2  # before, then the search's best
+    monkeypatch.undo()
+    assert report["before_loss"] == alignment_loss(
+        smoke_model, smoke_hand, phi_calset, before
+    )
+    for key, params in (("before_mean_nn_mm", before),
+                        ("after_mean_nn_mm", phi_align_result.params)):
+        clouds = calibration._sample_clouds(smoke_model, smoke_hand, phi_calset, params)
+        assert report[key] == [mean_nn_distance(s.cloud, c)
+                               for s, c in zip(phi_calset.samples, clouds)]
+
+
+def _composed_poses(mounts, phi):
+    return [m.compose(RigidPose(rotation_about_y(a), np.zeros(3)))
+            for m, a in zip(mounts, phi)]
+
+
+def test_predict_observed_cloud_poses_like_rigid_pose(smoke_model, smoke_hand,
+                                                      phi_calset):
+    sample = phi_calset.samples[2]
+    params = AlignParams(np.linspace(0.8, 1.2, 24), np.array([0.3, -0.2, 0.1]))
+    cloud = predict_observed_cloud(smoke_model, smoke_hand, params, phi_calset.r0,
+                                   sample.resistances.r, sample.mounts)
+    strains = strain_array_from_resistance(
+        sample.resistances.r[None], params.sensor_calibration(phi_calset.r0))
+    disp = predict(smoke_model, smoke_hand, strains)[0]
+    rest = smoke_hand.fingers[0].surface.vertices
+    want = np.concatenate([
+        pose.apply(rest + disp[j])
+        for j, pose in enumerate(_composed_poses(sample.mounts, params.phi))
+    ])
+    assert np.array_equal(cloud, want)
+
+
+def test_synthesized_clouds_pose_like_rigid_pose(smoke_hand, cal_frames):
+    phi = np.array([0.2, -0.15, 0.05])
+    calset = synthesize_calibration_set(
+        smoke_hand, cal_frames[:2], SensorCalibration.ideal(), phi, seed=4,
+        points_per_finger=50,
+    )
+    poses = _composed_poses(smoke_hand.mounts, phi)
+    rest_surface = smoke_hand.fingers[0].surface
+    for i, (frame, sample) in enumerate(zip(cal_frames, calset.samples)):
+        rng = child_rng(4, STAGE_CALSET, i)
+        want = np.concatenate([
+            pose.apply(sample_surface_points(
+                rest_surface.with_vertices(surface), 50, rng))
+            for pose, surface in zip(poses, frame.surfaces(smoke_hand))
+        ])
+        assert np.array_equal(sample.cloud, want)
 
 
 def test_predict_observed_cloud_is_posed_union(smoke_model, smoke_hand, phi_calset):

@@ -177,6 +177,35 @@ class TestChamfer:
         rng = np.random.default_rng(29)
         assert_nearest_bitwise(rng.normal(size=(40, 3)), rng.normal(size=(30, 3)))
 
+    def test_planted_first_place_tie_falls_back_at_two_candidates(self, monkeypatch):
+        # Obs point 0 is equidistant from pred points 0 and 1, with pred
+        # point 2 just farther: the two tree candidates tie, so that row
+        # alone must take the brute-force path. Obs point 1 has one clear
+        # nearest neighbor and must not.
+        monkeypatch.setattr(geometry, "_KD_CANDIDATES", 2)
+        brute = geometry._brute_nearest_sq
+        seen = []
+
+        def spy(obs, pred):
+            seen.append(obs.copy())
+            return brute(obs, pred)
+
+        monkeypatch.setattr(geometry, "_brute_nearest_sq", spy)
+        obs = np.array([[0.5, 0.25, 0.125], [10.0, 10.0, 10.0]])
+        pred = np.array([
+            [1.5, 0.25, 0.125],
+            [-0.5, 0.25, 0.125],
+            [0.5, 1.2500001, 0.125],
+            [9.0, 10.0, 10.0],
+            [20.0, 20.0, 20.0],
+        ])
+        got = geometry._nearest_sq(obs, pred)
+        assert len(seen) == 1 and np.array_equal(seen[0], obs[:1])
+        assert np.array_equal(got, nearest_sq_oracle(obs, pred))
+        seen.clear()
+        assert_nearest_bitwise(obs, pred)
+        assert len(seen) == 3  # once per public function
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             chamfer_ucd(np.zeros((0, 3)), np.zeros((1, 3)))
