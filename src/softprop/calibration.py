@@ -14,7 +14,7 @@ The CMA-ES here is the standard (mu/mu_w, lambda) strategy with weighted
 recombination, cumulative step-size adaptation, and rank-one plus
 rank-mu covariance updates, written against plain numpy. A generation's
 candidates are scored independently before the update, so align_domains
-scores them in the hand's pool of forked workers (simulator._map_solves),
+scores them in the hand's pool of forked workers (pool.map_tasks),
 one contiguous share per CPU, and gathers the losses in candidate order.
 With one BLAS thread in the caller, as in the workers, the search is bit
 for bit the one a single process runs.
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pool
 from .datafiles import (
     artifact_file,
     pose_from_floats,
@@ -54,7 +55,7 @@ from .sensors import (
     resistance_array_from_strain,
     strain_array_from_resistance,
 )
-from .simulator import N_FINGERS, HandModel, _map_solves, _share_cuts, _workers
+from .simulator import N_FINGERS, HandModel
 
 N_ALIGN_PARAMS = 2 * N_SENSORS + N_FINGERS  # 24 correction factors + 3 angles
 
@@ -403,7 +404,7 @@ def _objective(model: ShapeModel, hand: HandModel, calset: CalibrationSet, theta
 def _score_share(hand: HandModel, task):
     """_safe_loss of each candidate of one contiguous share of a CMA-ES
     generation, in order; task (model, calset, thetas). Runs in a pool
-    worker of the hand (simulator._map_solves) or in the caller."""
+    worker of the hand (pool.map_tasks) or in the caller."""
     model, calset, thetas = task
     objective = partial(_objective, model, hand, calset)
     return [_safe_loss(objective, theta) for theta in thetas]
@@ -418,8 +419,8 @@ def align_domains(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
     never selected. The initial mean is scored in this process. Each
     generation's candidates are cut into one contiguous share per CPU
     this process may use, scored in the hand's pool workers
-    (simulator._map_solves) and gathered in candidate order; with one CPU
-    they are scored here. Returns an AlignResult whose loss is never above the
+    (pool.map_tasks) and gathered in candidate order; with one CPU they
+    are scored here. Returns an AlignResult whose loss is never above the
     identity-initialization loss.
     """
     if cfg is None:
@@ -428,8 +429,8 @@ def align_domains(model: ShapeModel, hand: HandModel, calset: CalibrationSet,
         cfg = replace(cfg, mean0=AlignParams.identity().vector())
 
     def score_generation(candidates):
-        cuts = _share_cuts(len(candidates), min(_workers(), len(candidates)))
-        shares = _map_solves(hand, _score_share, [
+        cuts = pool.share_cuts(len(candidates))
+        shares = pool.map_tasks(hand, _score_share, [
             (model, calset, candidates[a:b]) for a, b in zip(cuts, cuts[1:])
         ])
         return [loss for share in shares for loss in share]

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimator
+from . import estimator, pool
 from .datafiles import load_role, save_dataset
 from .errors import DegenerateDataError, SolverFailure
 from .geometry import mean_nn_distance
 from .sensors import N_SENSORS
-from .simulator import N_FINGERS, HandModel, _map_solves, solve_equilibrium, solve_hand
+from .simulator import N_FINGERS, HandModel, solve_equilibrium, solve_hand
 
 N_CHANNELS = 2 * N_FINGERS
 
@@ -86,7 +86,7 @@ def fit_actuation_directions(hand: HandModel, probe_amplitude=0.2):
     pull, so the probe is one-sided: solve at u = amplitude on one channel,
     subtract the rest surface, sum the vertex displacements, and drop the
     axial component. The two probes are independent solves, mapped through
-    the simulator's pool. A channel whose lateral response vanishes cannot
+    pool.map_tasks. A channel whose lateral response vanishes cannot
     be servoed and raises DegenerateDataError.
     """
     amp = float(probe_amplitude)
@@ -94,7 +94,7 @@ def fit_actuation_directions(hand: HandModel, probe_amplitude=0.2):
         raise ValueError("fit_actuation_directions: amplitude must be in (0, 1]")
     finger = hand.fingers[0]
     rest = finger.surface.vertices
-    probes = _map_solves(hand, _probe, [amp * np.eye(2)[c] for c in range(2)])
+    probes = pool.map_tasks(hand, _probe, [amp * np.eye(2)[c] for c in range(2)])
     basis = np.zeros((2, 3))
     for c, frame in enumerate(probes):
         delta = frame.nodes[finger.rest.surface_map] - rest

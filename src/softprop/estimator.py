@@ -16,7 +16,7 @@ covers at most DECODE_CHUNK samples; a training step encodes its whole
 minibatch at once and sums the decoder's sub-batch gradients. A training
 step of at least _POOL_ROWS decoder rows runs its sub-batches in the
 hand's pool workers, one contiguous share per worker
-(simulator._map_solves), and sums them in sub-batch order, so training
+(pool.map_tasks), and sums them in sub-batch order, so training
 with one BLAS thread per process gives the same bits on any number of
 CPUs. Every other pass runs in the calling process.
 """
@@ -28,12 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, pool
 from .datafiles import artifact_file, config_hash, read_manifest, write_manifest
 from .errors import NonFiniteError, TrainingError
 from .geometry import mean_nn_distance
 from .seeding import STAGE_TRAIN_SHAPE, child_rng
-from .simulator import N_FINGERS, HandModel, _map_solves, _share_cuts, _workers
+from .simulator import N_FINGERS, HandModel
 
 LATENT = 128
 ENCODER_SIZES = (4, 64, LATENT)
@@ -272,8 +272,7 @@ def _decode_share(hand, task):
     """Decoder forward and backward passes over one contiguous share of a
     training step's sub-batches, task (dec_spec, dec_params, rest_scaled,
     z, y, scale): [(squared error sum, decoder gradient, latent gradient
-    rows)], one entry per DECODE_CHUNK sub-batch in order. The hand is
-    unused; simulator._map_solves passes it to every task."""
+    rows)], one entry per DECODE_CHUNK sub-batch in order."""
     global _held
     dec_spec, dec_params, rest_scaled, z, y, scale = task
     out = []
@@ -300,21 +299,22 @@ def _forward_backward(model, x, y, rest_scaled, hand):
     which are summed and stacked here in sub-batch order. The encoder runs
     once on the whole minibatch, here. A step of at least _POOL_ROWS decoder
     rows cuts its sub-batches into one contiguous share per worker of the
-    hand's pool (simulator._map_solves); a smaller one runs them here as
-    one share. Either way the sums are taken in the same order, so with
-    one BLAS thread here, as in the workers, the result does not depend on
-    the number of CPUs.
+    hand's pool (pool.map_tasks); a smaller one runs them here as one
+    share. Either way the sums are taken in the same order, so with one
+    BLAS thread here, as in the workers, the result does not depend on the
+    number of CPUs.
     """
     z, enc_cache = nn.forward_cache(model.enc_spec, model.enc_params, x)
     n = x.shape[0]
     chunks = -(-n // DECODE_CHUNK)
-    shares = min(_workers(), chunks) if n * rest_scaled.shape[0] >= _POOL_ROWS else 1
-    cuts = [min(DECODE_CHUNK * c, n) for c in _share_cuts(chunks, shares)]
+    rows = n * rest_scaled.shape[0]
+    cuts = pool.share_cuts(chunks) if rows >= _POOL_ROWS else [0, chunks]
+    cuts = [min(DECODE_CHUNK * c, n) for c in cuts]
     scale = 2.0 / y.size
     sq_sum = 0.0
     grad_dec = np.zeros_like(model.dec_params)
     grad_z = []
-    for share in _map_solves(hand, _decode_share, [
+    for share in pool.map_tasks(hand, _decode_share, [
         (model.dec_spec, model.dec_params, rest_scaled, z[a:b], y[a:b], scale)
         for a, b in zip(cuts, cuts[1:])
     ]):

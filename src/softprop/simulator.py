@@ -29,33 +29,21 @@ makes dataset-scale solving cheap. Each state the solver visits gets one
 kinematics evaluation (per-tet F from one sparse operator, cofactor and J,
 plus the segments of all four tendons from one more sparse operator),
 shared by its energy, gradient and Newton matrix.
-Solves that do not depend on each other (the three fingers of a hand
-frame, the fingers of dataset frames, and each finger's warm-started chain
-through an open-loop schedule) run in one pool of forked workers per
-process, one per CPU this process may use, each pinned to its own CPU and
-with one BLAS thread. The pool is kept across calls, so a control step's
-three warm solves share both cores without paying for a fork; the
-estimator's training steps and the calibration's CMA-ES generations run
-their contiguous shares in the same pool.
+Solves that do not depend on each other run through pool.map_tasks.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
-import os
-import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse import csr_matrix
 
+from . import pool
 from .errors import SolverFailure
 from .geometry import (
     EmbeddedPath,
@@ -898,11 +886,11 @@ def solve_hand(
     x0s warm-starts each finger; u0, the (6,) command x0s is an
     equilibrium of, gives each finger its slice (see solve_equilibrium).
     The three solves are independent, so they run in the process's pool
-    (see _map_solves); the first SolverFailure in finger order is raised,
-    as a serial loop would.
+    (see pool.map_tasks); the first SolverFailure in finger order is
+    raised, as a serial loop would.
     """
     command = _command_array(command)
-    frames = _map_solves(hand, _solve_hand_finger, [
+    frames = pool.map_tasks(hand, _solve_hand_finger, [
         (j, command[2 * j : 2 * j + 2], forces_per_finger[j], float(e_scales[j]),
          None if x0s is None else x0s[j], None if u0 is None else u0[2 * j : 2 * j + 2])
         for j in range(N_FINGERS)
@@ -940,140 +928,6 @@ def _hand_frame(command, finger_frames, forces_per_finger, e_scales, pose=None):
         pose=pose,
         stats=tuple(f.stats for f in finger_frames),
     )
-
-
-# ---------------------------------------------------------------------------
-# Independent solves, decoder shares of a training step and candidate shares
-# of a CMA-ES generation, on every CPU this process may use.
-
-# The hand a pool worker was forked with; set only in workers.
-_worker_hand = None
-
-# This process's pool and the hand its workers were forked with (see
-# _map_solves).
-_pool = None
-_pool_hand = None
-
-_PR_SET_PDEATHSIG = 1  # linux/prctl.h
-
-
-def _openblas_functions(action):
-    """One ctypes function `action` (e.g. "set_num_threads") per OpenBLAS
-    library mapped into this process. numpy and scipy each bundle their
-    own copy, under different symbol prefixes."""
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = sorted({
-            parts[5] for parts in (line.rstrip("\n").split(maxsplit=5) for line in maps)
-            if len(parts) == 6 and "openblas" in os.path.basename(parts[5])
-        })
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in (f"openblas_{action}", f"scipy_openblas_{action}",
-                     f"scipy_openblas_{action}64_"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                found.append(fn)
-                break
-    return found
-
-
-def _start_worker(hand, parent_pid, cpus, next_cpu):
-    global _worker_hand
-    _worker_hand = hand
-    # The pool outlives single calls, so a parent killed without running its
-    # exit hooks must not leave idle workers behind: the kernel kills each
-    # worker when the thread that forked it exits (_map_solves forks from
-    # the caller's thread). A parent that died before prctl is caught by
-    # the parent-pid check.
-    prctl = ctypes.CDLL(None, use_errno=True).prctl
-    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
-        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-    if os.getppid() != parent_pid:
-        os._exit(1)
-    # One BLAS thread per worker: with two workers of two OpenBLAS threads
-    # each on two cores, a dataset frame took 1.4-2.0 s against 0.7-0.9 s
-    # serial.
-    for set_threads in _openblas_functions("set_num_threads"):
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
-    # One CPU per worker, each the next of the parent's allowed CPUs. Left
-    # to the scheduler, a pool's workers sometimes shared one core, and a
-    # CMA-ES generation's shares then ran one after the other.
-    with next_cpu.get_lock():
-        cpu = cpus[next_cpu.value % len(cpus)]
-        next_cpu.value += 1
-    os.sched_setaffinity(0, {cpu})
-
-
-def _run_in_worker(fn, task):
-    return fn(_worker_hand, task)
-
-
-def _drop_pool():
-    """Shut this process's pool down, cancelling the tasks not yet started;
-    the next _map_solves forks a fresh one."""
-    global _pool, _pool_hand
-    pool, _pool, _pool_hand = _pool, None, None
-    if pool is not None:
-        pool.shutdown(cancel_futures=True)
-
-
-def _workers():
-    """How many tasks _map_solves runs at once: one per CPU this process may
-    use, or 1 inside a pool worker (whose siblings already hold the other
-    CPUs)."""
-    return 1 if _worker_hand is not None else len(os.sched_getaffinity(0))
-
-
-def _share_cuts(count, shares):
-    """Bounds of `shares` contiguous shares of `count` items, as even as
-    they come: share k holds items cuts[k]:cuts[k + 1]."""
-    return [count * k // shares for k in range(shares + 1)]
-
-
-def _map_solves(hand: HandModel, fn, tasks):
-    """[fn(hand, t) for t in tasks], spread over the CPUs this process may use.
-
-    The tasks are finger solves, finger chains, channel probes, shares of
-    a training step's decoder sub-batches (estimator._forward_backward) or
-    shares of a CMA-ES generation's candidates (calibration.align_domains).
-    With one CPU, a single task, or inside a pool worker they run here (see
-    _workers). Otherwise they run in this process's pool: one forked worker
-    per CPU, each pinned to its own CPU and with BLAS pinned to one thread;
-    this process stays unpinned. The pool is forked on first use and kept
-    while calls pass the same hand; a call with another hand shuts it down
-    and forks a new one. Workers inherit the hand through fork and keep its
-    solver caches from call to call; only fn, which must be a module-level
-    function, the tasks and the results are pickled.
-    Results come back in task order, so the output equals the in-process
-    run's. A task's exception is raised here with its type and the pool
-    stays; any other failure of the map (a broken pool, an interrupt)
-    drops the pool. On a normal exit concurrent.futures joins the workers;
-    if this process is killed, the kernel kills them (see _start_worker).
-    """
-    global _pool, _pool_hand
-    tasks = list(tasks)
-    workers = _workers()
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(hand, t) for t in tasks]
-    if _pool_hand is not hand:
-        _drop_pool()
-    if _pool is None:
-        context = get_context("fork")
-        _pool = ProcessPoolExecutor(workers, mp_context=context,
-                                    initializer=_start_worker,
-                                    initargs=(hand, os.getpid(),
-                                              sorted(os.sched_getaffinity(0)),
-                                              context.Value("i", 0)))
-        _pool_hand = hand
-    try:
-        return list(_pool.map(_run_in_worker, [fn] * len(tasks), tasks))
-    except BaseException as err:
-        if isinstance(err, BrokenProcessPool) or not isinstance(err, Exception):
-            _drop_pool()
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -1136,14 +990,14 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     Each frame draws from its own (seed, STAGE_DATASET, index) stream, and
     its three finger solves are independent, so all 3 x frames cold finger
     solves are mapped at once through the process's pool (see
-    _map_solves). Frames are assembled in index order, so the result
+    pool.map_tasks). Frames are assembled in index order, so the result
     equals a serial run's, solve records (SimFrame.stats) included. A frame
     with a failed finger solve is skipped, never silently included: each
     failed finger logs one warning, in frame then finger order, whose extra
     fields are frame, finger and the failure's residual and step.
     """
     inputs = [_dataset_frame_inputs(hand, cfg, seed, i) for i in range(cfg.frames)]
-    solved = _map_solves(hand, _solve_hand_finger, [
+    solved = pool.map_tasks(hand, _solve_hand_finger, [
         (j, command[2 * j : 2 * j + 2], forces[j], float(e_scales[j]), None, None)
         for command, forces, e_scales in inputs for j in range(N_FINGERS)
     ])
@@ -1192,10 +1046,10 @@ def _solve_open_loop(hand: HandModel, commands, forces, poses, what):
     commands[t] is the (6,) command of step t, forces[t] its per-finger
     events and poses[t] its palm pose. No finger's chain depends on another
     finger, so the three chains are mapped through the process's pool (see
-    _map_solves). The first failure in (step, finger) order is raised, as a
-    serial walk would.
+    pool.map_tasks). The first failure in (step, finger) order is raised,
+    as a serial walk would.
     """
-    chains = _map_solves(hand, _solve_finger_chain, [
+    chains = pool.map_tasks(hand, _solve_finger_chain, [
         (j, [(u[2 * j : 2 * j + 2], f[j]) for u, f in zip(commands, forces)])
         for j in range(N_FINGERS)
     ])
@@ -1218,7 +1072,7 @@ def rollout_commands(hand: HandModel, commands):
     commands: iterable of (6,) tendon commands. Each finger walks its own
     warm-started chain (x0 and u0 from its previous step); the open-loop
     schedule makes the three chains independent, so they run in parallel
-    in the process's pool (see _map_solves). Returns the SimFrame list;
+    in the process's pool (see pool.map_tasks). Returns the SimFrame list;
     useful for recording tendon-reachable reference trajectories.
     """
     commands = [_command_array(c) for c in commands]
@@ -1268,7 +1122,7 @@ def collect_demonstration(
     The seed is only recorded with the result; the solve itself is
     deterministic. Each finger's step warm-starts from its previous step;
     the script is open-loop, so the three fingers' chains run in parallel
-    in the process's pool (see _map_solves).
+    in the process's pool (see pool.map_tasks).
     """
     script = tuple(script)
     for j, _ in script:

@@ -1,13 +1,12 @@
 """Tests for the derivative-free optimizer and domain alignment."""
 
 import math
-import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from softprop import calibration, simulator
+from softprop import calibration, pool
 from softprop.calibration import (
     CALSET_PAYLOAD,
     AlignParams,
@@ -38,6 +37,8 @@ from softprop.sensors import (
     strain_array_from_resistance,
 )
 from softprop.simulator import DatasetConfig, HandModel, generate_dataset, solve_hand
+
+from conftest import worker_pids
 
 
 def sphere(x):
@@ -473,10 +474,6 @@ def test_predict_observed_cloud_is_posed_union(smoke_model, smoke_hand, phi_cals
 POOLED_CFG = CmaConfig(sigma0=0.3, popsize=9, max_evals=1 + 2 * 9)
 
 
-def _worker_pids():
-    return sorted(p.pid for p in multiprocessing.active_children())
-
-
 def _record_generations(monkeypatch):
     """(candidates, losses) of every generation align_domains scores from
     now on, as the search receives them."""
@@ -499,10 +496,10 @@ def test_pooled_alignment_equals_one_cpu_alignment(smoke_model, smoke_hand, phi_
                                                    monkeypatch):
     generations = _record_generations(monkeypatch)
     pooled = align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=2)
-    assert len(_worker_pids()) == 2
+    assert len(worker_pids()) == 2
     pooled_losses = [losses for _, losses in generations]
     generations.clear()
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
     serial = align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=2)
     assert pooled_losses == [losses for _, losses in generations]
     assert np.array_equal(pooled.params.kappa, serial.params.kappa)
@@ -526,7 +523,7 @@ def test_alignment_scores_only_the_initial_mean_in_the_caller(smoke_model, smoke
     generations = _record_generations(monkeypatch)
     align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=0)
     pids = [int(line) for line in log.read_text().split()]
-    workers = _worker_pids()
+    workers = worker_pids()
     assert len(workers) == 2 and os.getpid() not in workers
     # A candidate with a non-positive factor scores +inf unevaluated.
     scored = sum(int((thetas[:, :24].min(axis=1) > 0).sum()) for thetas, _ in generations)
@@ -543,7 +540,7 @@ def test_value_error_in_a_worker_scores_inf_and_is_never_selected(
     candidates, losses = generations[0]
     best = int(np.argmin(losses))
     planted = candidates[best, :24].copy()  # generation 1's best
-    simulator._drop_pool()  # the next pool forks with the planted error
+    pool._drop_pool()  # the next pool forks with the planted error
     parent = os.getpid()
     real = calibration.alignment_loss
 
@@ -580,12 +577,12 @@ def test_uncaught_error_in_a_worker_reaches_the_caller_and_the_pool_stays(
     monkeypatch.setattr(calibration, "alignment_loss", flagged_error)
     with pytest.raises(KeyError, match="planted"):
         align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=0)
-    workers = _worker_pids()
+    workers = worker_pids()
     assert len(workers) == 2
     flag.unlink()
     result = align_domains(smoke_model, smoke_hand, phi_calset, POOLED_CFG, seed=0)
     assert result.history[-1]["evaluations"] == POOLED_CFG.max_evals
-    assert _worker_pids() == workers
+    assert worker_pids() == workers
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from softprop import simulator
+from softprop import pool
 from softprop.controller import (
     ActuationDirections,
     ControllerConfig,
@@ -141,7 +141,7 @@ def test_limp_tendon_is_degenerate():
 
 def test_fit_probes_the_one_finger_once_per_channel(hand, monkeypatch):
     # One allowed CPU keeps the probes in this process, where they are counted.
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
     calls = []
 
     def counting_solve(*args, **kwargs):
@@ -157,7 +157,7 @@ def test_fit_probes_the_one_finger_once_per_channel(hand, monkeypatch):
 
 def test_pooled_fit_equals_in_process_fit(hand, two_cpus, monkeypatch):
     pooled = fit_actuation_directions(hand)
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
     serial = fit_actuation_directions(hand)
     assert np.array_equal(pooled.basis, serial.basis)
     assert np.array_equal(pooled.dirs, serial.dirs)

@@ -7,14 +7,13 @@ memorization oracle, and checkpoint round trips. Training-behaviour
 bounds were frozen from smoke runs of this exact configuration.
 """
 
-import multiprocessing
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from softprop import estimator, nn, simulator
+from softprop import estimator, nn, pool
 from softprop.errors import MissingArtifactError, NonFiniteError, TrainingError
 from softprop.estimator import (
     DECODE_CHUNK,
@@ -39,6 +38,8 @@ from softprop.simulator import (
     generate_dataset,
     solve_hand,
 )
+
+from conftest import assert_served_by, pid_task, worker_pids
 
 SMOKE_CFG = TrainConfig(epochs=25, batch=64, lr=3e-3)
 
@@ -414,14 +415,6 @@ def test_shape_bug_is_not_reported_as_divergence(smoke_frames, hand, monkeypatch
 POOLED_BATCH = 14 * DECODE_CHUNK + 5
 
 
-def _worker_pids():
-    return sorted(p.pid for p in multiprocessing.active_children())
-
-
-def _pid(hand, task):
-    return os.getpid()
-
-
 def test_pooled_training_equals_one_cpu_training(smoke_frames, hand, two_cpus,
                                                  one_blas_thread, monkeypatch):
     # 45 train frames give 135 samples an epoch: one pooled minibatch and
@@ -429,8 +422,8 @@ def test_pooled_training_equals_one_cpu_training(smoke_frames, hand, two_cpus,
     assert POOLED_BATCH * hand.fingers[0].surface.vertices.shape[0] >= estimator._POOL_ROWS
     cfg = TrainConfig(epochs=3, batch=POOLED_BATCH, lr=3e-3, refit_head=True)
     pooled_model, pooled = train(smoke_frames, hand, cfg, seed=5)
-    assert len(_worker_pids()) == 2
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    assert len(worker_pids()) == 2
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
     model, report = train(smoke_frames, hand, cfg, seed=5)
     assert pooled.train_mse == report.train_mse
     assert pooled.val_mse == report.val_mse
@@ -455,7 +448,7 @@ def test_pooled_training_runs_decoder_passes_in_workers(smoke_frames, hand, two_
     monkeypatch.setattr(nn, "backward_conditioned", backward_spy)
     train(smoke_frames, hand, TrainConfig(epochs=2, batch=1000), seed=5)
     pids = [int(line) for line in log.read_text().split()]
-    workers = _worker_pids()
+    workers = worker_pids()
     assert len(workers) == 2 and os.getpid() not in workers
     assert len(pids) == 2 * -(-135 // DECODE_CHUNK)
     assert set(pids) <= set(workers)
@@ -464,9 +457,9 @@ def test_pooled_training_runs_decoder_passes_in_workers(smoke_frames, hand, two_
 def test_training_below_the_threshold_forks_no_pool(smoke_frames, hand, two_cpus):
     # 64 samples are 3,968 decoder rows on the test hand.
     assert 64 * hand.fingers[0].surface.vertices.shape[0] < estimator._POOL_ROWS
-    assert simulator._pool is None
+    assert pool._pool is None
     train(smoke_frames, hand, TrainConfig(epochs=1, batch=64), seed=5)
-    assert simulator._pool is None
+    assert pool._pool is None
 
 
 def test_non_finite_pass_in_a_worker_is_divergence(smoke_frames, hand, two_cpus,
@@ -485,10 +478,10 @@ def test_non_finite_pass_in_a_worker_is_divergence(smoke_frames, hand, two_cpus,
     assert isinstance(exc.value.__cause__, NonFiniteError)
     assert "planted" in str(exc.value.__cause__)
     # The pool survives its task's error and still answers.
-    workers = _worker_pids()
+    workers = worker_pids()
     assert len(workers) == 2
-    assert set(simulator._map_solves(hand, _pid, range(4))) <= set(workers)
-    assert _worker_pids() == workers
+    assert_served_by(pool.map_tasks(hand, pid_task, range(4)), hand, workers)
+    assert worker_pids() == workers
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ def test_scripts_import_and_dependencies_are_used():
         assert dist.lower().replace("-", "_") in imported, requirement
 
 
+def _holders(needle):
+    """Sorted names of the softprop modules whose source contains needle."""
+    return sorted(path.name for path in (ROOT / "src" / "softprop").rglob("*.py")
+                  if needle in path.read_text())
+
+
 @pytest.mark.parametrize("needle, owner", [
     ('"manifest.json"', "datafiles.py"),
     ("raise MissingArtifactError", "datafiles.py"),
@@ -51,9 +57,26 @@ def test_artifact_io_has_one_owner(needle, owner):
     # Artifact directories are written and read only through datafiles, and
     # their manifests (written by write_manifest) are the only JSON or text
     # files: every payload is binary, so no module owns a text writer.
-    holders = sorted(path.name for path in (ROOT / "src" / "softprop").rglob("*.py")
-                     if needle in path.read_text())
-    assert holders == ([owner] if owner else [])
+    assert _holders(needle) == ([owner] if owner else [])
+
+
+@pytest.mark.parametrize("needle", [
+    "ProcessPoolExecutor", "sched_setaffinity", "sched_getaffinity", "openblas", "prctl",
+])
+def test_worker_processes_have_one_owner(needle):
+    # Only pool decides how many workers run, how work is cut into shares
+    # and how workers are pinned to CPUs and BLAS threads.
+    assert _holders(needle) == ["pool.py"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imports = []
+    for path in sorted((ROOT / "src" / "softprop").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                imports += [f"{path.name}: {node.module or '.'}.{alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
 
 
 def _perfbench_tree(name):

@@ -1,19 +1,12 @@
 """Finger statics: mesh construction, energies, equilibria, datasets."""
 
 import math
-import multiprocessing
-import os
 import re
-import signal
-import subprocess
-import sys
-import time
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from softprop import simulator
+from softprop import pool, simulator
 from softprop.errors import SolverFailure
 from softprop.geometry import RigidPose, rotation_about_z, signed_volumes
 from softprop.simulator import (
@@ -30,6 +23,8 @@ from softprop.simulator import (
     solve_equilibrium,
     solve_hand,
 )
+
+from conftest import assert_served_by, pid_task, worker_pids
 
 RING = 12
 
@@ -1022,7 +1017,7 @@ def _patch_solve(monkeypatch, fn):
     """Patch simulator.solve_equilibrium, then drop the pool so that the next
     map forks workers that see the patch."""
     monkeypatch.setattr(simulator, "solve_equilibrium", fn)
-    simulator._drop_pool()
+    pool._drop_pool()
 
 
 def _assert_same_frame(a, b):
@@ -1094,54 +1089,6 @@ def test_pooled_dataset_skips_failed_frames_in_order(four_hand, two_cpus, monkey
         _assert_same_frame(frame, want)
 
 
-def _pid(hand, task):
-    return os.getpid(), id(hand)
-
-
-def _pool_pids():
-    return sorted(p.pid for p in multiprocessing.active_children())
-
-
-def _assert_served_by(results, hand, workers):
-    # Workers inherit the hand through fork: same object, same address.
-    assert {pid for pid, _ in results} <= set(workers)
-    assert all(hand_id == id(hand) for _, hand_id in results)
-
-
-def test_pool_is_kept_while_calls_pass_the_same_hand(four_hand, small_hand, two_cpus):
-    results = simulator._map_solves(four_hand, _pid, range(4))
-    workers = _pool_pids()
-    assert len(workers) == 2 and os.getpid() not in workers
-    _assert_served_by(results, four_hand, workers)
-    results = simulator._map_solves(four_hand, _pid, range(4))
-    assert _pool_pids() == workers
-    _assert_served_by(results, four_hand, workers)
-    # Another hand shuts the pool down and forks new workers.
-    results = simulator._map_solves(small_hand, _pid, range(4))
-    fresh = _pool_pids()
-    assert len(fresh) == 2 and not set(fresh) & set(workers)
-    _assert_served_by(results, small_hand, fresh)
-
-
-def _slow_pid(hand, task):
-    time.sleep(0.2)
-    return os.getpid(), id(hand)
-
-
-def test_broken_pool_is_dropped_and_forked_again(four_hand, two_cpus):
-    simulator._map_solves(four_hand, _pid, range(4))
-    workers = _pool_pids()
-    os.kill(workers[0], signal.SIGKILL)
-    # The surviving worker cannot finish 0.8 s of tasks before the pool
-    # notices its sibling died.
-    with pytest.raises(BrokenProcessPool):
-        simulator._map_solves(four_hand, _slow_pid, range(4))
-    results = simulator._map_solves(four_hand, _pid, range(4))
-    fresh = _pool_pids()
-    assert len(fresh) == 2 and not set(fresh) & set(workers)
-    _assert_served_by(results, four_hand, fresh)
-
-
 def test_worker_error_reaches_caller_with_its_type(four_hand, two_cpus, monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("not a solver failure")
@@ -1149,15 +1096,15 @@ def test_worker_error_reaches_caller_with_its_type(four_hand, two_cpus, monkeypa
     _patch_solve(monkeypatch, broken)
     with pytest.raises(ZeroDivisionError, match="not a solver failure"):
         generate_dataset(four_hand, POOL_CFG, seed=33)
-    workers = _pool_pids()
+    workers = worker_pids()
     assert len(workers) == 2
     with pytest.raises(ZeroDivisionError):
         simulator.rollout_commands(four_hand, [np.full(6, 0.1)] * 2)
     with pytest.raises(ZeroDivisionError):
         solve_hand(four_hand, np.full(6, 0.1))
     # The pool survives its tasks' errors and still answers.
-    _assert_served_by(simulator._map_solves(four_hand, _pid, range(4)), four_hand, workers)
-    assert _pool_pids() == workers
+    assert_served_by(pool.map_tasks(four_hand, pid_task, range(4)), four_hand, workers)
+    assert worker_pids() == workers
 
 
 def test_open_loop_raises_the_first_failure_by_step_then_finger(four_hand, two_cpus,
@@ -1222,127 +1169,16 @@ def test_pooled_solve_hand_raises_the_first_failed_finger(four_hand, two_cpus,
     assert (exc.value.residual, exc.value.step) == (1.0, 1)
 
 
-def _blas_threads(hand, task):
-    return os.getpid(), [f() for f in simulator._openblas_functions("get_num_threads")]
-
-
-def test_pool_workers_run_one_blas_thread(four_hand, two_cpus):
-    if not simulator._openblas_functions("get_num_threads"):
-        pytest.skip("no OpenBLAS library is loaded")
-    results = simulator._map_solves(four_hand, _blas_threads, range(4))
-    assert all(pid != os.getpid() for pid, _ in results)
-    assert all(counts and set(counts) == {1} for _, counts in results)
-
-
-# The real call: two_cpus patches os.sched_getaffinity.
-_allowed_cpus = os.sched_getaffinity
-# Set before a test's pool forks, so its workers inherit it.
-_both_workers = None
-
-
-def _pinned_cpus(hand, task):
-    # Two tasks that each wait for the other run on both workers.
-    _both_workers.wait(timeout=60)
-    return os.getpid(), _allowed_cpus(0)
-
-
-def test_pool_workers_are_pinned_to_distinct_cpus(four_hand, two_cpus, monkeypatch):
-    if not {0, 1} <= _allowed_cpus(0):
-        pytest.skip("this process may not use both CPUs 0 and 1")
-    allowed = _allowed_cpus(0)
-    monkeypatch.setattr(sys.modules[__name__], "_both_workers", multiprocessing.Barrier(2))
-    results = simulator._map_solves(four_hand, _pinned_cpus, range(2))
-    assert sorted(pid for pid, _ in results) == _pool_pids()
-    assert sorted(tuple(cpus) for _, cpus in results) == [(0,), (1,)]
-    assert _allowed_cpus(0) == allowed  # this process stays unpinned
-
-
-def _inner(hand, task):
-    return os.getpid()
-
-
-def _outer(hand, task):
-    return os.getpid(), simulator._map_solves(hand, _inner, range(3))
-
-
-def test_nested_map_solves_run_in_the_worker(four_hand, two_cpus):
-    # A pool worker that maps solves itself runs them in-process: its
-    # siblings already hold the other CPUs.
-    results = simulator._map_solves(four_hand, _outer, range(2))
-    assert all(pid != os.getpid() for pid, _ in results)
-    assert all(inner_pids == [pid] * 3 for pid, inner_pids in results)
-
-
 def test_one_cpu_solves_in_process(four_hand, monkeypatch):
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started on one CPU")
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
-    me = (os.getpid(), id(four_hand))
-    assert simulator._map_solves(four_hand, _pid, range(3)) == [me] * 3
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
     frames = generate_dataset(four_hand, POOL_CFG, seed=31)
     _assert_same_frame(frames[0], _oracle_dataset_frame(four_hand, 31, 0))
     assert len(simulator.rollout_commands(four_hand, [np.full(6, 0.1)] * 2)) == 2
-
-
-# A child process that solves a hand frame on two workers, prints their
-# pids, and then either exits normally (printing, from an atexit handler,
-# the workers still alive by then) or waits to be killed.
-_CHILD = """
-import atexit, multiprocessing, os, sys, time
-import numpy as np
-from softprop import simulator
-simulator.os.sched_getaffinity = lambda pid: {0, 1}
-hand = simulator.HandModel.build_standard(segments=4, length_mm=24.0)
-simulator.solve_hand(hand, np.full(6, 0.1))
-print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
-if sys.argv[1] == "exit":
-    atexit.register(lambda: print(len(multiprocessing.active_children()), flush=True))
-else:
-    time.sleep(120)
-"""
-
-
-def _alive(pid):
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
-            state = stat.read().rsplit(")", 1)[1].split()[0]
-    except FileNotFoundError:
-        return False
-    return state not in ("Z", "X")
-
-
-@pytest.mark.parametrize("end", ["exit", "kill"])
-def test_no_pool_worker_outlives_its_process(end):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(simulator.__file__)))
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    child = subprocess.Popen([sys.executable, "-c", _CHILD, end], stdout=subprocess.PIPE,
-                             text=True, env=env)
-    try:
-        workers = [int(pid) for pid in child.stdout.readline().split()]
-        assert len(workers) == 2
-        if end == "kill":
-            child.kill()
-            assert child.wait(timeout=60) == -signal.SIGKILL
-        else:
-            # concurrent.futures' exit hook joined the workers before the
-            # interpreter ran its atexit handlers.
-            assert child.stdout.read().split() == ["0"]
-            assert child.wait(timeout=60) == 0
-    finally:
-        if child.poll() is None:
-            child.kill()
-            child.wait(timeout=60)
-        child.stdout.close()
-    deadline = time.monotonic() + 10.0
-    while any(map(_alive, workers)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    survivors = [pid for pid in workers if _alive(pid)]
-    for pid in survivors:
-        os.kill(pid, signal.SIGKILL)
-    assert survivors == []
 
 
 # -- demonstrations -------------------------------------------------------------
