@@ -17,17 +17,16 @@ update du = k_p * (descriptor . d_channel) dimensionally coherent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimator, pool
+from . import estimator
 from .datafiles import load_role, save_dataset
 from .errors import DegenerateDataError, SolverFailure
 from .geometry import mean_nn_distance
 from .sensors import N_SENSORS
-from .simulator import N_FINGERS, HandModel, solve_equilibrium, solve_hand
+from .simulator import N_FINGERS, HandModel, solve_hand
 
 N_CHANNELS = 2 * N_FINGERS
 
@@ -85,20 +84,19 @@ def fit_actuation_directions(hand: HandModel, probe_amplitude=0.2):
     probed once and the fitted basis serves every finger. Tendons only
     pull, so the probe is one-sided: solve at u = amplitude on one channel,
     subtract the rest surface, sum the vertex displacements, and drop the
-    axial component. The two probes are independent solves, mapped through
-    pool.map_tasks. A channel whose lateral response vanishes cannot
-    be servoed and raises DegenerateDataError.
+    axial component. Both probes are one solve_hand: finger c gets
+    amplitude on channel c only, and finger 2 stays at rest (its solve
+    converges at iteration 0). A channel whose lateral response vanishes
+    cannot be servoed and raises DegenerateDataError.
     """
     amp = float(probe_amplitude)
     if not 0.0 < amp <= 1.0:
         raise ValueError("fit_actuation_directions: amplitude must be in (0, 1]")
-    finger = hand.fingers[0]
-    rest = finger.surface.vertices
-    probes = pool.map_tasks(hand, _probe, [amp * np.eye(2)[c] for c in range(2)])
+    rest = hand.fingers[0].surface.vertices
+    probes, _ = solve_hand(hand, [amp, 0.0, 0.0, amp, 0.0, 0.0])
     basis = np.zeros((2, 3))
-    for c, frame in enumerate(probes):
-        delta = frame.nodes[finger.rest.surface_map] - rest
-        response = delta.sum(axis=0)
+    for c, surface in enumerate(probes.surfaces(hand)[:2]):
+        response = (surface - rest).sum(axis=0)
         response[2] = 0.0  # descriptor plane is lateral
         norm = float(np.linalg.norm(response))
         if norm <= 1e-9 * rest.shape[0]:
@@ -112,11 +110,6 @@ def fit_actuation_directions(hand: HandModel, probe_amplitude=0.2):
         d = np.array([basis[c] @ basis[0], basis[c] @ basis[1]])
         dirs[c] = d / np.linalg.norm(d)
     return ActuationDirections(basis, dirs, amp)
-
-
-def _probe(hand: HandModel, u2):
-    """The hand's finger model solved cold at the channel command u2."""
-    return solve_equilibrium(hand.fingers[0], u2)
 
 
 def _descriptor(error_field, basis):

@@ -271,10 +271,6 @@ class TetraMesh:
     def n_nodes(self):
         return self.nodes.shape[0]
 
-    @property
-    def n_tets(self):
-        return self.tets.shape[0]
-
 
 def signed_volumes(nodes, tets):
     a = nodes[tets[:, 0]]

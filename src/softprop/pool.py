@@ -1,13 +1,12 @@
 """Independent work on every CPU this process may use.
 
-Tasks that do not depend on each other (the three finger solves of a hand
-frame, the finger solves of dataset frames, each finger's warm-started
-chain through an open-loop schedule, the shares of a training step's
-decoder sub-batches and of a CMA-ES generation's candidates) run in one
-pool of forked workers per process, one per CPU this process may use, each
-pinned to its own CPU and with one BLAS thread. The pool is kept across
-calls, so a control step's three warm solves share both cores without
-paying for a fork.
+Tasks that do not depend on each other (finger chains: one finger's
+solves for a hand frame, a dataset frame or an open-loop schedule; the
+shares of a training step's decoder sub-batches and of a CMA-ES
+generation's candidates) run in one pool of forked workers per process,
+one per CPU this process may use, each pinned to its own CPU and with one
+BLAS thread. The pool is kept across calls, so a control step's three warm
+solves share both cores without paying for a fork.
 """
 
 from __future__ import annotations
@@ -102,10 +101,10 @@ def _workers():
 
 def share_cuts(count):
     """Bounds of one contiguous share of `count` items per task map_tasks
-    would run at once here (never more shares than items), as even as they
-    come: share k holds items cuts[k]:cuts[k + 1]."""
+    would run at once here, as even as they come: share k holds items
+    cuts[k]:cuts[k + 1]. Never more shares than items: no items, [0]."""
     shares = min(_workers(), count)
-    return [count * k // shares for k in range(shares + 1)]
+    return [count * k // shares for k in range(shares + 1)] if shares else [0]
 
 
 def map_tasks(hand, fn, tasks):
@@ -113,7 +112,7 @@ def map_tasks(hand, fn, tasks):
 
     fn must be a module-level function; every task gets the hand, whether
     fn reads it or not.
-    The tasks are finger solves, finger chains, channel probes, shares of
+    The tasks are finger chains (simulator._solve_finger_chain), shares of
     a training step's decoder sub-batches (estimator._forward_backward) or
     shares of a CMA-ES generation's candidates (calibration.align_domains).
     With one CPU, a single task, or inside a pool worker they run here (see

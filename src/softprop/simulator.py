@@ -29,7 +29,8 @@ makes dataset-scale solving cheap. Each state the solver visits gets one
 kinematics evaluation (per-tet F from one sparse operator, cofactor and J,
 plus the segments of all four tendons from one more sparse operator),
 shared by its energy, gradient and Newton matrix.
-Solves that do not depend on each other run through pool.map_tasks.
+Pooled finger solves are chains of continuation steps (_solve_finger_chain),
+and independent chains run through pool.map_tasks.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
 
@@ -147,28 +148,6 @@ class ExternalForceEvent:
         return ExternalForceEvent(
             self.center, self.radius_mm, self.force_mn * factor, self.window
         )
-
-
-@dataclass(frozen=True)
-class TendonCommand:
-    """Six servo channel values in [0, 1]: two per finger, three fingers."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.ascontiguousarray(self.u, dtype=np.float64).reshape(-1)
-        if u.shape != (6,):
-            raise ValueError(f"TendonCommand: expected 6 channels, got {u.shape}")
-        if not np.isfinite(u).all() or u.min() < 0.0 or u.max() > 1.0:
-            raise ValueError(f"TendonCommand: channels must lie in [0, 1], got {u}")
-        object.__setattr__(self, "u", u)
-
-    @staticmethod
-    def rest():
-        return TendonCommand(np.zeros(6))
-
-    def finger(self, j):
-        return self.u[2 * j : 2 * j + 2]
 
 
 @dataclass(frozen=True)
@@ -885,36 +864,31 @@ def solve_hand(
 
     x0s warm-starts each finger; u0, the (6,) command x0s is an
     equilibrium of, gives each finger its slice (see solve_equilibrium).
-    The three solves are independent, so they run in the process's pool
-    (see pool.map_tasks); the first SolverFailure in finger order is
-    raised, as a serial loop would.
+    Each finger is a one-step chain (_solve_finger_chain), run in the
+    process's pool (see pool.map_tasks); the first SolverFailure in finger
+    order is raised, as a serial loop would.
     """
     command = _command_array(command)
-    frames = pool.map_tasks(hand, _solve_hand_finger, [
-        (j, command[2 * j : 2 * j + 2], forces_per_finger[j], float(e_scales[j]),
-         None if x0s is None else x0s[j], None if u0 is None else u0[2 * j : 2 * j + 2])
+    chains = pool.map_tasks(hand, _solve_finger_chain, [
+        (None if x0s is None else x0s[j], None if u0 is None else u0[2 * j : 2 * j + 2],
+         [(command[2 * j : 2 * j + 2], forces_per_finger[j], float(e_scales[j]))])
         for j in range(N_FINGERS)
     ])
-    failure = next((f for f in frames if isinstance(f, SolverFailure)), None)
+    failure = next((err for _, err in chains if err is not None), None)
     if failure is not None:
         raise failure
+    frames = [chain[0] for chain, _ in chains]
     return _hand_frame(command, frames, forces_per_finger, e_scales), frames
 
 
-def _solve_hand_finger(hand: HandModel, task):
-    """Finger j's solve_equilibrium for task (j, u2, forces, e_scale, x0, u0);
-    a SolverFailure is returned, not raised."""
-    j, u2, forces, e_scale, x0, u0 = task
-    try:
-        return solve_equilibrium(hand.fingers[j], u2, forces, e_scale, x0, u0)
-    except SolverFailure as err:
-        return err
-
-
 def _command_array(command):
-    """Validated (6,) channel values of a TendonCommand or array-like."""
-    command = command.u if isinstance(command, TendonCommand) else np.asarray(command, float)
-    return TendonCommand(command).u
+    """The validated (6,) channels of a command: finite, in [0, 1]."""
+    u = np.ascontiguousarray(command, dtype=np.float64).reshape(-1)
+    if u.shape != (6,):
+        raise ValueError(f"command: expected 6 channels, got {u.shape}")
+    if not np.isfinite(u).all() or u.min() < 0.0 or u.max() > 1.0:
+        raise ValueError(f"command: channels must lie in [0, 1], got {u}")
+    return u
 
 
 def _hand_frame(command, finger_frames, forces_per_finger, e_scales, pose=None):
@@ -989,22 +963,23 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
 
     Each frame draws from its own (seed, STAGE_DATASET, index) stream, and
     its three finger solves are independent, so all 3 x frames cold finger
-    solves are mapped at once through the process's pool (see
-    pool.map_tasks). Frames are assembled in index order, so the result
-    equals a serial run's, solve records (SimFrame.stats) included. A frame
-    with a failed finger solve is skipped, never silently included: each
-    failed finger logs one warning, in frame then finger order, whose extra
-    fields are frame, finger and the failure's residual and step.
+    solves, each a one-step chain from rest (_solve_finger_chain), are
+    mapped at once through the process's pool (see pool.map_tasks).
+    Frames are assembled in index order, so the result equals a serial
+    run's, solve records (SimFrame.stats) included. A frame with a failed
+    finger solve is skipped, never silently included: each failed finger
+    logs one warning, in frame then finger order, whose extra fields are
+    frame, finger and the failure's residual and step.
     """
     inputs = [_dataset_frame_inputs(hand, cfg, seed, i) for i in range(cfg.frames)]
-    solved = pool.map_tasks(hand, _solve_hand_finger, [
-        (j, command[2 * j : 2 * j + 2], forces[j], float(e_scales[j]), None, None)
+    solved = pool.map_tasks(hand, _solve_finger_chain, [
+        (None, None, [(command[2 * j : 2 * j + 2], forces[j], float(e_scales[j]))])
         for command, forces, e_scales in inputs for j in range(N_FINGERS)
     ])
     frames = []
     for i, (command, forces, e_scales) in enumerate(inputs):
-        fingers = solved[N_FINGERS * i : N_FINGERS * (i + 1)]
-        failures = [(j, f) for j, f in enumerate(fingers) if isinstance(f, SolverFailure)]
+        fingers, errs = zip(*solved[N_FINGERS * i : N_FINGERS * (i + 1)])
+        failures = [(j, err) for j, err in enumerate(errs) if err is not None]
         for j, failure in failures:
             log.warning("frame %d skipped: finger %d: %s", i, j, failure, extra={
                 "frame": i, "finger": j, "residual": failure.residual,
@@ -1012,31 +987,29 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
             })
         if failures:
             continue
-        frames.append(_hand_frame(command, fingers, forces, e_scales))
+        frames.append(_hand_frame(command, [f[0] for f in fingers], forces, e_scales))
     if not frames:
         raise SolverFailure("every frame in the dataset failed to solve")
     return frames
 
 
 def _solve_finger_chain(hand: HandModel, task):
-    """Finger j's warm-started solves over a schedule of (u2, forces).
+    """hand.fingers[0] solved through task (x0, u0, steps), steps a list of
+    (u2, forces, e_scale); the one pool task that solves fingers.
 
-    Each solve starts from the previous one's nodes and names its command
-    (x0, u0). Returns (FingerFrames, None), or the frames before the first
-    failed step and that step's SolverFailure.
+    The first step starts from x0, an equilibrium of u0 (None, None: from
+    rest), each later one from the previous frame's nodes and command.
+    Returns (FingerFrames, None), or the frames before the first failed
+    step and that step's SolverFailure.
     """
-    j, schedule = task
+    x0, u0, steps = task
     frames = []
-    for u2, forces in schedule:
-        prev = frames[-1] if frames else None
+    for u2, forces, e_scale in steps:
         try:
-            frames.append(solve_equilibrium(
-                hand.fingers[j], u2, forces,
-                x0=None if prev is None else prev.nodes,
-                u0=None if prev is None else prev.command,
-            ))
+            frames.append(solve_equilibrium(hand.fingers[0], u2, forces, e_scale, x0, u0))
         except SolverFailure as err:
             return frames, err
+        x0, u0 = frames[-1].nodes, frames[-1].command
     return frames, None
 
 
@@ -1050,7 +1023,7 @@ def _solve_open_loop(hand: HandModel, commands, forces, poses, what):
     as a serial walk would.
     """
     chains = pool.map_tasks(hand, _solve_finger_chain, [
-        (j, [(u[2 * j : 2 * j + 2], f[j]) for u, f in zip(commands, forces)])
+        (None, None, [(u[2 * j : 2 * j + 2], f[j], 1.0) for u, f in zip(commands, forces)])
         for j in range(N_FINGERS)
     ])
     failed = [(len(frames), j, err) for j, (frames, err) in enumerate(chains)
@@ -1069,11 +1042,12 @@ def _solve_open_loop(hand: HandModel, commands, forces, poses, what):
 def rollout_commands(hand: HandModel, commands):
     """Solve a command schedule with warm starts.
 
-    commands: iterable of (6,) tendon commands. Each finger walks its own
-    warm-started chain (x0 and u0 from its previous step); the open-loop
-    schedule makes the three chains independent, so they run in parallel
-    in the process's pool (see pool.map_tasks). Returns the SimFrame list;
-    useful for recording tendon-reachable reference trajectories.
+    commands: iterable of (6,) tendon commands (finite, in [0, 1]). Each
+    finger walks its own chain from rest (_solve_finger_chain); the
+    open-loop schedule makes the three chains independent, so they run in
+    parallel in the process's pool (see pool.map_tasks). Returns the
+    SimFrame list; useful for recording tendon-reachable reference
+    trajectories.
     """
     commands = [_command_array(c) for c in commands]
     if not commands:
@@ -1120,9 +1094,9 @@ def collect_demonstration(
     so deformations drift smoothly toward equilibrium instead of jumping.
     pose_script: optional per-step palm RigidPose list (default identity).
     The seed is only recorded with the result; the solve itself is
-    deterministic. Each finger's step warm-starts from its previous step;
-    the script is open-loop, so the three fingers' chains run in parallel
-    in the process's pool (see pool.map_tasks).
+    deterministic. Each finger walks its own chain from rest
+    (_solve_finger_chain); the script is open-loop, so the three chains
+    run in parallel in the process's pool (see pool.map_tasks).
     """
     script = tuple(script)
     for j, _ in script:

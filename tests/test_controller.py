@@ -139,20 +139,22 @@ def test_limp_tendon_is_degenerate():
     assert info.value.sensor_indices == (0,)
 
 
-def test_fit_probes_the_one_finger_once_per_channel(hand, monkeypatch):
-    # One allowed CPU keeps the probes in this process, where they are counted.
-    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
+def test_fit_probes_the_one_finger_once_per_channel(hand, one_cpu, monkeypatch):
+    # One solve_hand probes both channels, one per finger; the third finger
+    # stays at rest and converges at once. One allowed CPU keeps the solves
+    # in this process, where they are counted.
     calls = []
 
-    def counting_solve(*args, **kwargs):
-        calls.append(args)
-        return solve_equilibrium(*args, **kwargs)
+    def counting_solve(finger, u2, *args, **kwargs):
+        out = solve_equilibrium(finger, u2, *args, **kwargs)
+        calls.append((finger, np.asarray(u2).tolist(), out.stats.iterations))
+        return out
 
-    monkeypatch.setattr("softprop.controller.solve_equilibrium", counting_solve)
+    monkeypatch.setattr("softprop.simulator.solve_equilibrium", counting_solve)
     fit_actuation_directions(hand)
-    assert len(calls) == 2
-    assert all(f is hand.fingers[0] for f, _ in calls)
-    assert [u2.tolist() for _, u2 in calls] == [[0.2, 0.0], [0.0, 0.2]]
+    assert all(f is hand.fingers[0] for f, _, _ in calls)
+    assert [u2 for _, u2, _ in calls] == [[0.2, 0.0], [0.0, 0.2], [0.0, 0.0]]
+    assert calls[2][2] == 0
 
 
 def test_pooled_fit_equals_in_process_fit(hand, two_cpus, monkeypatch):

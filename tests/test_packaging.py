@@ -79,6 +79,24 @@ def test_no_module_imports_a_private_name_of_another():
     assert imports == []
 
 
+def test_every_module_level_import_is_used():
+    # A name a module imports at module level is read somewhere in that
+    # module; `from __future__` imports bind no name.
+    unused = []
+    for path in sorted((ROOT / "src" / "softprop").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unused += [f"{path.stem}.{name}" for name in bound if name not in loaded]
+    assert unused == []
+
+
 def _perfbench_tree(name):
     path = ROOT / "perfbench" / name
     return ast.parse(path.read_text(), str(path))

@@ -15,7 +15,6 @@ from softprop.simulator import (
     ExternalForceEvent,
     HandModel,
     MaterialParams,
-    TendonCommand,
     build_canonical_finger,
     collect_demonstration,
     generate_dataset,
@@ -113,13 +112,13 @@ def test_lame_constants():
     assert lam == pytest.approx(125.0 * 0.45 / (1.45 * 0.1), rel=1e-12)
 
 
-def test_command_validation():
-    with pytest.raises(ValueError):
-        TendonCommand(np.full(6, 1.2))
-    with pytest.raises(ValueError):
-        TendonCommand(np.zeros(5))
-    c = TendonCommand.rest()
-    assert c.finger(2).shape == (2,)
+def test_command_validation(four_hand):
+    # A command is six finite channels in [0, 1], for one solve or a schedule.
+    for command in (np.full(6, 1.2), np.zeros(5), np.array([0.1, 0.2, np.nan, 0, 0, 0])):
+        with pytest.raises(ValueError):
+            solve_hand(four_hand, command)
+        with pytest.raises(ValueError):
+            simulator.rollout_commands(four_hand, [np.zeros(6), command])
 
 
 def test_tendon_targets_mapping(finger):
