@@ -365,8 +365,7 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
     if state is None:
         state = TrackState.at_rest(hand)
     frame = state.frame
-    # A copy: a SimFrame's command shares memory with the array it was solved for.
-    u = np.array(frame.command)
+    u = frame.command
     errors = []
     aborted = False
     fail_step = None

@@ -51,7 +51,6 @@ from .geometry import (
     RigidPose,
     SurfaceMesh,
     TetraMesh,
-    embed_point,
     rotation_about_z,
     sample_surface_points,
     signed_volumes,
@@ -253,11 +252,7 @@ def build_canonical_finger(
     def radial_path(r_frac, angle_deg, zs):
         r = r_frac * radius_mm
         th = math.radians(angle_deg)
-        pts = [
-            embed_point(mesh, (r * math.cos(th), r * math.sin(th), z), tol_mm=1e-6)
-            for z in zs
-        ]
-        return EmbeddedPath.from_points(mesh, pts)
+        return EmbeddedPath.locate(mesh, [(r * math.cos(th), r * math.sin(th), z) for z in zs])
 
     # Interior samples sit at mid-slab heights so every segment stencil spans
     # at most two tet slabs (keeps the Newton matrix bandwidth small); the
@@ -293,8 +288,9 @@ def _boundary_surface(nodes, tets):
             tets[:, [0, 2, 1]],
         ]
     )
-    keys = np.sort(face_ids, axis=1)
-    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    # One integer per sorted node triple, in the triples' lexicographic order.
+    keys = np.sort(face_ids, axis=1) @ np.array([nodes.shape[0] ** 2, nodes.shape[0], 1])
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     boundary = face_ids[first[counts == 1]]
     surf_nodes = np.unique(boundary)
     remap = np.full(nodes.shape[0], -1, dtype=np.int64)
@@ -436,11 +432,7 @@ class _SolverCache:
         self.finger = finger
         self.rest = mesh.nodes.copy()
         self.tets = mesh.tets
-        t0 = self.rest[self.tets[:, 0]]
-        dm = np.stack(
-            [self.rest[self.tets[:, e + 1]] - t0 for e in range(3)], axis=2
-        )  # (T, 3, 3), columns are rest edges
-        bm = np.linalg.inv(dm)
+        bm = mesh.edge_inverses  # (T, 3, 3), inverses of the rest edge matrices
         self.vol = signed_volumes(self.rest, self.tets)  # (T,)
         g = np.empty((self.tets.shape[0], 4, 3))
         g[:, 1:, :] = bm
@@ -882,8 +874,9 @@ def solve_hand(
 
 
 def _command_array(command):
-    """The validated (6,) channels of a command: finite, in [0, 1]."""
-    u = np.ascontiguousarray(command, dtype=np.float64).reshape(-1)
+    """An owned copy of the validated (6,) channels of a command: finite,
+    in [0, 1]."""
+    u = np.array(command, dtype=np.float64).reshape(-1)
     if u.shape != (6,):
         raise ValueError(f"command: expected 6 channels, got {u.shape}")
     if not np.isfinite(u).all() or u.min() < 0.0 or u.max() > 1.0:

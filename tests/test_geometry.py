@@ -12,7 +12,6 @@ from softprop.geometry import (
     TetraMesh,
     axis_angle_to_matrix,
     chamfer_ucd,
-    embed_point,
     farthest_point_indices,
     matrix_to_axis_angle,
     mean_nn_distance,
@@ -21,6 +20,7 @@ from softprop.geometry import (
     sample_surface_points,
     signed_volumes,
 )
+from softprop.simulator import build_canonical_finger
 
 
 def chamfer_oracle(obs, pred):
@@ -291,21 +291,78 @@ class TestMeshTypes:
         assert signed_volumes(nodes, np.array([[0, 1, 2, 3]]))[0] == pytest.approx(1 / 6)
 
 
-def embedded_position(mesh, e, nodes):
-    return EmbeddedPath.from_points(mesh, [e]).positions(nodes)[0]
+def locate_oracle(mesh, p):
+    """The per-point locator: p solved against every tet in one batched
+    np.linalg.solve, the first tet with the largest minimum weight, the 1e-6
+    mm tolerance through that tet's extent, then clamp and renormalize.
+    Returns (tet index, weights); raises NotEmbeddableError."""
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    a = mesh.nodes[mesh.tets[:, 0]]
+    edges = np.stack([mesh.nodes[mesh.tets[:, e]] - a for e in (1, 2, 3)], axis=2)
+    w123 = np.linalg.solve(edges, (p[None, :] - a)[..., None])[..., 0]
+    bary = np.concatenate([(1.0 - w123.sum(axis=1))[:, None], w123], axis=1)
+    worst = bary.min(axis=1)
+    best = int(np.argmax(worst))
+    scale = max(np.ptp(mesh.nodes[mesh.tets[best]], axis=0).max(), 1e-12)
+    if worst[best] < -(1e-6 / scale + 1e-12):
+        raise NotEmbeddableError(
+            f"point {p.tolist()} lies outside all tets "
+            f"(closest violation {worst[best]:.3e} barycentric)"
+        )
+    w = np.clip(bary[best], 0.0, None)
+    w /= w.sum()
+    return best, w
+
+
+def assert_located_as_oracle(mesh, points):
+    """EmbeddedPath.locate equals the per-point oracle bit for bit, and on
+    failure names the oracle's first failing point with its message."""
+    want_tets, want_weights = [], []
+    for p in points:
+        try:
+            tet, w = locate_oracle(mesh, p)
+        except NotEmbeddableError as err:
+            with pytest.raises(NotEmbeddableError) as got:
+                EmbeddedPath.locate(mesh, points)
+            assert str(got.value) == str(err)
+            return False
+        want_tets.append(tet)
+        want_weights.append(w)
+    path = EmbeddedPath.locate(mesh, points)
+    assert path.node_index.tobytes() == mesh.tets[want_tets].tobytes()
+    assert path.weights.tobytes() == np.stack(want_weights).tobytes()
+    return True
+
+
+def located(mesh, p):
+    """Tet nodes and weights of one located point."""
+    path = EmbeddedPath.locate(mesh, [p])
+    return path.node_index[0], path.weights[0]
+
+
+def embedded_position(mesh, p, nodes):
+    return EmbeddedPath.locate(mesh, [p]).positions(nodes)[0]
+
+
+def cylinder_mesh():
+    return build_canonical_finger(segments=6, radius_mm=5.0, length_mm=30.0).rest
+
+
+def tet_points(mesh, weights):
+    """weights (T, 4) of every tet, as points."""
+    return np.einsum("tk,tkc->tc", weights, mesh.nodes[mesh.tets])
 
 
 class TestEmbedding:
     def test_vertex_and_centroid(self):
         mesh = unit_tet_mesh()
-        e = embed_point(mesh, [0.0, 0.0, 0.0])
         np.testing.assert_allclose(
-            embedded_position(mesh, e, mesh.nodes), [0.0, 0.0, 0.0], atol=1e-12
+            embedded_position(mesh, [0.0, 0.0, 0.0], mesh.nodes), [0.0, 0.0, 0.0], atol=1e-12
         )
         centroid = mesh.nodes[mesh.tets[0]].mean(axis=0)
-        e = embed_point(mesh, centroid)
-        assert e.tet_index == 0
-        np.testing.assert_allclose(e.barycentric, 0.25)
+        nodes, weights = located(mesh, centroid)
+        assert np.array_equal(nodes, mesh.tets[0])
+        np.testing.assert_allclose(weights, 0.25)
 
     def test_interior_round_trip(self):
         mesh = unit_tet_mesh()
@@ -314,44 +371,41 @@ class TestEmbedding:
             w = rng.dirichlet(np.ones(4))
             t = int(rng.integers(0, 2))
             p = w @ mesh.nodes[mesh.tets[t]]
-            e = embed_point(mesh, p)
             np.testing.assert_allclose(
-                embedded_position(mesh, e, mesh.nodes), p, atol=1e-9
+                embedded_position(mesh, p, mesh.nodes), p, atol=1e-9
             )
 
     def test_outside_raises(self):
         mesh = unit_tet_mesh()
         with pytest.raises(NotEmbeddableError):
-            embed_point(mesh, [5.0, 5.0, 5.0])
+            EmbeddedPath.locate(mesh, [[5.0, 5.0, 5.0]])
 
     def test_edge_midpoint_weights(self):
         mesh = unit_tet_mesh()
-        e = embed_point(mesh, [0.5, 0.0, 0.0])  # midpoint of nodes 0 and 1
-        w = np.sort(e.barycentric)
+        _, weights = located(mesh, [0.5, 0.0, 0.0])  # midpoint of nodes 0 and 1
+        w = np.sort(weights)
         np.testing.assert_allclose(w, [0.0, 0.0, 0.5, 0.5], atol=1e-12)
 
     def test_affine_maps_commute_with_interpolation(self):
         mesh = unit_tet_mesh()
         p = np.array([0.3, 0.2, 0.2])
-        e = embed_point(mesh, p)
         np.testing.assert_allclose(
-            embedded_position(mesh, e, mesh.nodes * 2.0), p * 2.0, atol=1e-12
+            embedded_position(mesh, p, mesh.nodes * 2.0), p * 2.0, atol=1e-12
         )
 
     def test_tolerance_accepts_face_neighborhood(self):
         mesh = unit_tet_mesh()
-        # Just below the z=0 face of tet 0, inside tol.
-        e = embed_point(mesh, [0.25, 0.25, -1e-8], tol_mm=1e-6)
-        assert e.barycentric.min() >= 0.0
-        assert e.barycentric.sum() == pytest.approx(1.0, abs=1e-12)
+        # Just below the z=0 face of tet 0, inside the 1e-6 mm tolerance.
+        _, weights = located(mesh, [0.25, 0.25, -1e-8])
+        assert weights.min() >= 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_embedded_point_follows_deformation(self):
         mesh = unit_tet_mesh()
         p = np.array([0.2, 0.3, 0.1])
-        e = embed_point(mesh, p)
         moved = mesh.nodes + np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(
-            embedded_position(mesh, e, moved),
+            embedded_position(mesh, p, moved),
             p + np.array([1.0, -2.0, 0.5]),
             atol=1e-12,
         )
@@ -359,13 +413,84 @@ class TestEmbedding:
     def test_embedded_path_positions_and_length(self):
         mesh = unit_tet_mesh()
         pts = [np.array([0.1, 0.1, 0.1]), np.array([0.2, 0.2, 0.2]), np.array([0.6, 0.6, 0.6])]
-        path = EmbeddedPath.from_points(mesh, [embed_point(mesh, p) for p in pts])
+        path = EmbeddedPath.locate(mesh, pts)
         pos = path.positions(mesh.nodes)
         np.testing.assert_allclose(pos, np.array(pts), atol=1e-9)
         expected = sum(
             np.linalg.norm(np.array(pts[i + 1]) - np.array(pts[i])) for i in range(2)
         )
         assert path.length(mesh.nodes) == pytest.approx(expected, abs=1e-9)
+
+
+class TestLocateAgainstOracle:
+    # Every case is bitwise the per-point oracle; the batches of
+    # geometry._LOCATE_BATCH points split the longer point lists.
+
+    def test_random_interior_points(self):
+        rng = np.random.default_rng(5)
+        for mesh in (unit_tet_mesh(), cylinder_mesh()):
+            tets = rng.integers(0, len(mesh.tets), size=100)
+            weights = rng.dirichlet(np.ones(4), size=100)
+            points = np.einsum("pk,pkc->pc", weights, mesh.nodes[mesh.tets[tets]])
+            assert assert_located_as_oracle(mesh, points)
+
+    def test_shared_faces_edges_and_vertices(self):
+        # Nodes, edge midpoints and face centroids tie across every tet
+        # that shares them; the first tet, in tet order, wins.
+        mesh = cylinder_mesh()
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        faces = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+        points = [mesh.nodes]
+        for corners in pairs + faces:
+            w = np.zeros((len(mesh.tets), 4))
+            w[:, corners] = 1.0 / len(corners)
+            points.append(tet_points(mesh, w))
+        assert assert_located_as_oracle(mesh, np.concatenate(points))
+        # The paper finger's tendon and sensor points lie on shared faces.
+        finger = build_canonical_finger()
+        paths = finger.tendon_paths + finger.sensor_paths
+        assert assert_located_as_oracle(
+            finger.rest, np.concatenate([p.positions(finger.rest.nodes) for p in paths])
+        )
+
+    def test_just_outside_a_face_within_tolerance(self):
+        # Boundary face centroids moved off the mesh along the outward normal.
+        finger = build_canonical_finger(segments=6, radius_mm=5.0, length_mm=30.0)
+        v = finger.surface.vertices[finger.surface.faces]
+        normal = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        for offset in (1e-9, 1e-8, 1e-7):
+            assert assert_located_as_oracle(finger.rest, v.mean(axis=1) + offset * normal)
+        # 1e-6 mm off a face is past the tolerance.
+        assert not assert_located_as_oracle(finger.rest, v.mean(axis=1) + 1e-6 * normal)
+        assert assert_located_as_oracle(unit_tet_mesh(), [[0.25, 0.25, -1e-8]])
+
+    def test_far_outside_names_the_first_failing_point(self):
+        mesh = cylinder_mesh()
+        inside = tet_points(mesh, np.full((len(mesh.tets), 4), 0.25))[:50]
+        for first_bad in (0, 3, 40):
+            points = inside.copy()
+            points[first_bad] = [40.0, 0.0, 10.0]
+            points[first_bad + 5] = [0.0, 0.0, -9.0]
+            assert not assert_located_as_oracle(mesh, points)
+            with pytest.raises(NotEmbeddableError, match=r"point \[40\.0, 0\.0, 10\.0\]"):
+                EmbeddedPath.locate(mesh, points)
+
+    def test_near_degenerate_tet(self):
+        # A sliver of height 1e-9 under the base face of the unit tet.
+        nodes = np.array(
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+             [0.3, 0.3, -1e-9]]
+        )
+        mesh = TetraMesh(nodes, np.array([[0, 1, 2, 3], [0, 2, 1, 4]]), np.arange(5))
+        rng = np.random.default_rng(7)
+        weights = rng.dirichlet(np.ones(4), size=60)
+        points = np.concatenate([
+            weights @ nodes[[0, 1, 2, 3]],
+            weights @ nodes[[0, 2, 1, 4]],
+            np.c_[weights[:, :2] * 0.5, np.zeros(60)],  # on the shared face
+        ])
+        assert assert_located_as_oracle(mesh, points)
 
 
 class TestSampling:

@@ -121,6 +121,19 @@ def test_command_validation(four_hand):
             simulator.rollout_commands(four_hand, [np.zeros(6), command])
 
 
+def test_frames_own_their_command(four_hand):
+    # Writing to the caller's command array after the solve leaves the frame.
+    u = np.full(6, 0.1)
+    frame, _ = solve_hand(four_hand, u)
+    u[0] = 0.9
+    assert frame.command[0] == 0.1
+    schedule = [np.full(6, 0.1), np.full(6, 0.2)]
+    frames = simulator.rollout_commands(four_hand, schedule)
+    for u in schedule:
+        u[0] = 0.9
+    assert [f.command[0] for f in frames] == [0.1, 0.2]
+
+
 def test_tendon_targets_mapping(finger):
     cache = finger.solver_cache()
     t = cache.tendon_targets((1.0, 0.0))
