@@ -26,9 +26,9 @@ as its lower band only from precomputed per-entry stencils, and factorized
 by banded Cholesky with diagonal damping raised until it succeeds) and one
 rank-1 term per tendon handled by the Woodbury identity; that split is what
 makes dataset-scale solving cheap. Each state the solver visits gets one
-kinematics evaluation (per-tet F from one sparse operator, cofactor and J,
-plus the segments of all four tendons from one more sparse operator),
-shared by its energy, gradient and Newton matrix.
+kinematics evaluation (per-tet F and the segments of all four tendons from
+one sparse product, then cofactor and J), shared by its energy, gradient
+and Newton matrix.
 Pooled finger solves are chains of continuation steps (_solve_finger_chain),
 and independent chains run through pool.map_tasks.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from . import pool
 from .errors import SolverFailure
@@ -255,7 +255,8 @@ def build_canonical_finger(
         return EmbeddedPath.locate(mesh, [(r * math.cos(th), r * math.sin(th), z) for z in zs])
 
     # Interior samples sit at mid-slab heights so every segment stencil spans
-    # at most two tet slabs (keeps the Newton matrix bandwidth small); the
+    # at most two tet slabs, three node layers; the solver's node order keeps
+    # the Newton matrix's band at 80 for such stencils (see _SolverCache). The
     # endpoints still reach the base plane and the tip cap.
     tendon_z = np.concatenate(
         [[0.0], (np.arange(segments) + 0.5) * dz, [length_mm]]
@@ -425,7 +426,21 @@ def _lower_pairs(dofs, dof_map):
 
 
 class _SolverCache:
-    """Everything precomputable for Newton solves on one finger mesh."""
+    """Everything precomputable for Newton solves on one finger mesh.
+
+    The free DOFs follow the solver's own node order, free_nodes, which
+    keeps the Newton matrix's band narrow (banded Cholesky costs O(n b^2);
+    George and Liu, "Computer Solution of Large Sparse Positive Definite
+    Systems", 1981). Nodes go layer by layer from the base; within a
+    layer, the ring in descending order from ring node 2 (2, 1, 12, 11,
+    ..., 3), then the centre. A tet couples two adjacent layers. A tendon
+    segment couples three: the centre and ring node i of one layer up to
+    ring nodes i and i + 1 two layers higher (i = 1, 4, 7, 10). Ring i + 1
+    comes before ring i, and the cycle breaks between rings 3 and 2, where
+    no tendon runs, so no stencil reaches further than ring i two layers
+    up: 26 nodes, a lower band of 26 x 3 + 2 = 80, the floor for any order
+    that repeats one order per layer. Mesh numbering gives 113.
+    """
 
     def __init__(self, finger: FingerModel):
         mesh = finger.rest
@@ -444,14 +459,16 @@ class _SolverCache:
         # vec F = F_OP x.ravel(): F[t, i, c] = sum_n G[t, n, c] x[tets[t, n], i]
         # sits in row 9t + 3i + c.
         t, n, i, c = np.indices((n_tets, 4, 3, 3)).reshape(4, -1)
-        self.f_op = csr_matrix(
+        f_op = csr_matrix(
             (g[t, n, c], (9 * t + 3 * i + c, 3 * self.tets[t, n] + i)),
             shape=(9 * n_tets, 3 * self.n_nodes),
         )
 
         fixed = np.zeros(self.n_nodes, dtype=bool)
         fixed[finger.base_fixed] = True
-        self.free_nodes = np.flatnonzero(~fixed)
+        in_layer = np.append((1 - np.arange(_RING)) % _RING + 1, 0)  # 2, 1, 12, ..., 3, 0
+        order = np.arange(self.n_nodes).reshape(-1, _RING + 1)[:, in_layer].ravel()
+        self.free_nodes = order[~fixed[order]]
         self.n_free = self.free_nodes.size * 3
         self.free_dofs = (3 * self.free_nodes[:, None] + np.arange(3)).ravel()
         dof_map = np.full(self.n_nodes * 3, -1, dtype=np.int64)
@@ -494,34 +511,44 @@ class _SolverCache:
         self.seg_tendon = np.repeat(np.arange(len(paths)), [len(p) - 1 for p in paths])
         n_seg = ns.shape[0]
         s, m, c = np.indices((n_seg, 8, 3)).reshape(3, -1)
-        self.t_op = csr_matrix((ws[s, m], (3 * s + c, 3 * ns[s, m] + c)),
-                               shape=(3 * n_seg, 3 * self.n_nodes))
-        # Free rows of T_OP^T times the (3S, 4) array with each segment's unit
-        # vector in its tendon's column (flat slots unit_slot): the four tendon
-        # length gradients in one product.
-        self.t_op_free_t = self.t_op[:, self.free_dofs].T.tocsr()
+        t_op = csr_matrix((ws[s, m], (3 * s + c, 3 * ns[s, m] + c)),
+                          shape=(3 * n_seg, 3 * self.n_nodes))
+        # Only these products are kept, not F_OP and T_OP: [F_OP; T_OP] x
+        # (vec F in its first f_rows rows, then the segments), and the free
+        # rows of F_OP^T and of T_OP^T. The latter times the (3S, 4) array
+        # with each segment's unit vector in its tendon's column (flat slots
+        # unit_slot) gives the four tendon length gradients in one product.
+        self.kin_op = vstack([f_op, t_op], format="csr")
+        self.f_rows = 9 * n_tets
+        self.f_op_free_t = f_op[:, self.free_dofs].T.tocsr()
+        self.t_op_free_t = t_op[:, self.free_dofs].T.tocsr()
         self.unit_slot = (TENDONS_PER_FINGER * np.arange(3 * n_seg)
                           + np.repeat(self.seg_tendon, 3))
         # Kept entry [(s, m, i), (s, n, j)] of d2L/dx2 is ws[s, m] ws[s, n]
         # proj[s, i, j]: a weight and a projector index, scaled by the stretch
-        # of tendon h_tendon.
+        # of its tendon. The entries run in tendon order, h_counts per tendon.
         dofs24 = (3 * ns[:, :, None] + np.arange(3)).reshape(n_seg, 24)
         h_rows, h_cols, kept = _lower_pairs(dofs24, dof_map)
         s, m, i, n, j = np.unravel_index(kept, (n_seg, 8, 3, 8, 3))
         self.h_w = ws[s, m] * ws[s, n]
         self.h_pix = (9 * s + 3 * i + j).astype(np.intp)
-        self.h_tendon = self.seg_tendon[s]
+        self.h_counts = np.bincount(self.seg_tendon[s], minlength=TENDONS_PER_FINGER)
         self.tendon_rest = finger.tendon_rest_lengths
         self.k_tendon = finger.tendon_stiffness
+        # The Woodbury core's constant term, 1 / k per tendon.
+        self.tendon_compliance = np.eye(TENDONS_PER_FINGER) / self.k_tendon
 
         # Elastic and tendon-curvature entries (lower triangle, r >= c) land
         # in one LAPACK lower symmetric-band array ab[r - c, c] through a
         # single bincount; the upper triangle is never stored.
         rows = np.concatenate([el_rows, h_rows])
         cols = np.concatenate([el_cols, h_cols])
-        band = int((rows - cols).max(initial=0))
+        rows -= cols  # each entry's distance below the diagonal
+        band = int(rows.max(initial=0))
         self.bandwidth = band
-        self.ab_index = ((rows - cols) * self.n_free + cols).astype(np.intp)
+        rows *= self.n_free
+        rows += cols
+        self.ab_index = rows.astype(np.intp, copy=False)
         self.ab_shape = (band + 1, self.n_free)
 
         self.surface_nodes = mesh.surface_map
@@ -534,14 +561,15 @@ class _SolverCache:
     # -- kinematics and its consumers ---------------------------------------
 
     def kinematics(self, x):
-        f = (self.f_op @ x.reshape(-1)).reshape(-1, 3, 3)
+        fs = self.kin_op @ x.reshape(-1)
+        f = fs[: self.f_rows].reshape(-1, 3, 3)
         # cof[:, i, k] = f[:, i+1, k+1] f[:, i+2, k+2] - f[:, i+2, k+1] f[:, i+1, k+2]
         # (indices mod 3): np.cross of F's columns k+1 and k+2, term by term.
         fa, fb = f[:, _NEXT], f[:, _AFTER_NEXT]
         cof = (fa[:, :, _NEXT] * fb[:, :, _AFTER_NEXT]
                - fb[:, :, _NEXT] * fa[:, :, _AFTER_NEXT])
         jdet = np.einsum("ti,ti->t", f[:, :, 0], cof[:, :, 0])
-        seg = (self.t_op @ x.reshape(-1)).reshape(-1, 3)
+        seg = fs[self.f_rows :].reshape(-1, 3)
         seg_len = np.linalg.norm(seg, axis=1)
         lengths = np.bincount(self.seg_tendon, weights=seg_len)
         return _Kinematics(x, f, cof, jdet, seg, seg_len, lengths)
@@ -568,23 +596,22 @@ class _SolverCache:
         """Free-DOF energy gradient (nf,) and tendon length gradients (nf, 4)."""
         p = self.mu * kin.f + self.lam * (kin.jdet - self.alpha)[:, None, None] * kin.cof
         p *= (self.vol * e_scale)[:, None, None]
-        grad = self.f_op.T @ p.reshape(-1)
+        grad = self.f_op_free_t @ p.reshape(-1)
         if force_field is not None:
-            grad -= force_field.reshape(-1)
-        units = np.zeros((self.t_op.shape[0], TENDONS_PER_FINGER))
+            grad -= force_field.reshape(-1)[self.free_dofs]
+        units = np.zeros((self.unit_slot.size, TENDONS_PER_FINGER))
         units.flat[self.unit_slot] = (kin.seg / kin.seg_len[:, None]).ravel()
         directions = self.t_op_free_t @ units
-        grad = grad[self.free_dofs]
         grad += directions @ (self.k_tendon * (kin.tendon_lengths - targets))
         return grad, directions
 
     def tendon_curvature(self, kin, targets):
         """Values of sum_t k (L_t - L*_t) d2L_t/dx2 at the band entries of
-        h_w/h_pix/h_tendon, the last ones of ab_index."""
+        h_w/h_pix/h_counts, the last ones of ab_index."""
         u = kin.seg / kin.seg_len[:, None]
         proj = (np.eye(3) - u[:, :, None] * u[:, None, :]) / kin.seg_len[:, None, None]
         stretch = self.k_tendon * (kin.tendon_lengths - targets)
-        return stretch[self.h_tendon] * (self.h_w * np.take(proj, self.h_pix))
+        return np.repeat(stretch, self.h_counts) * (self.h_w * np.take(proj, self.h_pix))
 
     def newton_matrix(self, kin, targets, e_scale):
         """Lower band (b+1, nf) of the banded part C of the Newton matrix, in
@@ -597,16 +624,15 @@ class _SolverCache:
         lam_g_j = self.lam_vol[:, None, None] * g_j
         s = self.lam * (kin.jdet - self.alpha)
         x = np.matmul(s[:, None, None] * kin.f, self.cross_g)
-        elastic = (
-            self.el_mu
-            + np.take(lam_g_j, self.el_a) * np.take(g_j, self.el_b)
-            + self.el_eps * np.take(x, self.el_x)
-        )
-        curvature = self.tendon_curvature(kin, targets)
-        ab = np.bincount(
-            self.ab_index, weights=np.concatenate([e_scale * elastic, curvature]),
-            minlength=math.prod(self.ab_shape),
-        )
+        # Elastic values, then curvature values, in ab_index order.
+        values = np.empty(self.ab_index.size)
+        elastic = values[: self.el_a.size]
+        np.multiply(np.take(lam_g_j, self.el_a), np.take(g_j, self.el_b), out=elastic)
+        elastic += self.el_mu
+        elastic += self.el_eps * np.take(x, self.el_x)
+        elastic *= e_scale
+        values[self.el_a.size :] = self.tendon_curvature(kin, targets)
+        ab = np.bincount(self.ab_index, weights=values, minlength=math.prod(self.ab_shape))
         return ab.reshape(self.ab_shape)
 
     # -- tendons and external forces ----------------------------------------
@@ -728,7 +754,7 @@ def _newton_solve(cache: _SolverCache, targets, start_targets, force_field,
             except LinAlgError:
                 cholesky_failures += 1
                 continue
-            core = np.eye(4) / cache.k_tendon + vmat.T @ sol[:, 1:]
+            core = cache.tendon_compliance + vmat.T @ sol[:, 1:]
             coeff = np.linalg.solve(core, vmat.T @ sol[:, 0])
             d = sol[:, 0] - sol[:, 1:] @ coeff
             gd = float(g @ d)

@@ -236,6 +236,19 @@ def _dense_from_lower_band(lower):
     return h + np.tril(h, -1).T
 
 
+def test_solver_order_keeps_the_band_at_80(four_hand, paper_hand):
+    # The solver's node order (see _SolverCache) keeps every elastic and
+    # tendon stencil within 26 nodes: a lower band of 26 x 3 + 2 = 80
+    # (113 in mesh numbering). It numbers each non-base node exactly once.
+    for f in (four_hand.fingers[0], paper_hand.fingers[0]):
+        cache = f.solver_cache()
+        assert cache.bandwidth == 80
+        free = np.setdiff1d(np.arange(f.rest.n_nodes), f.base_fixed)
+        assert np.array_equal(np.sort(cache.free_nodes), free)
+        assert np.array_equal(cache.free_dofs,
+                              (3 * cache.free_nodes[:, None] + np.arange(3)).ravel())
+
+
 def test_mirrored_newton_matrix_is_symmetric(tiny):
     # _newton_system's index-map mirror of the lower band equals the
     # diagonal-loop mirror plus the tendon rank-1 terms (one product
@@ -646,8 +659,8 @@ def test_capped_ramp_reaches_the_converged_chain(four_hand, monkeypatch, u, with
 
 def test_failed_capped_ramp_falls_back_to_converged_stages(paper_hand, monkeypatch):
     # Frame 70 of dataset seed 2000, finger 1: command (0.511, 0.728), E
-    # scale 0.821 and a force. After two capped stages the last one reaches
-    # a state with a collapsed tendon segment. The ramp then runs again from
+    # scale 0.821 and a force. After two capped stages the last one fails
+    # (it stalls short of the tolerance). The ramp then runs again from
     # rest with every stage converged, and that is the solve returned.
     calls = _record_stages(monkeypatch)
     fr = _dataset_finger_solve(paper_hand, 2000, 70, 1)
@@ -661,27 +674,24 @@ def test_failed_capped_ramp_falls_back_to_converged_stages(paper_hand, monkeypat
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_collapsed_tendon_segment_fails_before_the_gradient(paper_hand, monkeypatch):
-    # The same frame: the last capped stage's line search accepts a state
-    # in which a segment of tendon 1 has length 0. That stage fails at the
-    # next iteration, naming the tendon, before the gradient divides by the
-    # length; the converged rerun is returned as before.
-    real, failures = simulator._newton_solve, []
-
-    def spy(*args):
-        try:
-            return real(*args)
-        except SolverFailure as err:
-            failures.append(err)
-            raise
-
-    monkeypatch.setattr(simulator, "_newton_solve", spy)
-    fr = _dataset_finger_solve(paper_hand, 2000, 70, 1)
-    assert len(failures) == 1
+def test_collapsed_tendon_segment_fails_before_the_gradient(four_hand):
+    # A start state in which points 2 and 3 of tendon 1 coincide: every
+    # node of their barycentric supports (all free) sits on the base centre,
+    # the origin, so the segment between them has length exactly 0. Newton
+    # fails at that iteration, naming the tendon, before the gradient
+    # divides by the length (a RuntimeWarning, an error here).
+    f = four_hand.fingers[0]
+    path = f.tendon_paths[1]
+    support = np.union1d(path.node_index[2], path.node_index[3])
+    assert not np.isin(support, f.base_fixed).any()
+    assert not f.rest.nodes[0].any()
+    x0 = f.rest.nodes.copy()
+    x0[support] = f.rest.nodes[0]
+    with pytest.raises(SolverFailure) as exc:
+        solve_equilibrium(f, (0.2, 0.1), x0=x0)
     match = re.fullmatch(r"tendon 1 has a collapsed segment \(length 0\) at iteration (\d+)",
-                         str(failures[0]))
-    assert match and int(match[1]) == failures[0].step
-    assert fr.stats.stages == 3
+                         str(exc.value))
+    assert match and int(match[1]) == exc.value.step
 
 
 def test_capped_ramp_takes_fewer_iterations_than_the_chain(paper_hand):
