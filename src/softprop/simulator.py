@@ -30,7 +30,7 @@ kinematics evaluation (per-tet F and the segments of all four tendons from
 one sparse product, then cofactor and J), shared by its energy, gradient
 and Newton matrix.
 Pooled finger solves are chains of continuation steps (_solve_finger_chain),
-and independent chains run through pool.map_tasks.
+and independent chains run through pool.map_chains.
 Units: mm, kPa, mN (1 kPa mm^2 = 1 mN), energies in mN mm.
 """
 
@@ -882,13 +882,13 @@ def solve_hand(
 
     x0s warm-starts each finger; u0, the (6,) command x0s is an
     equilibrium of, gives each finger its slice (see solve_equilibrium).
-    Each finger is a one-step chain (_solve_finger_chain), run in the
-    process's pool (see pool.map_tasks); the first SolverFailure in finger
-    order is raised, as a serial loop would.
+    Each finger is a one-step chain (_solve_finger_chain); the three are
+    queued at once in the process's pool (see pool.map_chains), and the
+    first SolverFailure in finger order is raised, as a serial loop would.
     """
     command = _command_array(command)
-    chains = pool.map_tasks(hand, _solve_finger_chain, [
-        (None if x0s is None else x0s[j], None if u0 is None else u0[2 * j : 2 * j + 2],
+    chains = pool.map_chains(hand, _solve_finger_chain, [
+        ((None if x0s is None else x0s[j], None if u0 is None else u0[2 * j : 2 * j + 2]),
          [(command[2 * j : 2 * j + 2], forces_per_finger[j], float(e_scales[j]))])
         for j in range(N_FINGERS)
     ])
@@ -917,7 +917,7 @@ def _hand_frame(command, finger_frames, forces_per_finger, e_scales, pose=None):
         nodes=np.stack([f.nodes for f in finger_frames]),
         sensor_lengths=np.concatenate([f.sensor_lengths for f in finger_frames]),
         forces=tuple(tuple(f) for f in forces_per_finger),
-        e_scales=np.asarray(e_scales, dtype=np.float64),
+        e_scales=np.array(e_scales, dtype=np.float64),
         pose=pose,
         stats=tuple(f.stats for f in finger_frames),
     )
@@ -983,7 +983,7 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     Each frame draws from its own (seed, STAGE_DATASET, index) stream, and
     its three finger solves are independent, so all 3 x frames cold finger
     solves, each a one-step chain from rest (_solve_finger_chain), are
-    mapped at once through the process's pool (see pool.map_tasks).
+    queued at once in the process's pool (see pool.map_chains).
     Frames are assembled in index order, so the result equals a serial
     run's, solve records (SimFrame.stats) included. A frame with a failed
     finger solve is skipped, never silently included: each failed finger
@@ -991,8 +991,8 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
     frame, finger and the failure's residual and step.
     """
     inputs = [_dataset_frame_inputs(hand, cfg, seed, i) for i in range(cfg.frames)]
-    solved = pool.map_tasks(hand, _solve_finger_chain, [
-        (None, None, [(command[2 * j : 2 * j + 2], forces[j], float(e_scales[j]))])
+    solved = pool.map_chains(hand, _solve_finger_chain, [
+        ((None, None), [(command[2 * j : 2 * j + 2], forces[j], float(e_scales[j]))])
         for command, forces, e_scales in inputs for j in range(N_FINGERS)
     ])
     frames = []
@@ -1013,23 +1013,25 @@ def generate_dataset(hand: HandModel, cfg: DatasetConfig, seed):
 
 
 def _solve_finger_chain(hand: HandModel, task):
-    """hand.fingers[0] solved through task (x0, u0, steps), steps a list of
-    (u2, forces, e_scale); the one pool task that solves fingers.
+    """hand.fingers[0] solved through task ((x0, u0), steps), steps a list
+    of (u2, forces, e_scale); the one pool task that solves fingers (see
+    pool.map_chains, which may run a chain's steps as several tasks).
 
     The first step starts from x0, an equilibrium of u0 (None, None: from
     rest), each later one from the previous frame's nodes and command.
-    Returns (FingerFrames, None), or the frames before the first failed
-    step and that step's SolverFailure.
+    Returns (FingerFrames, None, (x0, u0) for the step after the last), or
+    the frames before the first failed step, that step's SolverFailure and
+    None.
     """
-    x0, u0, steps = task
+    (x0, u0), steps = task
     frames = []
     for u2, forces, e_scale in steps:
         try:
             frames.append(solve_equilibrium(hand.fingers[0], u2, forces, e_scale, x0, u0))
         except SolverFailure as err:
-            return frames, err
+            return frames, err, None
         x0, u0 = frames[-1].nodes, frames[-1].command
-    return frames, None
+    return frames, None, (x0, u0)
 
 
 def _solve_open_loop(hand: HandModel, commands, forces, poses, what):
@@ -1037,12 +1039,14 @@ def _solve_open_loop(hand: HandModel, commands, forces, poses, what):
 
     commands[t] is the (6,) command of step t, forces[t] its per-finger
     events and poses[t] its palm pose. No finger's chain depends on another
-    finger, so the three chains are mapped through the process's pool (see
-    pool.map_tasks). The first failure in (step, finger) order is raised,
-    as a serial walk would.
+    finger, so the three chains go through pool.map_chains: it cuts them
+    into blocks and moves each chain's next block to whichever worker is
+    free, so three chains on two workers take about 1.5 chains' time. The
+    frames equal a serial walk's bit for bit, and the first failure in
+    (step, finger) order is raised, as a serial walk would.
     """
-    chains = pool.map_tasks(hand, _solve_finger_chain, [
-        (None, None, [(u[2 * j : 2 * j + 2], f[j], 1.0) for u, f in zip(commands, forces)])
+    chains = pool.map_chains(hand, _solve_finger_chain, [
+        ((None, None), [(u[2 * j : 2 * j + 2], f[j], 1.0) for u, f in zip(commands, forces)])
         for j in range(N_FINGERS)
     ])
     failed = [(len(frames), j, err) for j, (frames, err) in enumerate(chains)
@@ -1063,10 +1067,9 @@ def rollout_commands(hand: HandModel, commands):
 
     commands: iterable of (6,) tendon commands (finite, in [0, 1]). Each
     finger walks its own chain from rest (_solve_finger_chain); the
-    open-loop schedule makes the three chains independent, so they run in
-    parallel in the process's pool (see pool.map_tasks). Returns the
-    SimFrame list; useful for recording tendon-reachable reference
-    trajectories.
+    open-loop schedule makes the three chains independent, so their blocks
+    share the process's pool (see _solve_open_loop). Returns the SimFrame
+    list; useful for recording tendon-reachable reference trajectories.
     """
     commands = [_command_array(c) for c in commands]
     if not commands:
@@ -1114,8 +1117,8 @@ def collect_demonstration(
     pose_script: optional per-step palm RigidPose list (default identity).
     The seed is only recorded with the result; the solve itself is
     deterministic. Each finger walks its own chain from rest
-    (_solve_finger_chain); the script is open-loop, so the three chains
-    run in parallel in the process's pool (see pool.map_tasks).
+    (_solve_finger_chain); the script is open-loop, so the three chains'
+    blocks share the process's pool (see _solve_open_loop).
     """
     script = tuple(script)
     for j, _ in script:

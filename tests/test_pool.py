@@ -1,5 +1,5 @@
 """The worker pool: kept and dropped pools, pinning, nesting, worker
-lifetime and the shares a map is cut into."""
+lifetime, the shares a map is cut into and the blocks chains move in."""
 
 import multiprocessing
 import os
@@ -143,6 +143,126 @@ def test_share_cuts_in_a_worker_are_one_share(four_hand, two_cpus):
     results = pool.map_tasks(four_hand, _worker_cuts, range(1, 10))
     assert all(pid != os.getpid() for pid, _ in results)
     assert [cuts for _, cuts in results] == [[0, count] for count in range(1, 10)]
+
+
+def _walk(hand, task):
+    """A map_chains fn: step s folds into the chain's state as 3 * state + s,
+    so a block that starts from the wrong state shows in every later
+    output. Each step outputs (state, pid, first step of its task); the
+    step "fail" stops the walk with a ValueError as its err, and "raise"
+    raises one."""
+    state, steps = task
+    outputs = []
+    for s in steps:
+        if s == "fail":
+            return outputs, ValueError("planted failure"), None
+        if s == "raise":
+            raise ValueError("planted exception")
+        time.sleep(0.01)
+        state = 3 * state + s
+        outputs.append((state, os.getpid(), steps[0]))
+    return outputs, None, state
+
+
+# Three chains of 12 steps: six blocks each at the patched block size.
+_WALKS = [(c, list(range(100 * c, 100 * c + 12))) for c in range(3)]
+
+
+@pytest.fixture
+def blocks_of_two(monkeypatch):
+    monkeypatch.setattr(pool, "_CHAIN_BLOCK", 2)
+
+
+def _states(results):
+    return [([out[0] for out in outputs], err) for outputs, err in results]
+
+
+def test_map_chains_returns_every_step_in_order(four_hand, two_cpus, blocks_of_two):
+    results = pool.map_chains(four_hand, _walk, _WALKS)
+    # Equal to the in-process run of whole chains.
+    assert _states(results) == _states([_walk(four_hand, w)[:2] for w in _WALKS])
+    workers = worker_pids()
+    assert all(pid in workers for outputs, _ in results for _, pid, _ in outputs)
+    # Every chain ran as six blocks of two steps.
+    for (_, steps), (outputs, _) in zip(_WALKS, results):
+        assert [first for _, _, first in outputs] == [s - s % 2 for s in steps]
+
+
+def test_map_chains_moves_blocks_between_workers(four_hand, two_cpus, blocks_of_two):
+    pool.map_tasks(four_hand, pid_task, range(4))  # both workers forked and up
+    results = pool.map_chains(four_hand, _walk, _WALKS)
+    # Three chains on two workers: the third one's blocks ran on both.
+    assert {pid for _, pid, _ in results[2][0]} == set(worker_pids())
+
+
+def test_map_chains_never_has_two_blocks_of_a_chain_in_flight(four_hand, two_cpus,
+                                                              blocks_of_two, monkeypatch):
+    futures = {}  # chain -> futures of its blocks, in submission order
+    executor = pool._executor
+
+    class Spy:
+        def __init__(self, hand):
+            self.executor = executor(hand)
+
+        def submit(self, fn, *args):
+            chain = args[1][1][0] // 100
+            # Every earlier block of the chain has returned.
+            assert all(f.done() for f in futures.setdefault(chain, []))
+            futures[chain].append(self.executor.submit(fn, *args))
+            return futures[chain][-1]
+
+    monkeypatch.setattr(pool, "_executor", Spy)
+    pool.map_chains(four_hand, _walk, _WALKS)
+    assert [len(futures[c]) for c in range(3)] == [6, 6, 6]
+
+
+def test_map_chains_stops_a_chain_at_its_err(four_hand, two_cpus, blocks_of_two):
+    # Chain 1 fails at step 7, in its fourth block; chains 0 and 2 finish.
+    walks = [(c, steps[:7] + ["fail"] + steps[8:] if c == 1 else steps)
+             for c, steps in _WALKS]
+    results = pool.map_chains(four_hand, _walk, walks)
+    want = [_walk(four_hand, w)[:2] for w in walks]
+    assert [states for states, _ in _states(results)] == [
+        states for states, _ in _states(want)]
+    assert [len(outputs) for outputs, _ in results] == [12, 7, 12]
+    err = results[1][1]
+    assert isinstance(err, ValueError) and err.args == ("planted failure",)
+    assert results[0][1] is None and results[2][1] is None
+
+
+def test_map_chains_task_exception_keeps_the_pool(four_hand, two_cpus, blocks_of_two):
+    pool.map_tasks(four_hand, pid_task, range(4))
+    workers = worker_pids()
+    walks = [(c, steps[:9] + ["raise"] if c == 2 else steps) for c, steps in _WALKS]
+    with pytest.raises(ValueError, match="planted exception"):
+        pool.map_chains(four_hand, _walk, walks)
+    assert worker_pids() == workers
+    assert _states(pool.map_chains(four_hand, _walk, _WALKS)) == _states(
+        [_walk(four_hand, w)[:2] for w in _WALKS])
+
+
+def test_one_cpu_runs_whole_chains_in_process(four_hand, blocks_of_two, monkeypatch):
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one CPU")
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+    results = pool.map_chains(four_hand, _walk, _WALKS)
+    for (_, steps), (outputs, _) in zip(_WALKS, results):
+        assert [(pid, first) for _, pid, first in outputs] == [(os.getpid(), steps[0])] * 12
+
+
+def _nested_walks(hand, task):
+    return os.getpid(), pool.map_chains(hand, _walk, _WALKS[:2])
+
+
+def test_nested_map_chains_run_whole_chains_in_the_worker(four_hand, two_cpus,
+                                                          blocks_of_two):
+    for pid, results in pool.map_tasks(four_hand, _nested_walks, range(2)):
+        assert pid != os.getpid()
+        for (_, steps), (outputs, _) in zip(_WALKS, results):
+            assert [(p, first) for _, p, first in outputs] == [(pid, steps[0])] * 12
 
 
 # A child process that solves a hand frame on two workers, prints their

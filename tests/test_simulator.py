@@ -134,6 +134,14 @@ def test_frames_own_their_command(four_hand):
     assert [f.command[0] for f in frames] == [0.1, 0.2]
 
 
+def test_frames_own_their_e_scales(four_hand):
+    # Writing to the caller's e_scales array after the solve leaves the frame.
+    e = np.array([1.0, 1.1, 0.9])
+    frame, _ = solve_hand(four_hand, np.full(6, 0.1), e_scales=e)
+    e[0] = 7.0
+    assert frame.e_scales.tolist() == [1.0, 1.1, 0.9]
+
+
 def test_tendon_targets_mapping(finger):
     cache = finger.solver_cache()
     t = cache.tendon_targets((1.0, 0.0))
@@ -1147,6 +1155,69 @@ def test_open_loop_raises_the_first_failure_by_step_then_finger(four_hand, two_c
         simulator.rollout_commands(four_hand, commands)
     assert str(exc.value) == "rollout solve failed at step 1: planted at step 1 finger 1"
     assert (exc.value.step, exc.value.residual) == (1, 1.5)
+
+
+# Open-loop schedules of three blocks per chain (see pool.map_chains).
+_BLOCKED_STEPS = 2 * pool._CHAIN_BLOCK + 1
+
+
+def _blocked_walk():
+    # Channel values 0.04 t + 0.01 j name step t and finger j.
+    return [np.repeat(0.04 * t + 0.01 * np.arange(3), 2) for t in range(_BLOCKED_STEPS)]
+
+
+def _in_one_process(monkeypatch, run):
+    """run() with every map in this process, as on one CPU."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
+        return run()
+
+
+def test_pooled_open_loop_equals_one_cpu(four_hand, two_cpus, one_blas_thread,
+                                         monkeypatch):
+    # Every chain runs as three blocks that move between the workers; the
+    # frames equal one process's walk bit for bit, solve records included.
+    events = [
+        (0, ExternalForceEvent((8.0, 0.0, 18.0), 10.0, (-8.0, 0.0, 0.0),
+                               window=(0, _BLOCKED_STEPS))),
+        (2, ExternalForceEvent((0.0, 8.0, 12.0), 8.0, (0.0, -6.0, 2.0), window=(5, 14))),
+    ]
+
+    def runs():
+        return (simulator.rollout_commands(four_hand, _blocked_walk()),
+                collect_demonstration(four_hand, events, ramp_steps=4).frames)
+
+    pooled = runs()
+    serial = _in_one_process(monkeypatch, runs)
+    for got, want in zip(pooled, serial):
+        assert len(got) == len(want) == _BLOCKED_STEPS
+        for a, b in zip(got, want):
+            _assert_same_frame(a, b)
+    assert len(pooled[1][10].forces[2]) == 1
+
+
+def test_pooled_open_loop_failure_in_a_later_block_equals_one_cpu(four_hand, two_cpus,
+                                                                   monkeypatch):
+    # Finger 1 fails in its chain's second block and finger 0, later, in
+    # its third: finger 1's step is raised either way.
+    first = 2 * pool._CHAIN_BLOCK - 3
+    planted = {(first, 1), (_BLOCKED_STEPS - 1, 0)}
+    real = simulator.solve_equilibrium
+
+    def failing(finger, u2, *args, **kwargs):
+        t, j = divmod(round(u2[0] * 100), 4)
+        if (t, j) in planted:
+            raise SolverFailure(f"planted at step {t} finger {j}", residual=1.5 + j)
+        return real(finger, u2, *args, **kwargs)
+
+    def raised():
+        with pytest.raises(SolverFailure) as exc:
+            simulator.rollout_commands(four_hand, _blocked_walk())
+        return str(exc.value), exc.value.residual, exc.value.step
+
+    _patch_solve(monkeypatch, failing)
+    assert raised() == _in_one_process(monkeypatch, raised) == (
+        f"rollout solve failed at step {first}: planted at step {first} finger 1", 2.5, first)
 
 
 def test_pooled_solve_hand_equals_in_process_solves(four_hand, two_cpus):
