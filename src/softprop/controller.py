@@ -174,32 +174,22 @@ def strain_step(current, desired, cfg: ControllerConfig):
 # Reference trajectories.
 
 
-def select_vertices(vertices, indices):
-    """Per-finger vertex subset: (..., 3, V, 3) with (3, K) indices -> (..., 3, K, 3).
-
-    The result is C-ordered, so reductions over it sum in the same order as
-    over a stack of per-finger subsets.
-    """
-    rows = np.arange(N_FINGERS)[:, None]
-    return np.ascontiguousarray(vertices[..., rows, indices, :])
-
-
 @dataclass(frozen=True)
 class ReferenceTrajectory:
     """Timestamped desired surface vertices (and strains) per finger.
 
-    vertex_indices selects a per-finger subset of the full surface mesh
-    (one row of indices per finger); None means the reference covers the
-    full mesh. Subset references let a planner hand the controller a
-    sparse set of control vertices to chase.
+    vertex_indices selects a subset of the finger's surface mesh, the same
+    for all three fingers since they are one model; None means the
+    reference covers the full mesh. Subset references let a planner hand
+    the controller a sparse set of control vertices to chase.
     """
 
     times: np.ndarray  # (T,) strictly increasing
     vertices: np.ndarray  # (T, 3, V, 3) finger-local desired surfaces
     strains: np.ndarray  # (T, 12) desired sensor strains
-    rest_vertices: np.ndarray  # (3, V, 3) the fingers' rest surfaces
+    rest_vertices: np.ndarray  # (V, 3) the finger's rest surface
     source: str = "recorded"
-    vertex_indices: np.ndarray = None  # (3, V) rows into the full mesh, or None
+    vertex_indices: np.ndarray = None  # (V,) rows of the full mesh, or None
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=np.float64).reshape(-1)
@@ -218,30 +208,27 @@ class ReferenceTrajectory:
             )
         if strains.shape != (t, N_SENSORS):
             raise ValueError("ReferenceTrajectory: strains must be (T, 12)")
-        if rest.shape != vertices.shape[1:]:
+        if rest.shape != vertices.shape[2:]:
             raise ValueError(
-                "ReferenceTrajectory: rest_vertices must match the per-step "
+                "ReferenceTrajectory: rest_vertices must match one finger's "
                 "vertex layout"
             )
         for name, arr in (("times", times), ("vertices", vertices),
-                          ("strains", strains)):
+                          ("strains", strains), ("rest_vertices", rest)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"ReferenceTrajectory: non-finite {name}")
         indices = self.vertex_indices
         if indices is not None:
             indices = np.ascontiguousarray(indices, dtype=np.int64)
-            if indices.shape != (N_FINGERS, vertices.shape[2]):
+            if indices.shape != (vertices.shape[2],):
                 raise ValueError(
                     "ReferenceTrajectory: vertex_indices must be one row of "
-                    f"{vertices.shape[2]} indices per finger"
+                    f"{vertices.shape[2]} indices"
                 )
             if indices.min() < 0:
                 raise ValueError("ReferenceTrajectory: negative vertex index")
-            for row in indices:
-                if np.unique(row).shape[0] != row.shape[0]:
-                    raise ValueError(
-                        "ReferenceTrajectory: repeated vertex index in a finger"
-                    )
+            if np.unique(indices).shape[0] != indices.shape[0]:
+                raise ValueError("ReferenceTrajectory: repeated vertex index")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "strains", strains)
@@ -254,7 +241,7 @@ class ReferenceTrajectory:
     @property
     def peak_deflection_mm(self):
         """Largest vertex excursion from rest anywhere in the trajectory."""
-        deltas = self.vertices - self.rest_vertices[None]
+        deltas = self.vertices - self.rest_vertices
         return float(np.sqrt((deltas * deltas).sum(axis=3)).max())
 
     @classmethod
@@ -267,7 +254,8 @@ class ReferenceTrajectory:
             np.stack([f.sensor_lengths for f in frames]), hand.sensor_rest_lengths
         )
         times = np.arange(len(frames), dtype=np.float64)
-        return cls(times, vertices, strains, hand.rest_surfaces, source)
+        return cls(times, vertices, strains, hand.fingers[0].surface.vertices,
+                   source)
 
 
 def save_reference(directory, hand: HandModel, frames, seed, config=None):
@@ -305,7 +293,7 @@ def _surface_error(hand, frame, ref_vertices, indices=None):
     """Mean over fingers of mean NN distance to the reference surface."""
     surfaces = frame.surfaces(hand)
     if indices is not None:
-        surfaces = select_vertices(surfaces, indices)
+        surfaces = np.take(surfaces, indices, axis=-2)
     values = [mean_nn_distance(surfaces[j], ref_vertices[j]) for j in range(N_FINGERS)]
     return float(np.mean(values))
 
@@ -346,18 +334,18 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
     if cfg is None:
         cfg = ControllerConfig()
     rest_lengths = hand.sensor_rest_lengths
-    rests = hand.rest_surfaces
-    if mode == "shape" and model.n_vertices != rests[0].shape[0]:
+    rest = hand.fingers[0].surface.vertices
+    if mode == "shape" and model.n_vertices != rest.shape[0]:
         raise ValueError(
             "track_trajectory: the shape model was trained on a different mesh"
         )
     indices = ref.vertex_indices
     if indices is None:
-        if ref.vertices.shape[2] != rests[0].shape[0]:
+        if ref.vertices.shape[2] != rest.shape[0]:
             raise ValueError(
                 "track_trajectory: reference vertex count does not match the hand"
             )
-    elif indices.max() >= rests[0].shape[0]:
+    elif indices.max() >= rest.shape[0]:
         raise ValueError(
             "track_trajectory: reference vertex indices exceed the mesh"
         )
@@ -372,9 +360,9 @@ def track_trajectory(hand: HandModel, model, directions: ActuationDirections,
     for t in range(len(ref)):
         strains = estimator.strains_from_lengths(frame.sensor_lengths, rest_lengths)
         if mode == "shape":
-            estimated = rests + estimator.predict(model, hand, strains)
+            estimated = rest + estimator.predict(model, hand, strains)
             if indices is not None:
-                estimated = select_vertices(estimated, indices)
+                estimated = np.take(estimated, indices, axis=-2)
             du = shape_step(estimated, ref.vertices[t], directions, cfg)
         else:
             du = strain_step(strains, ref.strains[t], cfg)

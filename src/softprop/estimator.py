@@ -227,7 +227,7 @@ def samples_from_frames(frames, hand: HandModel):
 
     Returns (X (N, 4), Y (N, V, 3), frame_index (N,), has_force (F,)).
     """
-    rests = hand.rest_surfaces
+    rest = hand.fingers[0].surface.vertices
     rest_lengths = hand.sensor_rest_lengths
     xs, ys, frame_ix = [], [], []
     has_force = np.zeros(len(frames), dtype=bool)
@@ -235,7 +235,7 @@ def samples_from_frames(frames, hand: HandModel):
         has_force[i] = any(len(evs) > 0 for evs in frame.forces)
         strains = strains_from_lengths(frame.sensor_lengths, rest_lengths)
         xs.extend(strains.reshape(N_FINGERS, 4))
-        ys.extend(frame.surfaces(hand) - rests)
+        ys.extend(frame.surfaces(hand) - rest)
         frame_ix.extend([i] * N_FINGERS)
     return (
         np.array(xs),

@@ -27,7 +27,6 @@ from . import estimator, nn
 from .controller import (
     ReferenceTrajectory,
     TrackState,
-    select_vertices,
     track_trajectory,
 )
 from .datafiles import (
@@ -51,7 +50,8 @@ from .simulator import Demonstration, HandModel, N_FINGERS
 N_POSE = 6  # translation mm + axis-angle rad
 CLOUD_INPUT_SCALE = 0.02  # mm of scene geometry -> net input
 NORM_HEADROOM = 1.25  # demo max-abs -> normalization scale
-POLICY_FORMAT = "policy/1"
+POLICY_FORMAT = "policy/2"
+_NETS = ("shape", "cloud", "denoiser")  # one .ksnn checkpoint each
 
 
 @dataclass(frozen=True)
@@ -199,11 +199,12 @@ class ActionChunk:
 
 
 def control_vertex_indices(hand: HandModel, count):
-    """Farthest-point control-vertex subset of the finger, one row per finger.
+    """Farthest-point control-vertex subset of the finger, (count,) indices.
 
     Seeded at the fingertip (largest axial coordinate) so the tip is
     always a control vertex; greedy FPS then spreads the rest over the
-    surface. Deterministic. The fingers are one model, so the rows agree.
+    surface. Deterministic. The fingers are one model, so one row serves
+    all three.
     """
     verts = hand.fingers[0].surface.vertices
     if count > verts.shape[0]:
@@ -211,8 +212,7 @@ def control_vertex_indices(hand: HandModel, count):
             f"control_vertex_indices: {count} requested, mesh has {verts.shape[0]}"
         )
     tip = int(np.argmax(verts[:, 2]))
-    row = farthest_point_indices(verts, count, start_index=tip)
-    return np.stack((row,) * N_FINGERS)
+    return farthest_point_indices(verts, count, start_index=tip)
 
 
 def synthetic_object_cloud(center, radius_mm=10.0, height_mm=30.0, count=256,
@@ -272,18 +272,18 @@ class PolicyState:
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Trained policy: three nets plus the geometry they were fit to."""
+    """Trained policy: three nets plus the geometry they were fit to.
+
+    The nets' architectures follow from the config (_policy_specs).
+    """
 
     config: PolicyConfig
     schedule: DiffusionSchedule
-    shape_spec: nn.MlpSpec
     shape_params: np.ndarray
-    cloud_spec: nn.MlpSpec
     cloud_params: np.ndarray
-    denoiser_spec: nn.MlpSpec
     denoiser_params: np.ndarray
-    control_indices: np.ndarray  # (3, K)
-    rest_control: np.ndarray  # (3, K, 3)
+    control_indices: np.ndarray  # (K,) rows of the finger's surface mesh
+    rest_control: np.ndarray  # (K, 3) the finger's rest control vertices
     norm_scale: np.ndarray  # (chunk_dim,) action normalization
     shape_input_scale: float  # mm of control-vertex displacement -> net input
 
@@ -292,9 +292,9 @@ class PolicyParams:
         idx = np.ascontiguousarray(self.control_indices, dtype=np.int64)
         rest = np.ascontiguousarray(self.rest_control, dtype=np.float64)
         scale = np.ascontiguousarray(self.norm_scale, dtype=np.float64).reshape(-1)
-        if idx.shape != (N_FINGERS, cfg.control_count):
+        if idx.shape != (cfg.control_count,):
             raise ValueError("PolicyParams: control_indices shape mismatch")
-        if rest.shape != (N_FINGERS, cfg.control_count, 3):
+        if rest.shape != (cfg.control_count, 3):
             raise ValueError("PolicyParams: rest_control shape mismatch")
         if scale.shape != (cfg.chunk_dim,) or np.any(scale <= 0.0):
             raise ValueError("PolicyParams: norm_scale must be positive per entry")
@@ -302,8 +302,7 @@ class PolicyParams:
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError("PolicyParams: shape_input_scale must be positive")
         object.__setattr__(self, "shape_input_scale", s)
-        for name in ("shape", "cloud", "denoiser"):
-            spec = getattr(self, f"{name}_spec")
+        for name, spec in zip(_NETS, _policy_specs(cfg)):
             params = np.ascontiguousarray(
                 getattr(self, f"{name}_params"), dtype=np.float64
             ).reshape(-1)
@@ -316,6 +315,7 @@ class PolicyParams:
 
 
 def _policy_specs(cfg: PolicyConfig):
+    """The shape, cloud and denoiser architectures, in _NETS order."""
     shape_in = N_FINGERS * cfg.control_count * 3
     shape = nn.MlpSpec.dense((shape_in,) + cfg.shape_hidden + (cfg.shape_feature,))
     cloud = nn.MlpSpec.dense((3,) + cfg.cloud_hidden + (cfg.cloud_feature,))
@@ -341,21 +341,21 @@ def encode_state(vertices, cloud, pose, params: PolicyParams) -> PolicyState:
     The cloud branch max-pools per-point features, so the result is
     invariant to point order and duplication. Pure and deterministic.
     """
-    cfg = params.config
+    layout = (N_FINGERS,) + params.rest_control.shape
     vertices = np.asarray(vertices, dtype=np.float64)
-    if vertices.shape != params.rest_control.shape:
+    if vertices.shape != layout:
         raise ValueError(
             f"encode_state: vertices {vertices.shape} do not match the "
-            f"{params.rest_control.shape} control layout"
+            f"{layout} control layout"
         )
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] < 1:
         raise ValueError("encode_state: cloud must be a nonempty (P, 3) array")
     shape_in = ((vertices - params.rest_control)
                 * params.shape_input_scale).reshape(-1)
-    shape_feature = nn.forward(params.shape_spec, params.shape_params, shape_in)
-    rows = nn.forward(params.cloud_spec, params.cloud_params,
-                      cloud * CLOUD_INPUT_SCALE)
+    shape_spec, cloud_spec, _ = _policy_specs(params.config)
+    shape_feature = nn.forward(shape_spec, params.shape_params, shape_in)
+    rows = nn.forward(cloud_spec, params.cloud_params, cloud * CLOUD_INPUT_SCALE)
     pooled, _ = nn.set_max_pool(rows)
     return PolicyState(shape_feature, pooled, pose)
 
@@ -374,8 +374,8 @@ class PolicyDataset:
     chunks: np.ndarray  # (N, chunk_dim) physical action vectors
     demo_index: np.ndarray  # (N,)
     step_index: np.ndarray  # (N,)
-    control_indices: np.ndarray  # (3, K)
-    rest_control: np.ndarray  # (3, K, 3)
+    control_indices: np.ndarray  # (K,)
+    rest_control: np.ndarray  # (K, 3)
     config: PolicyConfig
 
     def __post_init__(self):
@@ -408,8 +408,8 @@ def _pose_delta(before, after):
 
 def _estimate_control_vertices(model, hand: HandModel, strains, indices):
     """Estimated control-vertex positions, (3, K, 3) or (T, 3, K, 3)."""
-    full = hand.rest_surfaces + estimator.predict(model, hand, strains)
-    return select_vertices(full, indices)
+    full = hand.fingers[0].surface.vertices + estimator.predict(model, hand, strains)
+    return np.take(full, indices, axis=-2)
 
 
 def build_policy_dataset(pairs, model, hand: HandModel,
@@ -427,7 +427,7 @@ def build_policy_dataset(pairs, model, hand: HandModel,
     if not pairs:
         raise ValueError("build_policy_dataset: no demonstrations")
     indices = control_vertex_indices(hand, cfg.control_count)
-    rest_control = select_vertices(hand.rest_surfaces, indices)
+    rest_control = hand.fingers[0].surface.vertices[indices]
     rest_lengths = hand.sensor_rest_lengths
     groups = cfg.step_scale_groups()
 
@@ -630,11 +630,8 @@ def train_policy(dataset: PolicyDataset, cfg: PolicyConfig = None, seed=0):
     params = PolicyParams(
         config=cfg,
         schedule=schedule,
-        shape_spec=shape_spec,
         shape_params=shape_p,
-        cloud_spec=cloud_spec,
         cloud_params=cloud_p,
-        denoiser_spec=denoiser_spec,
         denoiser_params=den_p,
         control_indices=dataset.control_indices,
         rest_control=dataset.rest_control,
@@ -672,12 +669,13 @@ def sample_actions(params: PolicyParams, state: PolicyState, seed=0) -> ActionCh
     sv = state.vector()
     if sv.shape[0] != cfg.state_dim:
         raise ValueError("sample_actions: state width does not match the policy")
+    denoiser_spec = _policy_specs(cfg)[2]
     x = rng.standard_normal(cfg.chunk_dim)
     for t in range(schedule.t_diff, 0, -1):
         net_in = np.concatenate(
             [x, sv, time_embedding(float(t), cfg.time_feature)]
         )
-        eps_hat = nn.forward(params.denoiser_spec, params.denoiser_params, net_in)
+        eps_hat = nn.forward(denoiser_spec, params.denoiser_params, net_in)
         x = reverse_step_mean(x, eps_hat, schedule, t)
         if t > 1:
             x = x + np.sqrt(schedule.betas[t - 1]) * rng.standard_normal(
@@ -711,10 +709,15 @@ class RolloutTask:
         demos = tuple(self.demos)
         if self.steps is None and not demos:
             raise ValueError("RolloutTask: need steps or at least one demo")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("RolloutTask: steps must be >= 1")
+        steps = len(demos[0]) - 1 if self.steps is None else self.steps
+        if steps < 1:
+            raise ValueError(
+                "RolloutTask: steps must be >= 1 (a demo has one action "
+                "fewer than frames)"
+            )
         object.__setattr__(self, "object_points", points)
         object.__setattr__(self, "demos", demos)
+        object.__setattr__(self, "steps", steps)
 
 
 @dataclass(frozen=True)
@@ -736,7 +739,7 @@ class RolloutReport:
 
 def _control_trajectory(frames, hand: HandModel, indices):
     """True control-vertex positions per frame, (T, 3, K, 3)."""
-    return select_vertices(np.stack([f.surfaces(hand) for f in frames]), indices)
+    return np.take(np.stack([f.surfaces(hand) for f in frames]), indices, axis=-2)
 
 
 def rollout(params: PolicyParams, hand: HandModel, model, directions,
@@ -749,7 +752,7 @@ def rollout(params: PolicyParams, hand: HandModel, model, directions,
     the nearest demonstration, normalized by that demo's path length.
     """
     cfg = params.config
-    steps = task.steps if task.steps is not None else len(task.demos[0]) - 1
+    steps = task.steps
     rest_lengths = hand.sensor_rest_lengths
     if int(params.control_indices.max()) >= hand.fingers[0].surface.vertices.shape[0]:
         raise ValueError("rollout: policy control vertices exceed the hand mesh")
@@ -841,9 +844,9 @@ def save_policy(directory, params: PolicyParams):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     nets = {}
-    for name in ("shape", "cloud", "denoiser"):
+    for name, spec in zip(_NETS, _policy_specs(params.config)):
         file_name = f"{name}.ksnn"
-        nn.save_checkpoint(directory / file_name, getattr(params, f"{name}_spec"),
+        nn.save_checkpoint(directory / file_name, spec,
                            getattr(params, f"{name}_params"))
         nets[name] = file_name
     manifest = {
@@ -865,18 +868,13 @@ def load_policy(directory) -> PolicyParams:
     manifest = read_manifest(directory, POLICY_FORMAT, "train-policy")
     cfg = PolicyConfig(**manifest["config"])
     nets = {}
-    for name, spec in zip(("shape", "cloud", "denoiser"), _policy_specs(cfg)):
+    for name, spec in zip(_NETS, _policy_specs(cfg)):
         path = artifact_file(directory, manifest["nets"][name], "train-policy")
-        nets[name] = (spec, nn.load_checkpoint(path, spec))
+        nets[f"{name}_params"] = nn.load_checkpoint(path, spec)
     return PolicyParams(
         config=cfg,
         schedule=DiffusionSchedule(np.array(manifest["betas"])),
-        shape_spec=nets["shape"][0],
-        shape_params=nets["shape"][1],
-        cloud_spec=nets["cloud"][0],
-        cloud_params=nets["cloud"][1],
-        denoiser_spec=nets["denoiser"][0],
-        denoiser_params=nets["denoiser"][1],
+        **nets,
         control_indices=np.array(manifest["control_indices"], dtype=np.int64),
         rest_control=np.array(manifest["rest_control"]),
         norm_scale=np.array(manifest["norm_scale"]),

@@ -325,11 +325,6 @@ class HandModel:
         """(12,) rest lengths of all sensors, finger by finger."""
         return np.tile(self.fingers[0].sensor_rest_lengths, N_FINGERS)
 
-    @property
-    def rest_surfaces(self):
-        """(3, V, 3) finger-local rest surface vertices of all fingers."""
-        return np.stack((self.fingers[0].surface.vertices,) * N_FINGERS)
-
     @staticmethod
     def build_standard(
         segments=18,

@@ -247,8 +247,9 @@ def test_reference_trajectory_validation():
     t = np.arange(3.0)
     vertices = np.zeros((3, 3, 4, 3))
     strains = np.zeros((3, 12))
-    rest = np.zeros((3, 4, 3))
+    rest = np.zeros((4, 3))
     ReferenceTrajectory(t, vertices, strains, rest)
+    ReferenceTrajectory(t, vertices, strains, rest, vertex_indices=[3, 0, 7, 1])
     with pytest.raises(ValueError, match="increasing"):
         ReferenceTrajectory(t[::-1].copy(), vertices, strains, rest)
     with pytest.raises(ValueError, match="increasing"):
@@ -260,11 +261,24 @@ def test_reference_trajectory_validation():
     with pytest.raises(ValueError, match=r"\(T, 12\)"):
         ReferenceTrajectory(t, vertices, strains[:, :7], rest)
     with pytest.raises(ValueError, match="rest_vertices"):
-        ReferenceTrajectory(t, vertices, strains, rest[:, :3])
+        ReferenceTrajectory(t, vertices, strains, rest[:3])
+    with pytest.raises(ValueError, match="rest_vertices"):
+        ReferenceTrajectory(t, vertices, strains, np.zeros((3, 4, 3)))
     bad = strains.copy()
     bad[1, 4] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         ReferenceTrajectory(t, vertices, bad, rest)
+    bad_rest = rest.copy()
+    bad_rest[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite rest_vertices"):
+        ReferenceTrajectory(t, vertices, strains, bad_rest)
+    for indices in ([0, 1, 2], np.tile(np.arange(4), (3, 1))):
+        with pytest.raises(ValueError, match="one row of 4 indices"):
+            ReferenceTrajectory(t, vertices, strains, rest, vertex_indices=indices)
+    with pytest.raises(ValueError, match="negative"):
+        ReferenceTrajectory(t, vertices, strains, rest, vertex_indices=[0, 1, -2, 3])
+    with pytest.raises(ValueError, match="repeated"):
+        ReferenceTrajectory(t, vertices, strains, rest, vertex_indices=[0, 5, 2, 5])
 
 
 def test_reference_from_frames_matches_surfaces(hand):
@@ -277,12 +291,11 @@ def test_reference_from_frames_matches_surfaces(hand):
     for j in range(3):
         assert np.array_equal(ref.vertices[1, j],
                               frames[1].nodes[j][hand.fingers[j].rest.surface_map])
-        assert np.array_equal(ref.rest_vertices[j],
-                              hand.fingers[j].surface.vertices)
+        assert np.array_equal(ref.rest_vertices, hand.fingers[j].surface.vertices)
     rest_lengths = np.concatenate([f.sensor_rest_lengths for f in hand.fingers])
     expected = frames[0].sensor_lengths / rest_lengths - 1.0
     assert np.array_equal(ref.strains[0], expected)
-    deltas = ref.vertices - ref.rest_vertices[None]
+    deltas = ref.vertices - ref.rest_vertices
     assert ref.peak_deflection_mm == np.sqrt(
         (deltas ** 2).sum(axis=3)
     ).max()
@@ -368,11 +381,22 @@ def test_track_rejects_foreign_reference(hand, model, directions, hold_ref):
         hold_ref.times,
         hold_ref.vertices[:, :, :-1],
         hold_ref.strains,
-        hold_ref.rest_vertices[:, :-1],
+        hold_ref.rest_vertices[:-1],
         hold_ref.source,
     )
     with pytest.raises(ValueError, match="vertex count"):
         track_trajectory(hand, model, directions, shaved, mode="strain")
+    n_vertices = hold_ref.rest_vertices.shape[0]
+    beyond = ReferenceTrajectory(
+        hold_ref.times,
+        hold_ref.vertices[:, :, :2],
+        hold_ref.strains,
+        hold_ref.rest_vertices[:2],
+        hold_ref.source,
+        vertex_indices=[0, n_vertices],
+    )
+    with pytest.raises(ValueError, match="exceed the mesh"):
+        track_trajectory(hand, model, directions, beyond, mode="strain")
 
 
 def test_track_partial_abort(hand, model, directions, hold_ref, monkeypatch):

@@ -178,7 +178,7 @@ def test_perfbench_softprop_accesses_resolve(name):
     assert resolved
 
 
-# Stage entry points the pipeline CLI will call (ROADMAP item 8); nothing
+# Stage entry points the pipeline CLI will call (ROADMAP item 5); nothing
 # in the package or the benchmark calls them yet.
 CLI_ENTRY_POINTS = {
     "save_shape_model", "load_shape_model", "save_calibration_set",

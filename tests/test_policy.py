@@ -28,7 +28,12 @@ from softprop.policy import (
     train_policy,
 )
 from softprop.seeding import STAGE_TRAIN_SHAPE, child_rng
-from softprop.simulator import ExternalForceEvent, HandModel, collect_demonstration
+from softprop.simulator import (
+    Demonstration,
+    ExternalForceEvent,
+    HandModel,
+    collect_demonstration,
+)
 
 CFG = PolicyConfig(
     horizon=2, exec_horizon=2, control_count=4, shape_feature=8, cloud_feature=8,
@@ -86,7 +91,7 @@ def trained(dataset):
 
 def _state(dataset, params):
     vertices = dataset.rest_control + dataset.shape_inputs[0].reshape(
-        dataset.rest_control.shape)
+        (3,) + dataset.rest_control.shape)
     return encode_state(vertices, dataset.clouds[0], dataset.poses[0], params)
 
 
@@ -153,7 +158,6 @@ def test_policy_checkpoint_round_trip(tmp_path, dataset, trained):
     loaded = load_policy(tmp_path / "policy")
     assert loaded.config == params.config
     for name in ("shape", "cloud", "denoiser"):
-        assert getattr(loaded, f"{name}_spec") == getattr(params, f"{name}_spec")
         assert np.array_equal(getattr(loaded, f"{name}_params"),
                               getattr(params, f"{name}_params"))
     for name in ("control_indices", "rest_control", "norm_scale"):
@@ -234,6 +238,19 @@ def test_norm_scale_is_headroom_times_groupwise_max(dataset, trained):
     # The demo has no pose changes, so only the vertex group is above the floor.
     assert per_step[:, :, groups[0]].max() > 1e-6
     np.testing.assert_array_equal(params.norm_scale, np.tile(step_scale, CFG.horizon))
+
+
+def test_rollout_task_steps_default_to_the_first_demo(points, demo):
+    assert RolloutTask(points, demos=(demo,)).steps == len(demo) - 1
+    assert RolloutTask(points, demos=(demo,), steps=2).steps == 2
+    with pytest.raises(ValueError, match="need steps"):
+        RolloutTask(points)
+    with pytest.raises(ValueError, match=">= 1"):
+        RolloutTask(points, steps=0)
+    # A one-frame demo has no action, so it cannot set the step budget.
+    still = Demonstration(demo.frames[:1], demo.ramp_steps, demo.seed)
+    with pytest.raises(ValueError, match=">= 1"):
+        RolloutTask(points, demos=(still,))
 
 
 def test_rollout_completes_and_repeats(hand, model, points, trained):
