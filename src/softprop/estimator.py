@@ -19,6 +19,16 @@ hand's pool workers, one contiguous share per worker
 (pool.map_tasks), and sums them in sub-batch order, so training
 with one BLAS thread per process gives the same bits on any number of
 CPUs. Every other pass runs in the calling process.
+
+Only the decoder passes of training steps run in float32, on a float32
+copy of the decoder parameters made each step (mixed-precision training,
+Micikevicius et al., arXiv:1710.03740). Their gradients are summed in
+float64, and the parameters a ShapeModel holds, Adam, the encoder,
+validation, the head refit, checkpoints and every prediction stay
+float64. Inference stays float64 because a row's product depends on the
+rows multiplied with it, by about 1e-5 in float32 against 1e-14 in
+float64: a float32 decoded reading would move with the readings decoded
+beside it by more than calibration's oracle check allows.
 """
 
 from __future__ import annotations
@@ -39,35 +49,45 @@ LATENT = 128
 ENCODER_SIZES = (4, 64, LATENT)
 DECODER_SIZES = (3 + LATENT, 128, 64, 3)
 # Samples per decoder pass, in training steps and everywhere else: 8 x 230
-# vertices is 1,840 rows, and the largest activation, (1840, 128), is 1.9 MB.
-# Whole 64-sample minibatches made (14720, 128) temporaries of 7.5-15 MB
-# that glibc's malloc returned to the kernel and faulted in again on every
-# minibatch. malloc also trims a free heap top larger than twice the largest
-# mmap block it has freed, and one pass's cache plus its gradients come to
-# three of its largest arrays, so each process that runs training passes
-# holds its last sub-batch cache from one step to the next (_held, filled by
-# _decode_share in the caller or in a pool worker). Minor faults per epoch
-# of the benchmark's learn inputs on the paper hand, in one process: 12k at
+# vertices is 1,840 rows, and the largest activation, (1840, 128), is 1.9 MB
+# in float64 and 0.9 MB in float32. Whole 64-sample minibatches made
+# (14720, 128) float64 temporaries of 7.5-15 MB that glibc's malloc returned
+# to the kernel and faulted in again on every minibatch. malloc also trims a
+# free heap top larger than twice the largest mmap block it has freed, and
+# one pass's cache plus its gradients come to three of its largest arrays,
+# so each process that runs training passes holds its last sub-batch cache
+# from one step to the next (_held, filled by _decode_share in the caller or
+# in a pool worker). Minor faults per epoch of the benchmark's learn inputs
+# on the paper hand, in one process, with float64 training passes: 12k at
 # whole minibatches, 4.6k with in-place activations alone, 5.9k with
 # 8-sample passes alone, 5.0k with both but no hold and 0.8-1.2k with all
-# three, with 3 ms of system time per epoch against 57 ms. With the passes
-# in two pool workers, the workers faulted 2-4 times per epoch together
-# with their held caches and, in 3 of 6 runs, 5.3k-7.1k times without.
-# Passes of 16 or 32 samples faulted about 2.4k times; passes of 4 were no
-# faster on a shared 2-vCPU host (104 against 106 ms of CPU per epoch) and
-# would split the 5-sample decodes of an alignment objective in two.
+# three, with 3 ms of system time per epoch against 57 ms. With float32
+# passes and all three, at most 0.3k per epoch and no measurable system
+# time, in epochs of 59-81 ms (float64 on the same host: 0.4k-1.2k and
+# 114-118 ms). With the passes in two pool workers, the workers faulted 1-2
+# times per epoch together in float32 as in float64 with their held caches
+# and, in 3 of 6 float64 runs, 5.3k-7.1k times without. Float64 passes of
+# 16 or 32 samples faulted about 2.4k times; float32 passes of 16 were no
+# faster than of 8 (53-83 against 59-81 ms per epoch); passes of 4 were no
+# faster on a shared 2-vCPU host (104 against 106 ms of CPU per epoch, in
+# float64) and would split the 5-sample decodes of an alignment objective
+# in two.
 DECODE_CHUNK = 8
 # Decoder rows (samples x V) from which a training step runs its sub-batches
-# in the pool (see _forward_backward). Each sub-batch sends back a 200 KB
-# decoder gradient whatever V is, so only wide sub-batches pay for the trip.
-# Median step times on a shared 2-vCPU host, one BLAS thread, in-process
-# against two workers: paper hand (V = 230) at 16 samples (3,680 rows)
-# 11.1 against 16.8 ms, at 24 (5,520) 18.9 against 23.1 ms in one pass and
-# 17.7 against 14.2 ms in another, at 28 (6,440) 21.0 against 17.5 ms, at
-# 32 (7,360) 18.7-24.0 against 15.4-18.4 ms and at 64 (14,720) 42.7 against
-# 30.3 ms; test hand (V = 62) 1.4-1.5x slower pooled at 32-96 samples (up to
-# 5,952 rows) and no faster at 104-192 (6,448-11,904 rows). Training on
-# 15-sample minibatches of the paper hand (3,450 rows) stays in-process.
+# in the pool (see _forward_backward). Each sub-batch sends back a 100 KB
+# float32 decoder gradient whatever V is, so only wide sub-batches pay for
+# the trip. Median float32 step times on a shared 2-vCPU host, one BLAS
+# thread, in-process against two workers, two sweeps: paper hand
+# (V = 230) at 16 samples (3,680 rows) 6.8-7.0 against 7.2-7.7 ms, at 24
+# (5,520) 10.9-11.7 against 10.0-10.3 ms, at 28 (6,440) 11.7 against
+# 10.3 ms, at 32 (7,360) 13.4-13.6 against 9.9-10.2 ms and at 64 (14,720)
+# 25.2-26.4 against 17.8-18.3 ms; test hand (V = 62) 6.6 against 8.6 ms at
+# 64 samples (3,968 rows), even at 96 (5,952 rows), and either side ahead
+# by up to 20% at 112-192 (6,944-11,904 rows). The float64 steps crossed
+# over at the same size in a sweep on the same host (13.2 against 12.8 ms
+# at 16 samples, 21.0 against 16.9 ms at 24), so the threshold stays.
+# Training on 15-sample minibatches of the paper hand (3,450 rows) stays
+# in-process.
 _POOL_ROWS = 7000
 
 
@@ -271,8 +291,9 @@ _held = None
 def _decode_share(hand, task):
     """Decoder forward and backward passes over one contiguous share of a
     training step's sub-batches, task (dec_spec, dec_params, rest_scaled,
-    z, y, scale): [(squared error sum, decoder gradient, latent gradient
-    rows)], one entry per DECODE_CHUNK sub-batch in order."""
+    z, y, scale) with float32 arrays: [(squared error sum in float64, float32
+    decoder gradient, float32 latent gradient rows)], one entry per
+    DECODE_CHUNK sub-batch in order."""
     global _held
     dec_spec, dec_params, rest_scaled, z, y, scale = task
     out = []
@@ -281,7 +302,7 @@ def _decode_share(hand, task):
             dec_spec, dec_params, rest_scaled, z[s : s + DECODE_CHUNK]
         )
         diff = pred - y[s : s + DECODE_CHUNK]
-        sq = float(np.sum(diff * diff))
+        sq = float(np.sum(diff * diff, dtype=np.float64))
         diff *= scale
         g_dec, _, g_z = nn.backward_conditioned(dec_spec, dec_params, dec_cache, diff)
         out.append((sq, g_dec, g_z))
@@ -296,11 +317,15 @@ def _forward_backward(model, x, y, rest_scaled, hand):
     nn.mse_loss would give it, but the decoder runs forward and backward
     one DECODE_CHUNK sub-batch at a time: each sub-batch gives its squared
     errors, its parameter gradient and its rows of the latent gradient,
-    which are summed and stacked here in sub-batch order. The encoder runs
-    once on the whole minibatch, here. A step of at least _POOL_ROWS decoder
-    rows cuts its sub-batches into one contiguous share per worker of the
-    hand's pool (pool.map_tasks); a smaller one runs them here as one
-    share. Either way the sums are taken in the same order, so with one
+    which are summed and stacked here in sub-batch order. The decoder
+    passes run in float32 on a float32 copy of the decoder parameters,
+    rest vertices, latent codes and targets made once per step; their
+    gradients are summed into float64 here, and the latent gradient rows
+    enter the encoder's backward pass as float64. The encoder runs once on
+    the whole minibatch, here, in float64. A step of at least _POOL_ROWS
+    decoder rows cuts its sub-batches into one contiguous share per worker
+    of the hand's pool (pool.map_tasks); a smaller one runs them here as
+    one share. Either way the sums are taken in the same order, so with one
     BLAS thread here, as in the workers, the result does not depend on the
     number of CPUs.
     """
@@ -311,11 +336,14 @@ def _forward_backward(model, x, y, rest_scaled, hand):
     cuts = pool.share_cuts(chunks) if rows >= _POOL_ROWS else [0, chunks]
     cuts = [min(DECODE_CHUNK * c, n) for c in cuts]
     scale = 2.0 / y.size
+    dec32, rest32, z32, y32 = (
+        a.astype(np.float32) for a in (model.dec_params, rest_scaled, z, y)
+    )
     sq_sum = 0.0
     grad_dec = np.zeros_like(model.dec_params)
     grad_z = []
     for share in pool.map_tasks(hand, _decode_share, [
-        (model.dec_spec, model.dec_params, rest_scaled, z[a:b], y[a:b], scale)
+        (model.dec_spec, dec32, rest32, z32[a:b], y32[a:b], scale)
         for a, b in zip(cuts, cuts[1:])
     ]):
         for sq, g_dec, g_z in share:

@@ -4,9 +4,14 @@ Only the primitives the pipeline needs gradients for live here: affine
 layers with relu/tanh, a point decoder conditioned on a per-sample code
 (forward_conditioned / backward_conditioned, which never tiles the
 point-code input), max-pool over a set axis, and concatenation (which
-needs no code, just slicing the upstream gradient). Everything is float64
-and every reduction runs in a fixed order, so training is bitwise
-reproducible for a given seed, architecture, and data stream.
+needs no code, just slicing the upstream gradient). The passes run in the
+dtype of the parameters they are given: inputs and upstream gradients are
+cast to it, and activations, caches and gradients come out in it. Every
+caller passes float64 parameters except the shape decoder's training
+passes, which run in float32 (see estimator). Initialization, Adam, losses,
+set pooling and checkpoints are float64. Every reduction runs in a fixed
+order, so training is bitwise reproducible for a given seed, architecture,
+and data stream.
 
 Activations and their gradients are applied in place, and only to arrays
 this module allocated: a fresh pre-activation `a @ w` in the forward pass,
@@ -166,7 +171,8 @@ def forward_cache(spec: MlpSpec, params, x):
     The cache holds the 2D input and every post-activation; `backward`
     consumes it together with the same params.
     """
-    x = np.asarray(x, dtype=np.float64)
+    params = np.asarray(params)
+    x = np.asarray(x, dtype=params.dtype)
     squeeze = x.ndim == 1
     a = x[None, :] if squeeze else x
     if a.ndim != 2 or a.shape[1] != spec.d_in:
@@ -196,7 +202,8 @@ def backward(spec: MlpSpec, params, cache, grad_y):
     the batch; fold any 1/batch factor into grad_y.
     """
     acts, squeeze = cache
-    g = np.asarray(grad_y, dtype=np.float64)
+    params = np.asarray(params)
+    g = np.asarray(grad_y, dtype=params.dtype)
     if squeeze:
         g = g[None, :]
     if g.shape != acts[-1].shape:
@@ -205,7 +212,7 @@ def backward(spec: MlpSpec, params, cache, grad_y):
             f"{acts[-1].shape}"
         )
     layers = unpack_params(spec, params)
-    grad_params = np.empty_like(np.asarray(params, dtype=np.float64))
+    grad_params = np.empty_like(params)
     grads = unpack_params(spec, grad_params)
     # The output layer is linear (MlpSpec enforces it), so grad_y enters the
     # loop as is; each hidden activation's gradient goes into the fresh
@@ -237,7 +244,7 @@ def _split_first_layer(spec: MlpSpec, params):
     """(W1, b1) views, the tail spec, and the tail's parameter slice."""
     if spec.n_layers < 2:
         raise ValueError("conditioned decoding needs at least two layers")
-    params = np.asarray(params, dtype=np.float64)
+    params = np.asarray(params)
     w, b = unpack_params(spec, params)[0]
     tail = MlpSpec(spec.sizes[1:], spec.activations[1:])
     return w, b, tail, params[w.size + b.size :]
@@ -251,8 +258,9 @@ def forward_conditioned(spec: MlpSpec, params, points, codes):
     input concat(tile(points, (B, 1)), repeat(codes, V, axis=0)), reshaped,
     up to rounding.
     """
-    points = np.asarray(points, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.float64)
+    w, b, tail, tail_params = _split_first_layer(spec, params)
+    points = np.asarray(points, dtype=w.dtype)
+    codes = np.asarray(codes, dtype=w.dtype)
     if (points.ndim != 2 or codes.ndim != 2
             or points.shape[1] + codes.shape[1] != spec.d_in):
         raise ValueError(
@@ -261,7 +269,6 @@ def forward_conditioned(spec: MlpSpec, params, points, codes):
         )
     _check_finite(points, "network input points")
     _check_finite(codes, "network input codes")
-    w, b, tail, tail_params = _split_first_layer(spec, params)
     d_p = points.shape[1]
     pre = np.add((points @ w[:d_p] + b)[None], (codes @ w[d_p:])[:, None])
     h = _activate(pre, spec.activations[0]).reshape(-1, spec.sizes[1])
@@ -281,19 +288,19 @@ def backward_conditioned(spec: MlpSpec, params, cache, grad_y):
     """
     points, codes, tail_cache = cache
     n_b, n_v = codes.shape[0], points.shape[0]
-    g = np.asarray(grad_y, dtype=np.float64)
+    w, _, tail, tail_params = _split_first_layer(spec, params)
+    g = np.asarray(grad_y, dtype=w.dtype)
     if g.shape != (n_b, n_v, spec.d_out):
         raise ValueError(
             f"upstream gradient shape {g.shape} does not match output "
             f"{(n_b, n_v, spec.d_out)}"
         )
-    w, _, tail, tail_params = _split_first_layer(spec, params)
     grad_tail, grad_h = backward(tail, tail_params, tail_cache, g.reshape(n_b * n_v, -1))
     h = tail_cache[0][0]
     g = _activation_grad(grad_h, h, spec.activations[0]).reshape(n_b, n_v, -1)
     g_points = g.sum(axis=0)
     g_codes = g.sum(axis=1)
-    grad_params = np.empty(spec.n_params)
+    grad_params = np.empty(spec.n_params, dtype=w.dtype)
     gw, gb = unpack_params(spec, grad_params)[0]
     grad_params[gw.size + gb.size :] = grad_tail
     d_p = points.shape[1]

@@ -385,8 +385,16 @@ class PolicyDataset:
         for name in ("clouds", "poses", "chunks", "demo_index", "step_index"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"PolicyDataset: {name} row count mismatch")
-        if self.chunks.shape[1] != self.config.chunk_dim:
+        cfg = self.config
+        if self.chunks.shape[1] != cfg.chunk_dim:
             raise ValueError("PolicyDataset: chunk width mismatch")
+        # The checks PolicyParams makes, before train_policy runs any epoch.
+        if self.shape_inputs.shape[1:] != (N_FINGERS * cfg.control_count * 3,):
+            raise ValueError("PolicyDataset: shape_inputs width mismatch")
+        if np.shape(self.control_indices) != (cfg.control_count,):
+            raise ValueError("PolicyDataset: control_indices shape mismatch")
+        if np.shape(self.rest_control) != (cfg.control_count, 3):
+            raise ValueError("PolicyDataset: rest_control shape mismatch")
 
     def __len__(self):
         return self.shape_inputs.shape[0]

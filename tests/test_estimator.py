@@ -180,7 +180,11 @@ def test_predict_matches_tiled_oracle_and_checkpoint(tmp_path, hand):
 
 def test_forward_backward_matches_tiled_path(hand):
     # Two full decoder sub-batches and a partial one against one whole-batch
-    # pass on the tiled input.
+    # float64 pass on the tiled input. The step's decoder passes run in
+    # float32, so the bound is a float32 one: 1e-5 relative, about 80
+    # float32 epsilons, against measured errors of 2.8e-9 on the loss and
+    # 1.1e-7 and 1.6e-7 on the encoder and decoder gradients. The float64
+    # passes are pinned exactly in test_nn.
     model = _random_head_model(hand, 12)
     rng = np.random.default_rng(4)
     rest_scaled = hand.fingers[0].surface.vertices / model.finger_length_mm
@@ -198,10 +202,11 @@ def test_forward_backward_matches_tiled_path(hand):
     g_z = g_in[:, 3:].reshape(n_b, rest_scaled.shape[0], -1).sum(axis=1)
     g_enc_t, _ = nn.backward(model.enc_spec, model.enc_params, enc_cache, g_z)
 
-    assert abs(loss - loss_t) <= 1e-12 * loss_t
+    assert abs(loss - loss_t) <= 1e-5 * loss_t
     for got, want in ((g_enc, g_enc_t), (g_dec, g_dec_t)):
+        assert got.dtype == np.float64
         assert np.abs(want).max() > 0.0
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def test_forward_backward_peak_memory_does_not_grow_with_the_minibatch(hand, one_cpu):
@@ -351,6 +356,21 @@ def test_smoke_training_descends(smoke_trained):
     assert 0 <= report.best_epoch < SMOKE_CFG.epochs
     assert np.isfinite(report.heldout_mean_mm) and report.heldout_mean_mm > 0
     assert len(report.config_hash) == 64
+
+
+def test_trained_model_and_its_predictions_are_float64(smoke_trained, smoke_frames, hand):
+    # Only the training passes run in float32: the model train returns and
+    # everything decoded from it stay float64, equal to the float64 tiled
+    # oracle.
+    model, _ = smoke_trained
+    assert model.enc_params.dtype == model.dec_params.dtype == np.float64
+    x, _, _, _ = samples_from_frames(smoke_frames[:2], hand)
+    disp = predict(model, hand, x.reshape(2, 12))
+    assert disp.dtype == np.float64
+    rest = hand.fingers[0].surface.vertices
+    np.testing.assert_allclose(
+        disp[1, 2], _tiled_predict(model, x[5:6], rest)[0], rtol=0.0, atol=1e-12
+    )
 
 
 def test_trained_beats_rest_prediction(smoke_trained, smoke_frames, hand):

@@ -247,6 +247,32 @@ class TestConditioned:
         np.testing.assert_allclose(g_points, gx_t[:, :, :2].sum(axis=0), rtol=0, atol=1e-14)
         np.testing.assert_allclose(g_codes, gx_t[:, :, 2:].sum(axis=1), rtol=0, atol=1e-14)
 
+    def test_float32_params_run_in_float32(self):
+        # float64 inputs and upstream gradients are cast to the parameters'
+        # float32; every output and gradient comes out float32, within a
+        # float32 bound of the float64 passes: 1e-5 of the largest value,
+        # about 80 float32 epsilons.
+        params, points, codes, probe = self._case(2)
+        p32 = params.astype(np.float32)
+        tiled = _tiled(points, codes)
+
+        def close(got, want):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+        y, cache = forward_conditioned(self.SPEC, p32, points, codes)
+        y64, cache64 = forward_conditioned(self.SPEC, params, points, codes)
+        close(y, y64)
+        for got, want in zip(backward_conditioned(self.SPEC, p32, cache, probe),
+                             backward_conditioned(self.SPEC, params, cache64, probe)):
+            close(got, want)
+        y, cache = forward_cache(self.SPEC, p32, tiled)
+        y64, cache64 = forward_cache(self.SPEC, params, tiled)
+        close(y, y64)
+        for got, want in zip(backward(self.SPEC, p32, cache, probe.reshape(-1, 2)),
+                             backward(self.SPEC, params, cache64, probe.reshape(-1, 2))):
+            close(got, want)
+
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_matches_central_differences(self, seed):
         # Every parameter (W_p, W_c and b1 are the first layer's), every

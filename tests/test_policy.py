@@ -226,6 +226,19 @@ def test_build_policy_dataset_rejects_action_over_bound(hand, model, points, dat
         build_policy_dataset([(still, points), (pushed, points)], model, hand, tight)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("control_indices", lambda d: np.tile(d.control_indices, (3, 1))),
+    ("control_indices", lambda d: d.control_indices[:-1]),
+    ("rest_control", lambda d: d.rest_control[:-1]),
+    ("rest_control", lambda d: d.rest_control[:, :2]),
+    ("shape_inputs", lambda d: d.shape_inputs[:, :-1]),
+], ids=["indices_3_rows", "indices_short", "rest_short", "rest_2d", "inputs_narrow"])
+def test_policy_dataset_rejects_layouts_params_would_reject(dataset, field, value):
+    # Caught when the dataset is made, not after train_policy's last epoch.
+    with pytest.raises(ValueError, match=f"PolicyDataset: {field}"):
+        dataclasses.replace(dataset, **{field: value(dataset)})
+
+
 def test_norm_scale_is_headroom_times_groupwise_max(dataset, trained):
     params, _ = trained
     per_step = np.abs(dataset.chunks.reshape(len(dataset), CFG.horizon, CFG.step_dim))
